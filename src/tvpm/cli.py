@@ -10,7 +10,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from tvpm import colored as colored_mod
 from tvpm import core, gen, search
@@ -212,7 +211,9 @@ def cmd_colored(args):
 def cmd_verify(args):
     cert_obj = _read_json(args.cert)
     input_obj = _read_json(args.input)
-    kind = cert_obj.get("kind", "certificate")
+    # A non-object certificate falls through to certificate_from_json,
+    # which rejects it.
+    kind = cert_obj.get("kind") if isinstance(cert_obj, dict) else None
     try:
         if kind == "colored_certificate":
             cc = colored_mod.classes_from_json(input_obj)
@@ -264,6 +265,9 @@ def cmd_batch(args):
         for trial in range(args.trials)
     ]
     if args.jobs > 1:
+        # Imported here: the process pool costs every other subcommand
+        # start-up time it never uses.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_batch_trial, tasks))
     else:

@@ -13,13 +13,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from tvpm.core import SCHEMA
+from tvpm.core import SCHEMA, int_field
 from tvpm.linalg import (
+    denominator_lcm,
     format_rat,
     format_vec,
     parse_rat,
     parse_vec,
     tensor,
+    to_int,
     vadd,
     vscale,
     vzero,
@@ -72,7 +74,8 @@ def permutation_lift(points, flip, simplex):
 
     Returns ``(vectors, sigmas)`` where sigmas[t] is the lexicographically
     first permutation producing vectors[t] (sigma[j] = part of point j).
-    flip negates every vector (the class enters with a minus sign).
+    flip negates every vector (the class enters with a minus sign).  Int
+    points and an int simplex give int vectors.
     """
     r = len(points)
     if r > MAX_R:
@@ -80,15 +83,14 @@ def permutation_lift(points, flip, simplex):
                             % MAX_R)
     if len(simplex) != r:
         raise ValueError("simplex size mismatch")
-    dim = len(points[0]) * (r - 1)
+    if flip:
+        points = [tuple(-x for x in p) for p in points]
+    # terms[j][l] = points[j] (x) simplex[l]; each vector sums r of them
+    terms = [[tensor(p, v) for v in simplex] for p in points]
     seen = {}
     order = []
     for sigma in permutations(range(r)):
-        v = vzero(dim)
-        for j, z in enumerate(points):
-            v = vadd(v, tensor(z, simplex[sigma[j]]))
-        if flip:
-            v = tuple(-x for x in v)
+        v = tuple(map(sum, zip(*[terms[j][l] for j, l in enumerate(sigma)])))
         if v not in seen:
             seen[v] = sigma
             order.append(v)
@@ -118,14 +120,17 @@ def colored_tverberg_pm(cc, m_set, trace=None):
     if not m_set <= frozenset(range(cc.n)):
         raise ValueError("m_set out of range")
     vs = companion_simplex(cc.r)
+    # The lift runs on the classes times the lcm D of their denominators;
+    # pivot choices and weights do not change under the uniform scaling.
+    scale = denominator_lcm([p for group in cc.classes for p in group])
     sets = []
     sigmas = []
     for i, group in enumerate(cc.classes):
-        vecs, sg = permutation_lift(group, i in m_set, vs)
+        vecs, sg = permutation_lift(to_int(group, scale), i in m_set, vs)
         sets.append(vecs)
         sigmas.append(sg)
     init = [0] * cc.n
-    choice, beta = pivot_to_origin(sets, init, trace=trace)
+    choice, beta = pivot_to_origin(sets, init, trace=trace, scale=scale)
     chosen = [sigmas[i][choice[i]] for i in range(cc.n)]
     signed = [-beta[i] if i in m_set else beta[i] for i in range(cc.n)]
     gamma = sum(signed, Fraction(0))
@@ -210,10 +215,11 @@ def classes_from_json(obj):
     for key in ("d", "r", "classes"):
         if key not in obj:
             raise ValueError("classes JSON missing %r" % key)
+    d, r = int_field(obj, "d"), int_field(obj, "r")
     classes = tuple(
         tuple(parse_vec(p) for p in group) for group in obj["classes"]
     )
-    return ColorClasses(d=obj["d"], r=obj["r"], classes=classes)
+    return ColorClasses(d=d, r=r, classes=classes)
 
 
 def colorful_to_json(cp):
@@ -230,6 +236,8 @@ def colorful_to_json(cp):
 
 
 def colorful_from_json(obj):
+    if not isinstance(obj, dict):
+        raise ValueError("colored certificate JSON must be an object")
     for key in ("assignment", "alpha", "z", "gamma", "negatives"):
         if key not in obj:
             raise ValueError("colored certificate JSON missing %r" % key)

@@ -17,8 +17,10 @@ failure), never silently repaired.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from tvpm import linalg
+from tvpm.kernel import ff_solve
 from tvpm.linalg import format_rat, format_vec, parse_rat, parse_vec
 
 SCHEMA = "tvpm/1"
@@ -48,6 +50,14 @@ class PointConfig:
     @property
     def n(self):
         return len(self.points)
+
+    @cached_property
+    def scaled(self):
+        """``(D, points)``: D the lcm of all coordinate denominators and
+        the points times D as int tuples.  Partitions and coefficients
+        are affine invariants, so the integer core works on these."""
+        scale = linalg.denominator_lcm(self.points)
+        return scale, linalg.to_int(self.points, scale)
 
     @property
     def full_size(self):
@@ -118,6 +128,31 @@ def sign_pattern(cert):
     )
 
 
+def _blocks(config, partition, points, unit):
+    # Block rows for the given point coordinates: per part, d rows
+    # sum_i alpha_i points[i] - unit * z = 0, then sum_i alpha_i = 1.
+    validate_partition(config, partition, require_proper=False)
+    n, d = config.n, config.d
+    col_point = [i for part in partition for i in part]
+    col_of = {i: pos for pos, i in enumerate(col_point)}
+    m = []
+    b = []
+    for part in partition:
+        for coord in range(d):
+            row = [0] * (n + d)
+            for i in part:
+                row[col_of[i]] = points[i][coord]
+            row[n + coord] = -unit
+            m.append(row)
+            b.append(0)
+        ones = [0] * (n + d)
+        for i in part:
+            ones[col_of[i]] = 1
+        m.append(ones)
+        b.append(1)
+    return m, b, col_point
+
+
 def build_system(config, partition):
     """Assemble the block matrix and right-hand side for a partition.
 
@@ -125,28 +160,11 @@ def build_system(config, partition):
     the coefficient unknown of point ``col_point[j]`` and the last d
     columns carry -z.  Rows come in per-part blocks of d+1: the d
     weighted-sum rows, then the weights-sum row (right-hand side 1).
+    ``intersect_affine_hulls`` solves the same system with every
+    weighted-sum row multiplied by the configuration's scale D, which
+    makes it integral.
     """
-    validate_partition(config, partition, require_proper=False)
-    n, d = config.n, config.d
-    zero = Fraction(0)
-    col_point = [i for part in partition for i in part]
-    col_of = {i: pos for pos, i in enumerate(col_point)}
-    m = []
-    b = []
-    for part in partition:
-        for coord in range(d):
-            row = [zero] * (n + d)
-            for i in part:
-                row[col_of[i]] = config.points[i][coord]
-            row[n + coord] = Fraction(-1)
-            m.append(row)
-            b.append(zero)
-        ones = [zero] * (n + d)
-        for i in part:
-            ones[col_of[i]] = Fraction(1)
-        m.append(ones)
-        b.append(Fraction(1))
-    return m, b, col_point
+    return _blocks(config, partition, config.points, 1)
 
 
 @dataclass(frozen=True)
@@ -168,25 +186,28 @@ def intersect_affine_hulls(config, partition):
 
     Returns Intersection with kind "point" (unique solution, certificate
     attached), "empty" (inconsistent system), or "degenerate" (consistent
-    but underdetermined; only possible off general position).
+    but underdetermined; only possible off general position).  The
+    system is the integer one over the scaled points; its r*d scaled rows
+    make its determinant D**(r*d) times that of ``build_system``'s.
     """
     partition = canonical_partition(partition)
-    m, b, col_point = build_system(config, partition)
+    scale, points = config.scaled
+    m, b, col_point = _blocks(config, partition, points, scale)
     n, d = config.n, config.d
     square = len(m) == n + d
     if square:
-        got = linalg.solve_linear(m, b)
+        got = ff_solve(m, b)
         if got is not None:
-            x, detv = got
+            den, nums = got
+            x = [Fraction(v, den) for v in nums]
             cert = _solution_cert(x, col_point, n)
+            detv = Fraction(den, scale ** (config.r * d))
             return Intersection("point", cert, detv, None, None)
-    rk = linalg.rank(m)
-    rka = linalg.rank([row + [bi] for row, bi in zip(m, b)])
+    rk, rka, x = linalg.solve_system(m, b)
     detv = Fraction(0) if square else None
     if rk < rka:
         return Intersection("empty", None, detv, rk, rka)
-    if rk == n + d:
-        kind, x = linalg.solve_general(m, b)
+    if x is not None:
         cert = _solution_cert(x, col_point, n)
         return Intersection("point", cert, detv, rk, rka)
     return Intersection("degenerate", None, detv, rk, rka)
@@ -252,11 +273,17 @@ def config_from_json(obj):
     for key in ("d", "r", "points"):
         if key not in obj:
             raise ValueError("config JSON missing %r" % key)
-    d, r = obj["d"], obj["r"]
-    if not isinstance(d, int) or not isinstance(r, int):
-        raise ValueError("d and r must be integers")
+    d, r = int_field(obj, "d"), int_field(obj, "r")
     points = tuple(parse_vec(p) for p in obj["points"])
     return PointConfig(d=d, r=r, points=points)
+
+
+def int_field(obj, key):
+    """obj[key] if it is a JSON integer (not a boolean), else ValueError."""
+    v = obj[key]
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError("%r must be an integer" % key)
+    return v
 
 
 def certificate_to_json(cert, partition, alternative=None, proper=None):
@@ -279,6 +306,8 @@ def certificate_to_json(cert, partition, alternative=None, proper=None):
 
 
 def certificate_from_json(obj):
+    if not isinstance(obj, dict):
+        raise ValueError("certificate JSON must be an object")
     for key in ("z", "alpha", "negatives", "gamma", "partition"):
         if key not in obj:
             raise ValueError("certificate JSON missing %r" % key)

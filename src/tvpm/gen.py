@@ -15,6 +15,7 @@ from itertools import combinations
 
 from tvpm import linalg
 from tvpm.core import PointConfig
+from tvpm.kernel import ff_det
 
 MAX_ATTEMPTS = 1000
 _NUM_RANGE = 10 ** 6
@@ -22,13 +23,16 @@ _DEN = 10 ** 3
 
 
 def general_position(points, d):
-    """No d+1 of the points affinely dependent, checked exactly."""
+    """No d+1 of the points affinely dependent, checked exactly.
+
+    The points are scaled once to integers; scaling multiplies every
+    determinant by the same nonzero factor."""
     if len(set(points)) != len(points):
         return False
-    one = Fraction(1)
-    for subset in combinations(points, d + 1):
-        rows = [list(p) + [one] for p in subset]
-        if linalg.det(rows) == 0:
+    lifted = [p + (1,) for p in linalg.to_int(points,
+                                               linalg.denominator_lcm(points))]
+    for subset in combinations(lifted, d + 1):
+        if ff_det(subset) == 0:
             return False
     return True
 

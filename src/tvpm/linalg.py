@@ -1,11 +1,12 @@
 """Exact rational vectors and matrices.
 
 Scalars are ``fractions.Fraction`` (always lowest terms, positive
-denominator).  Vectors are tuples of Fractions, matrices are lists of row
-lists.  Determinant, rank, and linear solving clear denominators row by row
-and run on the integer fraction-free kernels from ``tvpm.kernel``; row
-scaling changes the determinant by a known factor and changes neither rank
-nor solutions, so everything stays exact.
+denominator) or ints.  Vectors are tuples, matrices are lists of row lists.
+The exact core scales rational data once, at the boundary, by the lcm D of
+its denominators (``denominator_lcm``, ``to_int``) and then runs on ints
+and the fraction-free kernels from ``tvpm.kernel``; uniform scaling changes
+a determinant by a known factor and changes neither rank nor the
+affine-invariant answers, so everything stays exact.
 
 Rational literal syntax used on every interface of this package: "p" or
 "p/q" with decimal integers and q > 0.  No floating point anywhere.
@@ -14,10 +15,9 @@ Rational literal syntax used on every interface of this package: "p" or
 import re
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
-from tvpm.kernel import ff_det, ff_rank, ff_solve
-
-Rat = Fraction
+from tvpm.kernel import ff_rank, ff_solve
 
 _RAT_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
@@ -66,7 +66,7 @@ def vneg(v):
 
 
 def vdot(u, v):
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    return sum(map(mul, u, v))
 
 
 def vzero(dim):
@@ -82,99 +82,88 @@ def tensor(u, b):
     return tuple(ui * bj for ui in u for bj in b)
 
 
-def mat_vec(m, v):
-    return tuple(vdot(tuple(row), v) for row in m)
+def denominator_lcm(vectors):
+    """Least common multiple of every denominator in the vectors (ints
+    count as denominator 1), so D * v is integral for each v."""
+    return lcm(*(x.denominator for v in vectors for x in v))
 
 
-def _clear_row(row):
-    # Scale a Fraction row to integers; returns (int row, multiplier used).
-    s = lcm(*(x.denominator for x in row)) if row else 1
-    return [int(x * s) for x in row], s
-
-
-def det(rows):
-    """Exact determinant of a square Fraction matrix."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
-    if n == 0:
-        return Fraction(1)
-    int_rows = []
-    scale = 1
-    for r in rows:
-        ir, s = _clear_row(r)
-        int_rows.append(ir)
-        scale *= s
-    return Fraction(ff_det(int_rows), scale)
+def to_int(vectors, scale):
+    """The vectors times ``scale`` as int tuples; ``scale`` must be a
+    multiple of every denominator (see ``denominator_lcm``)."""
+    return tuple(tuple(x.numerator * (scale // x.denominator) for x in v)
+                 for v in vectors)
 
 
 def rank(rows):
-    """Exact rank of a rectangular Fraction matrix."""
+    """Exact rank of a rectangular rational matrix."""
     if not rows:
         return 0
-    return ff_rank([_clear_row(r)[0] for r in rows])
+    return ff_rank(to_int(rows, denominator_lcm(rows)))
 
 
 def solve_linear(rows, rhs):
-    """Solve a square Fraction system exactly.
+    """Solve a square rational system exactly.
 
-    Returns ``(x, det)`` with det nonzero, or ``None`` when singular.
+    Returns ``(x, det)`` with det nonzero, or ``None`` when singular.  The
+    system is scaled once by the lcm D of all its denominators, which
+    multiplies the determinant by D**n.
     """
     n = len(rows)
     if any(len(r) != n for r in rows) or len(rhs) != n:
         raise ValueError("dimension mismatch")
-    int_rows = []
-    int_rhs = []
-    scale = 1
-    for row, b in zip(rows, rhs):
-        ir, s = _clear_row(list(row) + [b])
-        int_rows.append(ir[:n])
-        int_rhs.append(ir[n])
-        scale *= s
-    got = ff_solve(int_rows, int_rhs)
+    aug = [tuple(row) + (b,) for row, b in zip(rows, rhs)]
+    scale = denominator_lcm(aug)
+    aug = to_int(aug, scale)
+    got = ff_solve([row[:n] for row in aug], [row[n] for row in aug])
     if got is None:
         return None
     den, nums = got
     x = tuple(Fraction(v, den) for v in nums)
-    return x, Fraction(den, scale)
+    return x, Fraction(den, scale ** n)
 
 
-def solve_general(rows, rhs):
-    """Solve a rectangular Fraction system by Gauss-Jordan elimination.
+def solve_system(rows, rhs):
+    """Classify and solve a rectangular integer system in one pass.
 
-    Returns ``("inconsistent", None)``, ``("unique", x)``, or
-    ``("underdetermined", x)`` where x is one exact solution (free
-    variables set to zero).
+    One fraction-free elimination over ``[rows | rhs]`` gives
+    ``(rank_m, rank_aug, x)``: the ranks of the matrix and of the
+    augmented matrix, and x, the solution as Fractions, when the system is
+    consistent with full column rank (None otherwise).
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     a = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        p = None
-        for i in range(row, m):
-            if a[i][col] != 0:
-                p = i
-                break
-        if p is None:
-            continue
-        a[row], a[p] = a[p], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [v * inv for v in a[row]]
-        for i in range(m):
-            if i != row and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [v - f * w for v, w in zip(a[i], a[row])]
-        pivots.append(col)
-        row += 1
+    prev = 1
+    pivots = []  # pivot column of echelon row 0, 1, ...
+    for col in range(n + 1):
+        row = len(pivots)
         if row == m:
             break
-    for i in range(row, m):
-        if a[i][n] != 0:
-            return "inconsistent", None
+        p = row
+        while p < m and a[p][col] == 0:
+            p += 1
+        if p == m:
+            continue
+        a[row], a[p] = a[p], a[row]
+        ar = a[row]
+        piv = ar[col]
+        for i in range(row + 1, m):
+            ai = a[i]
+            f = ai[col]
+            for j in range(col + 1, n + 1):
+                ai[j] = (piv * ai[j] - f * ar[j]) // prev
+            ai[col] = 0
+        prev = piv
+        pivots.append(col)
+    rank_aug = len(pivots)
+    rank_m = rank_aug - (1 if pivots and pivots[-1] == n else 0)
+    if rank_m < rank_aug or rank_m < n:
+        return rank_m, rank_aug, None
+    # Full column rank: echelon rows 0..n-1 are upper triangular.
     x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = a[i][n]
-    kind = "unique" if len(pivots) == n else "underdetermined"
-    return kind, tuple(x)
+    for k in range(n - 1, -1, -1):
+        ak = a[k]
+        s = ak[n] - sum(ak[j] * x[j] for j in range(k + 1, n))
+        x[k] = s / Fraction(ak[k])
+    return rank_m, rank_aug, tuple(x)

@@ -1,114 +1,139 @@
 """Exact minimum-norm point in a convex hull of rational points.
 
 Active-set (Wolfe-style) method over corrals: affinely independent
-subsets whose affine minimizer has strictly positive weights.  All
-arithmetic is rational, so the result is the exact closest point to the
-origin, together with its convex weights.
-
-``min_norm_point_naive`` projects onto every affinely independent subset
-and keeps the best hull-feasible candidate; it is exponential and exists
-as the independent oracle for the fast routine.
+subsets whose affine minimizer has strictly positive weights.  The input
+is scaled once to integer points; the method then runs on their integer
+Gram matrix alone.  The current point is x = sum lam[i] * p_i / q with
+integer lam and one denominator q, so every inner product <x, p_i> and
+every norm comparison is an integer operation, and each affine minimizer
+is one fraction-free solve of the bordered Gram system.  The result is
+the exact closest point to the origin, together with its convex weights;
+uniform scaling leaves the weights unchanged.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from math import gcd
 
-from tvpm.linalg import solve_linear, vadd, vdot, vscale, vzero
+from tvpm.kernel import ff_solve
+from tvpm.linalg import denominator_lcm, to_int, vdot
+
+
+def _gram(points):
+    return [[vdot(p, q) for q in points] for p in points]
+
+
+def _affine_weights(gram, support):
+    # Minimum-norm point of the affine hull of the support points:
+    # stationarity of |sum w_i p_i|^2 under sum w_i = 1 is the bordered
+    # system [G 1; 1 0] (w, mu) = (0, 1).  Returns (den, nums) with
+    # w_i = nums[i] / den and den > 0, or None when the points are
+    # affinely dependent.
+    k = len(support)
+    rows = [[gram[s][t] for t in support] + [1] for s in support]
+    rows.append([1] * k + [0])
+    got = ff_solve(rows, [0] * k + [1])
+    if got is None:
+        return None
+    den, nums = got
+    if den < 0:
+        return -den, [-v for v in nums[:k]]
+    return den, nums[:k]
+
+
+def _point(lam, q, points, scale):
+    # sum lam[i] * points[i] / (q * scale) as a Fraction tuple.
+    dim = len(points[0])
+    den = q * scale
+    return tuple(
+        Fraction(sum(w * points[i][c] for i, w in lam.items()), den)
+        for c in range(dim))
 
 
 def affine_minimizer(points):
     """Minimum-norm point of the affine hull of the given points.
 
     Returns ``(x, weights)`` with weights summing to 1 (signs free), or
-    None when the points are affinely dependent.  Solves the bordered
-    Gram system: stationarity of |sum w_i p_i|^2 under sum w_i = 1.
+    None when the points are affinely dependent.
     """
-    k = len(points)
-    one, zero = Fraction(1), Fraction(0)
-    rows = [[2 * vdot(p, q) for q in points] + [one] for p in points]
-    rows.append([one] * k + [zero])
-    rhs = [zero] * k + [one]
-    got = solve_linear(rows, rhs)
+    scale = denominator_lcm(points)
+    ints = to_int(points, scale)
+    got = _affine_weights(_gram(ints), range(len(ints)))
     if got is None:
         return None
-    lam = got[0][:k]
-    x = vzero(len(points[0]))
-    for w, p in zip(lam, points):
-        x = vadd(x, vscale(w, p))
-    return x, lam
+    den, nums = got
+    x = _point(dict(enumerate(nums)), den, ints, scale)
+    return x, tuple(Fraction(v, den) for v in nums)
 
 
-def min_norm_point(points):
+def min_norm_point(points, gram=None):
     """Exact minimum-norm point of conv(points).
 
     Returns ``(w, weights)`` where weights is a dict {point index:
     positive Fraction} over an affinely independent support with
-    sum(weights) = 1 and w = sum weights[i] * points[i].
+    sum(weights) = 1 and w = sum weights[i] * points[i].  ``gram`` is the
+    Gram matrix of the points, which must then be integer vectors; a
+    caller that changes one point at a time keeps it up to date in one row
+    and column instead of rebuilding it here.
     """
     if not points:
         raise ValueError("need at least one point")
-    start = min(range(len(points)), key=lambda i: (vdot(points[i], points[i]), i))
+    scale = 1
+    if gram is None:
+        scale = denominator_lcm(points)
+        points = to_int(points, scale)
+        gram = _gram(points)
+    n = len(points)
+    start = min(range(n), key=lambda i: (gram[i][i], i))
     support = [start]
-    lam = {start: Fraction(1)}
-    x = points[start]
-    prev_normsq = None
+    lam = {start: 1}
+    q = 1
+    prev = None  # (q^2 |x|^2, q^2) of the previous iterate
     while True:
-        normsq = vdot(x, x)
-        if prev_normsq is not None and not normsq < prev_normsq:
+        # v[i] = q <x, p_i>, and nsq = q^2 |x|^2
+        v = [sum(lam[s] * gram[s][i] for s in support) for i in range(n)]
+        nsq = sum(lam[s] * v[s] for s in support)
+        if prev is not None and not nsq * prev[1] < prev[0] * q * q:
             raise AssertionError("norm failed to decrease")
-        prev_normsq = normsq
-        if normsq == 0:
+        prev = (nsq, q * q)
+        if nsq == 0:
             break
-        enter, best = None, None
-        for i, p in enumerate(points):
-            v = vdot(x, p)
-            if best is None or v < best:
-                enter, best = i, v
-        if best >= normsq:
+        enter = min(range(n), key=lambda i: (v[i], i))
+        if v[enter] * q >= nsq:
             break
         # points[enter] is outside the affine hull of the support (inner
-        # products with x are constant = normsq on that hull), so the
+        # products with x are constant = |x|^2 on that hull), so the
         # grown set stays affinely independent.
         support.append(enter)
-        lam[enter] = Fraction(0)
+        lam[enter] = 0
         while True:
-            got = affine_minimizer([points[i] for i in support])
+            got = _affine_weights(gram, support)
             if got is None:
                 raise AssertionError("support must stay affinely independent")
-            y, w = got
-            wmap = dict(zip(support, w))
-            if all(v > 0 for v in w):
-                lam, x = wmap, y
+            e, w = got
+            if all(x > 0 for x in w):
+                g = gcd(e, *w)
+                lam = {s: x // g for s, x in zip(support, w)}
+                q = e // g
                 break
-            theta = min(lam[i] / (lam[i] - wmap[i])
-                        for i in support if wmap[i] <= 0)
-            new_lam = {}
-            for i in support:
-                v = (1 - theta) * lam[i] + theta * wmap[i]
-                if v > 0:
-                    new_lam[i] = v
-            support = [i for i in support if i in new_lam]
-            lam = new_lam
-            x = vzero(len(points[0]))
-            for i in support:
-                x = vadd(x, vscale(lam[i], points[i]))
-    return x, lam
-
-
-def min_norm_point_naive(points):
-    """Oracle: best hull-feasible affine minimizer over all subsets."""
-    if not points:
-        raise ValueError("need at least one point")
-    best = None
-    for size in range(1, len(points) + 1):
-        for subset in combinations(range(len(points)), size):
-            got = affine_minimizer([points[i] for i in subset])
-            if got is None:
-                continue
-            y, w = got
-            if any(v < 0 for v in w):
-                continue
-            normsq = vdot(y, y)
-            if best is None or normsq < best[0]:
-                best = (normsq, y, {i: v for i, v in zip(subset, w) if v != 0})
-    return best[1], best[2]
+            # Step from lam / q toward the minimizer w / e while every
+            # weight stays >= 0: theta = min lam_s / (lam_s - w_s) over
+            # w_s <= 0, kept as the fraction tn / td.
+            tn, td = None, None
+            for s, x in zip(support, w):
+                if x <= 0:
+                    a = lam[s] * e
+                    b = a - x * q
+                    if tn is None or a * td < tn * b:
+                        tn, td = a, b
+            new = {}
+            for s, x in zip(support, w):
+                val = (td - tn) * lam[s] * e + tn * x * q
+                if val > 0:
+                    new[s] = val
+            den = td * q * e
+            g = gcd(den, *new.values())
+            lam = {s: x // g for s, x in new.items()}
+            q = den // g
+            support = [s for s in support if s in lam]
+    weights = {s: Fraction(x, q) for s, x in lam.items()}
+    return _point(lam, q, points, scale), weights

@@ -7,8 +7,10 @@ R^{n-1} whose convex hull contains the origin:
   1. ``companion_simplex``: r vectors in R^{r-1} whose only linear
      dependence (up to scale) is that they sum to zero.
   2. ``lift``: each point a_i becomes the set {v_j (x) b_i} where
-     b_i = (a_i, 1), negated exactly on the prescribed index set, so the
-     origin is the uniform average of every set.
+     b_i = (D a_i, D), negated exactly on the prescribed index set, so the
+     origin is the uniform average of every set.  D, the lcm of the
+     coordinate denominators, makes every lifted vector integral; it
+     scales all of them alike, so pivot choices and weights do not change.
   3. ``colorful_caratheodory``: pivoting on the exact minimum-norm point
      of the current transversal; while it is nonzero, some color has
      weight zero in its support representation, and swapping that color
@@ -22,13 +24,23 @@ R^{n-1} whose convex hull contains the origin:
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from tvpm.core import (
     canonical_partition,
     is_proper,
     make_certificate,
 )
-from tvpm.linalg import is_zero_vec, tensor, vadd, vdot, vscale, vzero
+from tvpm.linalg import (
+    denominator_lcm,
+    is_zero_vec,
+    tensor,
+    to_int,
+    vadd,
+    vdot,
+    vscale,
+    vzero,
+)
 from tvpm.minnorm import min_norm_point
 from tvpm.search import NotSeparated, check_separation
 
@@ -38,19 +50,19 @@ def companion_simplex(r):
     dependence: the standard basis plus the negated sum."""
     if r < 2:
         raise ValueError("r must be >= 2")
-    zero, one = Fraction(0), Fraction(1)
     vecs = []
     for j in range(r - 1):
-        vecs.append(tuple(one if t == j else zero for t in range(r - 1)))
-    vecs.append((-one,) * (r - 1))
+        vecs.append(tuple(1 if t == j else 0 for t in range(r - 1)))
+    vecs.append((-1,) * (r - 1))
     return tuple(vecs)
 
 
 @dataclass(frozen=True)
 class LiftedSystem:
-    sets: tuple  # n color sets, each a tuple of r vectors in R^{n-1}
+    sets: tuple  # n color sets, each a tuple of r int vectors in Z^{n-1}
     m_set: frozenset
     config: object
+    scale: int = 1  # the sets are scale times the lift of (a_i, 1)
 
 
 @dataclass(frozen=True)
@@ -67,59 +79,82 @@ def lift(config, m_set):
     if not m_set <= frozenset(range(config.n)):
         raise ValueError("m_set out of range")
     vs = companion_simplex(config.r)
-    one = Fraction(1)
+    scale, points = config.scaled
     sets = []
-    for i, a in enumerate(config.points):
-        b = a + (one,)
+    for i, a in enumerate(points):
+        b = a + (scale,)
         if i in m_set:
             b = tuple(-x for x in b)
         lifted = tuple(tensor(v, b) for v in vs)
         sets.append(lifted)
     assert all(len(s[0]) == config.n - 1 for s in sets)
-    return LiftedSystem(sets=tuple(sets), m_set=m_set, config=config)
+    return LiftedSystem(sets=tuple(sets), m_set=m_set, config=config,
+                        scale=scale)
 
 
-def pivot_to_origin(sets, init_choice, trace=None):
+def pivot_to_origin(sets, init_choice, trace=None, scale=1):
     """Transversal of the color sets whose hull contains the origin.
 
     Each set must contain the origin in its convex hull.  Returns
     ``(choice, weights)`` with sum weights[i] * sets[i][choice[i]] = 0,
     weights >= 0 summing to 1.  ``trace(step, choice, w, normsq)`` is
-    called once per pivot iteration when given.
+    called once per pivot iteration when given, with w and its squared
+    norm divided by ``scale``: a caller that passes its vectors times a
+    scale gets the trace of the unscaled ones.
+
+    Rational sets are scaled once to integers.  The Gram matrix of the
+    transversal is kept across pivots, one row and column per swap, and
+    each pivot calls ``min_norm_point`` on it once.
     """
     ncolors = len(sets)
+    unit = denominator_lcm([v for s in sets for v in s])
+    sets = [to_int(s, unit) for s in sets]
+    unit *= scale
     choice = list(init_choice)
     current = [sets[i][choice[i]] for i in range(ncolors)]
-    prev = None
+    gram = [[vdot(p, q) for q in current] for p in current]
+    prev = None  # (q^2 |w|^2, q^2) of the previous pivot
     step = 0
     while True:
-        w, wts = min_norm_point(current)
-        normsq = vdot(w, w)
+        _, wts = min_norm_point(current, gram)
+        # w = y / q with integer y: q is the weights' common denominator.
+        q = lcm(*(v.denominator for v in wts.values()))
+        y = [0] * len(current[0])
+        for i, v in wts.items():
+            c = v.numerator * (q // v.denominator)
+            y = [a + c * b for a, b in zip(y, current[i])]
+        nsq = vdot(y, y)
         if trace is not None:
-            trace(step, tuple(choice), w, normsq)
-        if normsq == 0:
+            den = q * unit
+            trace(step, tuple(choice), tuple(Fraction(c, den) for c in y),
+                  Fraction(nsq, den * den))
+        if nsq == 0:
             weights = tuple(wts.get(i, Fraction(0)) for i in range(ncolors))
             return tuple(choice), weights
-        if prev is not None and not normsq < prev:
+        if prev is not None and not nsq * prev[1] < prev[0] * q * q:
             raise AssertionError("pivot norm failed to decrease")
-        prev = normsq
+        prev = (nsq, q * q)
         # The support lies in the hyperplane <w, p> = |w|^2 and is
         # affinely independent, so at most ncolors - 1 colors carry
         # weight; the smallest color without weight gets swapped.
-        free = [i for i in range(ncolors) if wts.get(i, Fraction(0)) == 0]
+        free = [i for i in range(ncolors) if wts.get(i, 0) == 0]
         if not free:
             raise AssertionError("full support with nonzero norm")
         i0 = free[0]
         best_j, best_val = None, None
         for j, s in enumerate(sets[i0]):
-            val = vdot(w, s)
+            val = vdot(y, s)
             if best_val is None or val < best_val:
                 best_j, best_val = j, val
         if best_val > 0:
             raise ValueError(
                 "color %d does not contain the origin in its hull" % i0)
         choice[i0] = best_j
-        current[i0] = sets[i0][best_j]
+        p = current[i0] = sets[i0][best_j]
+        row = [vdot(p, q) for q in current]
+        gram[i0] = row
+        for k in range(ncolors):
+            gram[k][i0] = row[k]
         step += 1
 
 
@@ -128,7 +163,8 @@ def colorful_caratheodory(ls, trace=None):
     n = len(ls.sets)
     r = len(ls.sets[0])
     init = [i % r for i in range(n)]
-    choice, weights = pivot_to_origin(ls.sets, init, trace=trace)
+    choice, weights = pivot_to_origin(ls.sets, init, trace=trace,
+                                      scale=ls.scale)
     total = vzero(len(ls.sets[0][0]))
     for i in range(n):
         total = vadd(total, vscale(weights[i], ls.sets[i][choice[i]]))

@@ -19,7 +19,7 @@ from tvpm.gen import (
     separated_subset,
 )
 from tvpm.linalg import solve_linear
-from tvpm.minnorm import min_norm_point, min_norm_point_naive
+from tvpm.minnorm import min_norm_point
 from tvpm.sarkaria import DegenerateGamma, PMCertificate, tverberg_pm
 from tvpm.search import (
     proper_partitions,
@@ -28,6 +28,7 @@ from tvpm.search import (
     search_prescribed,
 )
 
+from minnorm_oracle import min_norm_point_naive
 from radon_oracle import radon_top
 
 F = Fraction

@@ -220,3 +220,37 @@ def test_gen_out_file(tmp_path):
     obj = json.loads(target.read_text())
     assert obj["d"] == 1 and obj["r"] == 3
     assert len(obj["points"]) == 5
+
+
+def test_verify_non_object_certificate_is_usage_error(tmp_path):
+    _, cfg_text, _ = run_cli(["gen", "--d", "1", "--r", "2", "--seed", "3"])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg_text)
+    cert_path = tmp_path / "cert.json"
+    for doc in ("[1, 2]", "[]", "3", '"certificate"', "null"):
+        cert_path.write_text(doc)
+        code, out, err = run_cli(
+            ["verify", "--input", str(cfg_path), "--cert", str(cert_path)])
+        assert code == 2, doc
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err, doc
+
+
+def test_boolean_dimensions_are_usage_errors(tmp_path):
+    for key in ("d", "r"):
+        cfg = {"schema": "tvpm/1", "d": 1, "r": 2,
+               "points": [["0"], ["1"], ["2"]]}
+        cfg[key] = True
+        code, out, err = run_cli(["solve", "--m", "1"], stdin=json.dumps(cfg))
+        assert code == 2, key
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err, key
+
+        classes = {"schema": "tvpm/1", "d": 1, "r": 2,
+                   "classes": [[["0"], ["4"]], [["1"], ["3"]]]}
+        classes[key] = True
+        code, out, err = run_cli(["colored", "--m", "0"],
+                                 stdin=json.dumps(classes))
+        assert code == 2, key
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err, key

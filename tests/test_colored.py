@@ -262,3 +262,11 @@ def test_json_round_trips():
         classes_from_json({"d": 1, "r": 2})
     with pytest.raises(ValueError):
         colorful_from_json({"assignment": []})
+    for doc in ([], [blob], 3, None):
+        with pytest.raises(ValueError):
+            colorful_from_json(doc)
+    for key in ("d", "r"):
+        bad = dict(obj)
+        bad[key] = True
+        with pytest.raises(ValueError):
+            classes_from_json(bad)

@@ -235,3 +235,17 @@ def test_json_rejects_malformed():
         config_from_json([1, 2, 3])
     with pytest.raises(ValueError):
         certificate_from_json({"z": ["0"]})
+
+
+def test_json_rejects_non_objects_and_boolean_dimensions():
+    for doc in ([], [{"z": ["0"]}], 3, "certificate", None):
+        with pytest.raises(ValueError):
+            certificate_from_json(doc)
+    for key in ("d", "r"):
+        obj = {"d": 1, "r": 2, "points": [["0"], ["1"], ["2"]]}
+        obj[key] = True
+        with pytest.raises(ValueError):
+            config_from_json(obj)
+        obj[key] = 2.0
+        with pytest.raises(ValueError):
+            config_from_json(obj)

@@ -7,21 +7,34 @@ from itertools import combinations
 import pytest
 
 from tvpm import linalg
+from tvpm.core import PointConfig, build_system, intersect_affine_hulls
 from tvpm.linalg import (
-    det,
     format_rat,
     parse_rat,
     rank,
-    solve_general,
     solve_linear,
+    solve_system,
     tensor,
 )
+from tvpm.search import proper_partitions
 
 F = Fraction
 
 
 def rand_frac(rng, span=9, den=4):
     return F(rng.randint(-span, span), rng.randint(1, den))
+
+
+def cofactor_det(rows):
+    # oracle: Laplace expansion along the first row
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * rows[0][j]
+        * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j in range(n)
+    )
 
 
 def minor_rank(rows):
@@ -31,7 +44,7 @@ def minor_rank(rows):
         for ri in combinations(range(m), k):
             for ci in combinations(range(n), k):
                 sub = [[rows[i][j] for j in ci] for i in ri]
-                if det(sub) != 0:
+                if cofactor_det(sub) != 0:
                     return k
     return 0
 
@@ -74,10 +87,10 @@ def test_solve_linear_reproduces_rhs():
         b = [rand_frac(rng) for _ in range(n)]
         got = solve_linear(m, b)
         if got is None:
-            assert det(m) == 0
+            assert cofactor_det(m) == 0
             continue
         x, dv = got
-        assert dv == det(m) != 0
+        assert dv == cofactor_det(m) != 0
         for row, bi in zip(m, b):
             assert linalg.vdot(tuple(row), x) == bi
         # canonical form: Fraction keeps lowest terms, positive denominator
@@ -87,22 +100,22 @@ def test_solve_linear_reproduces_rhs():
     assert hits > 100
 
 
-def test_det_matches_cofactor_expansion():
-    def cof(rows):
-        n = len(rows)
-        if n == 1:
-            return rows[0][0]
-        return sum(
-            (-1) ** j * rows[0][j]
-            * cof([r[:j] + r[j + 1:] for r in rows[1:]])
-            for j in range(n)
-        )
-
+def test_block_system_det_matches_cofactor_expansion():
+    # intersect_affine_hulls solves the block system scaled to integers
+    # and reports the determinant of the unscaled rational one
     rng = random.Random(13)
-    for _ in range(100):
-        n = rng.randint(1, 5)
-        m = [[rand_frac(rng, 5, 3) for _ in range(n)] for _ in range(n)]
-        assert det(m) == cof([list(r) for r in m])
+    for trial in range(30):
+        d, r = ((1, 2), (1, 3), (2, 2))[trial % 3]
+        n = (r - 1) * (d + 1) + 1
+        points = set()
+        while len(points) < n:
+            points.add(tuple(F(rng.randint(-50, 50), rng.choice((1, 4, 6, 1000)))
+                             for _ in range(d)))
+        cfg = PointConfig(d=d, r=r, points=tuple(sorted(points)))
+        for partition in list(proper_partitions(n, r, d))[:4]:
+            m, _, _ = build_system(cfg, partition)
+            res = intersect_affine_hulls(cfg, partition)
+            assert res.det == cofactor_det(m)
 
 
 def test_rank_examples_and_oracle():
@@ -152,13 +165,32 @@ def test_tensor_is_bilinear_outer_product():
         assert left == right
 
 
-def test_solve_general_classification():
-    one, zero = F(1), F(0)
-    kind, x = solve_general([[one, one], [zero, one], [one, zero]],
-                            [F(3), F(2), F(1)])
-    assert kind == "unique" and x == (F(1), F(2))
-    kind, x = solve_general([[one, one]], [F(2)])
-    assert kind == "underdetermined"
-    assert x[0] + x[1] == 2
-    kind, x = solve_general([[one, one], [one, one]], [F(1), F(2)])
-    assert kind == "inconsistent" and x is None
+def test_solve_system_classification():
+    assert solve_system([[1, 1], [0, 1], [1, 0]], [3, 2, 1]) == (
+        2, 2, (F(1), F(2)))
+    # underdetermined: consistent, rank below the column count, no x
+    assert solve_system([[1, 1]], [2]) == (1, 1, None)
+    assert solve_system([[2, 2], [1, 1]], [4, 2]) == (1, 1, None)
+    # inconsistent
+    assert solve_system([[1, 1], [1, 1]], [1, 2]) == (1, 2, None)
+    assert solve_system([[0, 0]], [1]) == (0, 1, None)
+
+
+def test_solve_system_ranks_and_solution_match_oracles():
+    rng = random.Random(23)
+    unique = 0
+    for _ in range(150):
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 4)
+        a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+        b = [rng.randint(-3, 3) for _ in range(m)]
+        rk, rka, x = solve_system(a, b)
+        assert rk == minor_rank(a)
+        assert rka == minor_rank([row + [bi] for row, bi in zip(a, b)])
+        if rk == rka == n:
+            unique += 1
+            for row, bi in zip(a, b):
+                assert sum(v * xi for v, xi in zip(row, x)) == bi
+        else:
+            assert x is None
+    assert unique > 20

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from tvpm.linalg import vdot
-from tvpm.minnorm import affine_minimizer, min_norm_point, min_norm_point_naive
+from tvpm.minnorm import affine_minimizer, min_norm_point
+
+from minnorm_oracle import min_norm_point_naive
 
 F = Fraction
 
