@@ -62,7 +62,7 @@ def _m_from_args_or_input(args, obj):
     if args.m is not None:
         return _parse_m(args.m)
     if isinstance(obj, dict) and "m" in obj:
-        return frozenset(obj["m"])
+        return frozenset(core.index_list(obj["m"], "'m'"))
     return frozenset()
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from tvpm.core import SCHEMA, int_field
+from tvpm.core import SCHEMA, index_list, int_field, json_list
 from tvpm.linalg import (
     denominator_lcm,
     format_rat,
@@ -217,7 +217,8 @@ def classes_from_json(obj):
             raise ValueError("classes JSON missing %r" % key)
     d, r = int_field(obj, "d"), int_field(obj, "r")
     classes = tuple(
-        tuple(parse_vec(p) for p in group) for group in obj["classes"]
+        tuple(parse_vec(p) for p in json_list(group, "each class"))
+        for group in json_list(obj["classes"], "'classes'")
     )
     return ColorClasses(d=d, r=r, classes=classes)
 
@@ -241,13 +242,14 @@ def colorful_from_json(obj):
     for key in ("assignment", "alpha", "z", "gamma", "negatives"):
         if key not in obj:
             raise ValueError("colored certificate JSON missing %r" % key)
-    alpha = tuple(parse_rat(a) for a in obj["alpha"])
+    rows = json_list(obj["assignment"], "'assignment'")
     return ColorfulPartition(
-        assignment=tuple(tuple(row) for row in obj["assignment"]),
-        alpha=alpha,
+        assignment=tuple(tuple(index_list(row, "each assignment row"))
+                         for row in rows),
+        alpha=parse_vec(obj["alpha"]),
         z=parse_vec(obj["z"]),
         gamma=parse_rat(obj["gamma"]),
-        negatives=frozenset(obj["negatives"]),
-        zero_set=frozenset(obj.get("zero_set", ())),
+        negatives=frozenset(index_list(obj["negatives"], "'negatives'")),
+        zero_set=frozenset(index_list(obj.get("zero_set", []), "'zero_set'")),
         alternative=obj.get("alternative", ""),
     )

@@ -274,15 +274,33 @@ def config_from_json(obj):
         if key not in obj:
             raise ValueError("config JSON missing %r" % key)
     d, r = int_field(obj, "d"), int_field(obj, "r")
-    points = tuple(parse_vec(p) for p in obj["points"])
+    points = tuple(parse_vec(p) for p in json_list(obj["points"], "'points'"))
     return PointConfig(d=d, r=r, points=points)
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def int_field(obj, key):
     """obj[key] if it is a JSON integer (not a boolean), else ValueError."""
     v = obj[key]
-    if not isinstance(v, int) or isinstance(v, bool):
+    if not _is_int(v):
         raise ValueError("%r must be an integer" % key)
+    return v
+
+
+def json_list(v, what):
+    """v if it is a JSON list, else ValueError naming ``what``."""
+    if not isinstance(v, list):
+        raise ValueError("%s must be a list" % what)
+    return v
+
+
+def index_list(v, what):
+    """v if it is a JSON list of integers, else ValueError naming ``what``."""
+    if not isinstance(v, list) or not all(_is_int(i) for i in v):
+        raise ValueError("%s must be a list of integers" % what)
     return v
 
 
@@ -312,15 +330,19 @@ def certificate_from_json(obj):
         if key not in obj:
             raise ValueError("certificate JSON missing %r" % key)
     z = parse_vec(obj["z"])
+    if not isinstance(obj["alpha"], dict):
+        raise ValueError("'alpha' must be an object")
     alpha = {int(i): parse_rat(a) for i, a in obj["alpha"].items()}
     cert = AffineCertificate(
         z=z,
         alpha=alpha,
-        negatives=frozenset(obj["negatives"]),
+        negatives=frozenset(index_list(obj["negatives"], "'negatives'")),
         gamma=parse_rat(obj["gamma"]),
-        zero_set=frozenset(obj.get("zero_set", ())),
+        zero_set=frozenset(index_list(obj.get("zero_set", []), "'zero_set'")),
     )
-    partition = canonical_partition(tuple(tuple(p) for p in obj["partition"]))
+    parts = json_list(obj["partition"], "'partition'")
+    partition = canonical_partition(
+        tuple(tuple(index_list(p, "each part")) for p in parts))
     return cert, partition, obj.get("alternative")
 
 

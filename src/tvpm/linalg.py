@@ -16,8 +16,11 @@ import re
 from fractions import Fraction
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
-from tvpm.kernel import ff_rank, ff_solve
+# ff_solve is re-exported: linalg is the package's linear-algebra namespace,
+# and perfbench records linalg.ff_solve's module as the active kernel.
+from tvpm.kernel import ff_solve
 
 _RAT_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
@@ -42,6 +45,9 @@ def format_rat(x):
 
 
 def parse_vec(items):
+    """Parse a JSON list of rational literals into a tuple of Fractions."""
+    if not isinstance(items, list):
+        raise ValueError("not a list of rational literals: %r" % (items,))
     return tuple(parse_rat(s) for s in items)
 
 
@@ -95,34 +101,6 @@ def to_int(vectors, scale):
                  for v in vectors)
 
 
-def rank(rows):
-    """Exact rank of a rectangular rational matrix."""
-    if not rows:
-        return 0
-    return ff_rank(to_int(rows, denominator_lcm(rows)))
-
-
-def solve_linear(rows, rhs):
-    """Solve a square rational system exactly.
-
-    Returns ``(x, det)`` with det nonzero, or ``None`` when singular.  The
-    system is scaled once by the lcm D of all its denominators, which
-    multiplies the determinant by D**n.
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows) or len(rhs) != n:
-        raise ValueError("dimension mismatch")
-    aug = [tuple(row) + (b,) for row, b in zip(rows, rhs)]
-    scale = denominator_lcm(aug)
-    aug = to_int(aug, scale)
-    got = ff_solve([row[:n] for row in aug], [row[n] for row in aug])
-    if got is None:
-        return None
-    den, nums = got
-    x = tuple(Fraction(v, den) for v in nums)
-    return x, Fraction(den, scale ** n)
-
-
 def solve_system(rows, rhs):
     """Classify and solve a rectangular integer system in one pass.
 
@@ -167,3 +145,62 @@ def solve_system(rows, rhs):
         s = ak[n] - sum(ak[j] * x[j] for j in range(k + 1, n))
         x[k] = s / Fraction(ak[k])
     return rank_m, rank_aug, tuple(x)
+
+
+class HullFactor(NamedTuple):
+    """The affine hull of s affinely independent integer points in Z^d.
+
+    The hull is {x : rows x = rhs} (d+1-s equations).  With P the
+    (d+1) x s matrix of lifted columns (p, 1), ``left`` P = ``upper``:
+    ``upper`` is s x s upper triangular with nonzero diagonal and
+    ``left`` is s x (d+1), both integer.
+    """
+
+    rows: list
+    rhs: list
+    upper: list
+    left: list
+
+
+def hull_factor(points):
+    """Factor the affine hull of integer points, or None when the points
+    are affinely dependent.
+
+    One fraction-free pass over [P | I], P the lifted columns (p, 1),
+    turns it into [L P | L].  The first s rows give ``upper`` and
+    ``left``; the other d+1-s rows have L P = 0, so each is an integer
+    equation e with e . (x, 1) = 0 on the hull.
+    """
+    s = len(points)
+    dim = len(points[0]) + 1
+    width = s + dim
+    a = [[p[c] for p in points] + [int(k == c) for k in range(dim)]
+         for c in range(dim - 1)]
+    a.append([1] * s + [0] * (dim - 1) + [1])
+    prev = 1
+    for col in range(s):
+        p = col
+        while p < dim and a[p][col] == 0:
+            p += 1
+        if p == dim:
+            return None
+        a[col], a[p] = a[p], a[col]
+        ac = a[col]
+        piv = ac[col]
+        for i in range(col + 1, dim):
+            ai = a[i]
+            f = ai[col]
+            if f:
+                for j in range(col + 1, width):
+                    ai[j] = (piv * ai[j] - f * ac[j]) // prev
+            elif prev != piv:
+                for j in range(col + 1, width):
+                    ai[j] = piv * ai[j] // prev
+            ai[col] = 0
+        prev = piv
+    return HullFactor(
+        rows=[row[s:width - 1] for row in a[s:]],
+        rhs=[-row[-1] for row in a[s:]],
+        upper=[row[:s] for row in a[:s]],
+        left=[row[s:] for row in a[:s]],
+    )

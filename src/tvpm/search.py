@@ -5,7 +5,10 @@ with part sizes capped at d+1, exactly once, in a deterministic order
 (indices are placed in restricted-growth fashion, so parts are ordered by
 their smallest element).  Brute-force scans over this stream serve as the
 independent oracle for the constructive solver: "not found" always means
-the whole stream was checked.
+the whole stream was checked.  The scan reads each partition's sign
+pattern from per-part hull equations and one d x d integer solve, and
+builds a certificate (through ``core.intersect_affine_hulls``) only for the
+partition it returns.
 
 Separation of conv(M) from conv(A \\ M) is decided by exact LP
 feasibility for a common point; the Farkas vector of an infeasible system
@@ -18,7 +21,8 @@ from math import gcd, lcm
 
 from tvpm import lp
 from tvpm.core import intersect_affine_hulls
-from tvpm.linalg import vdot, vscale, vzero, vadd
+from tvpm.kernel import ff_solve
+from tvpm.linalg import hull_factor, vdot, vscale, vzero, vadd
 
 
 def proper_partitions(n, r, d):
@@ -60,17 +64,74 @@ class SearchResult:
     skipped: int
 
 
+def _part_signs(points, partition, memo):
+    """Negative indices of the partition's unique intersection point, or
+    None when the part hulls do not meet in exactly one point.
+
+    For n = (r-1)(d+1)+1 the parts' hull equations number exactly d, so
+    the common point w solves one d x d integer system; each part's
+    coefficients then follow from its triangular factor.  ``memo`` maps
+    parts to factors across calls (None: factor every part afresh).
+    """
+    factors = []
+    rows = []
+    rhs = []
+    for part in partition:
+        if memo is not None and part in memo:
+            f = memo[part]
+        else:
+            f = hull_factor([points[i] for i in part])
+            if memo is not None:
+                memo[part] = f
+        if f is None:
+            return None
+        rows += f.rows
+        rhs += f.rhs
+        factors.append(f)
+    got = ff_solve(rows, rhs)
+    if got is None:
+        return None
+    zden, nums = got
+    y = nums + [zden]  # zden * (w, 1)
+    negatives = []
+    for part, f in zip(partition, factors):
+        # upper (zden * alpha) = left y; back substitution scaled by the
+        # last pivot den gives x = den * zden * alpha in integers.
+        upper = f.upper
+        c = [vdot(row, y) for row in f.left]
+        s = len(part)
+        den = upper[s - 1][s - 1]
+        x = [0] * s
+        x[s - 1] = c[s - 1]
+        for k in range(s - 2, -1, -1):
+            uk = upper[k]
+            t = c[k] * den
+            for j in range(k + 1, s):
+                t -= uk[j] * x[j]
+            x[k] = t // uk[k]
+        flip = (den < 0) != (zden < 0)
+        negatives.extend(i for i, v in zip(part, x)
+                         if (v > 0 if flip else v < 0))
+    return negatives
+
+
 def _scan(config, accept):
+    """Scan the proper partitions until ``accept(negatives)`` is true for
+    one with a unique intersection point; only that one gets a
+    certificate (from ``intersect_affine_hulls``)."""
+    _, points = config.scaled
+    # With r = 2 a part fixes its partition, so no part is seen twice.
+    memo = {} if config.r > 2 else None
     scanned = 0
     skipped = 0
     for partition in proper_partitions(config.n, config.r, config.d):
         scanned += 1
-        res = intersect_affine_hulls(config, partition)
-        if res.kind != "point":
+        negatives = _part_signs(points, partition, memo)
+        if negatives is None:
             skipped += 1
-            continue
-        if accept(res.cert):
-            return SearchResult(True, partition, res.cert, scanned, skipped)
+        elif accept(negatives):
+            cert = intersect_affine_hulls(config, partition).cert
+            return SearchResult(True, partition, cert, scanned, skipped)
     return SearchResult(False, None, None, scanned, skipped)
 
 
@@ -80,7 +141,7 @@ def search_exact_k(config, k):
         raise ValueError("search needs n = (r-1)(d+1)+1 points")
     if not 0 <= k <= config.n:
         raise ValueError("k out of range")
-    return _scan(config, lambda cert: len(cert.negatives) == k)
+    return _scan(config, lambda negatives: len(negatives) == k)
 
 
 def search_prescribed(config, m_set):
@@ -90,7 +151,8 @@ def search_prescribed(config, m_set):
     target = frozenset(m_set)
     if not target <= frozenset(range(config.n)):
         raise ValueError("m_set out of range")
-    return _scan(config, lambda cert: cert.negatives == target)
+    return _scan(config,
+                 lambda negatives: frozenset(negatives) == target)
 
 
 @dataclass(frozen=True)
@@ -107,16 +169,13 @@ def radon_spectrum(config):
     if config.n != config.d + 2:
         raise ValueError("spectrum needs n = d+2")
     ks = set()
-    scanned = 0
-    skipped = 0
-    for partition in proper_partitions(config.n, 2, config.d):
-        scanned += 1
-        res = intersect_affine_hulls(config, partition)
-        if res.kind != "point":
-            skipped += 1
-            continue
-        ks.add(len(res.cert.negatives))
-    return SpectrumResult(frozenset(ks), scanned, skipped)
+
+    def collect(negatives):
+        ks.add(len(negatives))
+        return False
+
+    res = _scan(config, collect)
+    return SpectrumResult(frozenset(ks), res.scanned, res.skipped)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from tvpm.gen import (
     random_config,
     separated_subset,
 )
-from tvpm.linalg import solve_linear
 from tvpm.minnorm import min_norm_point
 from tvpm.sarkaria import DegenerateGamma, PMCertificate, tverberg_pm
 from tvpm.search import (
@@ -28,6 +27,7 @@ from tvpm.search import (
     search_prescribed,
 )
 
+from linalg_oracle import solve_linear
 from minnorm_oracle import min_norm_point_naive
 from radon_oracle import radon_top
 

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from tvpm.colored import ColorClasses, classes_to_json
 from tvpm.core import dump_json
 
@@ -254,3 +256,59 @@ def test_boolean_dimensions_are_usage_errors(tmp_path):
         assert code == 2, key
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err, key
+
+
+LINE_CFG = {"schema": "tvpm/1", "kind": "point_config", "d": 1, "r": 2,
+            "points": [["0"], ["1"], ["2"]]}
+LINE_CERT = {"schema": "tvpm/1", "kind": "certificate", "z": ["1"],
+             "alpha": {"0": "1/2", "1": "1", "2": "1/2"}, "negatives": [],
+             "gamma": "1", "partition": [[0, 2], [1]]}
+LINE_CLASSES = {"schema": "tvpm/1", "d": 1, "r": 2,
+                "classes": [[["0"], ["4"]], [["1"], ["3"]]]}
+LINE_COLORED_CERT = {"schema": "tvpm/1", "kind": "colored_certificate",
+                     "assignment": [[0, 1], [0, 1]], "alpha": ["-1", "2"],
+                     "z": ["2"], "gamma": "1/3", "negatives": [0],
+                     "alternative": "m_negative"}
+
+
+@pytest.mark.parametrize("doc, key, value", [
+    ("cert", "alpha", ["1/2", "1", "1/2"]),
+    ("cert", "negatives", 5),
+    ("cert", "negatives", [[1]]),
+    ("cert", "zero_set", 5),
+    ("cert", "zero_set", [[0]]),
+    ("cert", "partition", 5),
+    ("cert", "partition", [0, 1, 2]),
+    ("cert", "partition", [[0, 2], [[1]]]),
+    ("classes", "classes", 5),
+    ("classes", "classes", [[["0"], ["4"]], 5]),
+    ("config", "points", 5),
+    ("config", "points", [["0"], 1, ["2"]]),
+    ("config", "m", 5),
+    ("config", "m", [[1]]),
+    ("colored_cert", "assignment", [5, 6]),
+    ("colored_cert", "alpha", 5),
+    ("colored_cert", "negatives", [[0]]),
+    ("colored_cert", "zero_set", 3),
+])
+def test_malformed_json_shapes_are_usage_errors(tmp_path, doc, key, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(LINE_CFG))
+    classes_path = tmp_path / "classes.json"
+    classes_path.write_text(json.dumps(LINE_CLASSES))
+    bad = dict({"cert": LINE_CERT, "classes": LINE_CLASSES,
+                "config": LINE_CFG, "colored_cert": LINE_COLORED_CERT}[doc])
+    bad[key] = value
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(bad))
+    argv = {
+        "cert": ["verify", "--input", str(cfg_path), "--cert", str(bad_path)],
+        "classes": ["colored", "--m", "0", "--input", str(bad_path)],
+        "config": ["solve", "--input", str(bad_path)],
+        "colored_cert": ["verify", "--input", str(classes_path),
+                         "--cert", str(bad_path)],
+    }[doc]
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err

@@ -18,8 +18,10 @@ from tvpm.colored import (
     verify_colorful,
 )
 from tvpm.gen import general_position
-from tvpm.linalg import solve_linear, tensor, vadd, vzero
+from tvpm.linalg import tensor, vadd, vzero
 from tvpm.sarkaria import DegenerateGamma, companion_simplex
+
+from linalg_oracle import solve_linear
 
 F = Fraction
 

@@ -10,13 +10,14 @@ from tvpm import linalg
 from tvpm.core import PointConfig, build_system, intersect_affine_hulls
 from tvpm.linalg import (
     format_rat,
+    hull_factor,
     parse_rat,
-    rank,
-    solve_linear,
     solve_system,
     tensor,
 )
 from tvpm.search import proper_partitions
+
+from linalg_oracle import rank, solve_linear
 
 F = Fraction
 
@@ -194,3 +195,34 @@ def test_solve_system_ranks_and_solution_match_oracles():
         else:
             assert x is None
     assert unique > 20
+
+
+def test_hull_factor_equations_and_triangular_factor():
+    rng = random.Random(31)
+    factored = 0
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        s = rng.randint(1, d + 1)
+        pts = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(s)]
+        lifted = [p + (1,) for p in pts]  # the columns of P
+        prows = list(zip(*lifted))  # the rows of P
+        f = hull_factor(pts)
+        if f is None:
+            assert rank(lifted) < s
+            continue
+        factored += 1
+        assert rank(lifted) == s
+        # d+1-s independent equations, each satisfied by every point
+        assert len(f.rows) == len(f.rhs) == d + 1 - s
+        if f.rows:
+            eqs = [row + [b] for row, b in zip(f.rows, f.rhs)]
+            assert rank(eqs) == d + 1 - s
+        for p in pts:
+            for row, b in zip(f.rows, f.rhs):
+                assert sum(e * x for e, x in zip(row, p)) == b
+        # left P = upper, upper triangular with nonzero diagonal
+        for k, (lrow, urow) in enumerate(zip(f.left, f.upper)):
+            assert [sum(l * prow[i] for l, prow in zip(lrow, prows))
+                    for i in range(s)] == urow
+            assert urow[k] != 0 and all(v == 0 for v in urow[:k])
+    assert factored > 100

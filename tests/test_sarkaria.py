@@ -7,7 +7,7 @@ import pytest
 
 from tvpm.core import PointConfig, intersect_affine_hulls, verify_certificate
 from tvpm.gen import random_config, separated_subset
-from tvpm.linalg import rank, vadd, vscale, vzero
+from tvpm.linalg import vadd, vscale, vzero
 from tvpm.sarkaria import (
     DegenerateGamma,
     PMCertificate,
@@ -21,6 +21,8 @@ from tvpm.sarkaria import (
     tverberg_pm,
 )
 from tvpm.search import search_prescribed
+
+from linalg_oracle import rank
 
 F = Fraction
 

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from tvpm.core import PointConfig, verify_certificate
-from tvpm.gen import random_config
+from tvpm import search
+from tvpm.core import PointConfig, intersect_affine_hulls, verify_certificate
+from tvpm.gen import example1, random_config
 from tvpm.linalg import vdot
 from tvpm.search import (
     NotSeparated,
@@ -199,3 +200,59 @@ def test_radon_spectrum_preconditions():
     cfg = PointConfig(d=2, r=2, points=((F(0), F(0)), (F(1), F(0))))
     with pytest.raises(ValueError):
         radon_spectrum(cfg)
+
+
+def _parity_configs():
+    cases = [random_config(d, r, seed=seed)
+             for d, r, seeds in ((1, 2, 3), (2, 2, 3), (5, 2, 3), (2, 3, 2),
+                                 (3, 3, 1), (2, 4, 1), (1, 4, 2))
+             for seed in range(seeds)]
+    cases.append(example1(2, 3, seed=4)[0])
+    cases.append(PointConfig(d=2, r=2, points=(
+        (F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1)))))
+    # three collinear points: some parts are affinely dependent
+    cases.append(PointConfig(d=2, r=2, points=(
+        (F(0), F(0)), (F(1), F(1)), (F(2), F(2)), (F(1, 2), F(3)))))
+    return cases
+
+
+def test_part_factored_scan_matches_block_system():
+    skips = 0
+    for cfg in _parity_configs():
+        _, points = cfg.scaled
+        memo = {}
+        want = []  # per partition: the block system's negatives, or None
+        for partition in proper_partitions(cfg.n, cfg.r, cfg.d):
+            res = intersect_affine_hulls(cfg, partition)
+            want.append(res.cert.negatives if res.kind == "point" else None)
+            for m in (None, memo):
+                got = search._part_signs(points, partition, m)
+                assert (got is None) == (res.kind != "point"), partition
+                if got is not None:
+                    assert frozenset(got) == res.cert.negatives, partition
+        skips += want.count(None)
+
+        seen = []
+        res = search._scan(cfg, lambda negatives: seen.append(negatives))
+        points_only = [w for w in want if w is not None]
+        assert [frozenset(s) for s in seen] == points_only
+        assert res.scanned == len(want) and res.skipped == want.count(None)
+
+        # search_exact_k against a loop over the block systems
+        partitions = list(proper_partitions(cfg.n, cfg.r, cfg.d))
+        for k in range(cfg.n + 1):
+            res = search_exact_k(cfg, k)
+            hit = next((pos for pos, w in enumerate(want)
+                        if w is not None and len(w) == k), None)
+            if hit is None:
+                assert not res.found
+                assert res.scanned == len(want)
+                assert res.skipped == want.count(None)
+            else:
+                assert res.found and res.partition == partitions[hit]
+                assert res.scanned == hit + 1
+                assert res.skipped == want[:hit].count(None)
+                assert res.cert.negatives == want[hit]
+                ok, problems = verify_certificate(cfg, res.partition, res.cert)
+                assert ok, problems
+    assert skips > 0
