@@ -3,7 +3,6 @@ Tverberg partitions over the rationals."""
 
 __version__ = "0.1.0"
 
-from tvpm.kernel import BACKEND
 from tvpm.core import (
     AffineCertificate,
     Intersection,
@@ -17,7 +16,6 @@ from tvpm.core import (
 )
 
 __all__ = [
-    "BACKEND",
     "__version__",
     "AffineCertificate",
     "Intersection",

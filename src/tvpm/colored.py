@@ -26,12 +26,17 @@ from tvpm.linalg import (
     vscale,
     vzero,
 )
-from tvpm.sarkaria import DegenerateGamma, companion_simplex, pivot_to_origin
+from tvpm.sarkaria import (
+    DegenerateGamma,
+    companion_simplex,
+    decode_weights,
+    pivot_to_origin,
+)
 
 MAX_R = 5
 
 
-class CapacityError(Exception):
+class CapacityError(ValueError):
     """Raised when a request would materialize r! lifts for r > 5."""
 
 
@@ -132,8 +137,6 @@ def colored_tverberg_pm(cc, m_set, trace=None):
     init = [0] * cc.n
     choice, beta = pivot_to_origin(sets, init, trace=trace, scale=scale)
     chosen = [sigmas[i][choice[i]] for i in range(cc.n)]
-    signed = [-beta[i] if i in m_set else beta[i] for i in range(cc.n)]
-    gamma = sum(signed, Fraction(0))
     # assignment[i][l]: the point of class i that sigma_i sends to part l
     assignment = []
     for sigma in chosen:
@@ -141,18 +144,13 @@ def colored_tverberg_pm(cc, m_set, trace=None):
         for j, l in enumerate(sigma):
             inv[l] = j
         assignment.append(tuple(inv))
-    part_sums = []
-    for l in range(cc.r):
-        u = vzero(cc.d)
-        for i in range(cc.n):
-            u = vadd(u, vscale(signed[i], cc.classes[i][assignment[i][l]]))
-        part_sums.append(u)
-    if any(u != part_sums[0] for u in part_sums[1:]):
-        raise AssertionError("per-part sums must agree")
-    if gamma == 0:
-        return DegenerateGamma(choice=tuple(choice), weights=beta)
-    alpha = tuple(s / gamma for s in signed)
-    z = vscale(1 / gamma, part_sums[0])
+    decoded = decode_weights(
+        cc.d, choice, beta, m_set,
+        [[(i, cc.classes[i][assignment[i][l]]) for i in range(cc.n)]
+         for l in range(cc.r)])
+    if isinstance(decoded, DegenerateGamma):
+        return decoded
+    alpha, z, gamma = decoded
     negatives = frozenset(i for i, a in enumerate(alpha) if a < 0)
     zero_set = frozenset(i for i, a in enumerate(alpha) if a == 0)
     alternative = "m_negative" if gamma > 0 else "m_positive"

@@ -4,7 +4,7 @@ Scalars are ``fractions.Fraction`` (always lowest terms, positive
 denominator) or ints.  Vectors are tuples, matrices are lists of row lists.
 The exact core scales rational data once, at the boundary, by the lcm D of
 its denominators (``denominator_lcm``, ``to_int``) and then runs on ints
-and the fraction-free kernels from ``tvpm.kernel``; uniform scaling changes
+and the fraction-free elimination of ``tvpm.kernel``; uniform scaling changes
 a determinant by a known factor and changes neither rank nor the
 affine-invariant answers, so everything stays exact.
 
@@ -19,8 +19,8 @@ from operator import mul
 from typing import NamedTuple
 
 # ff_solve is re-exported: linalg is the package's linear-algebra namespace,
-# and perfbench records linalg.ff_solve's module as the active kernel.
-from tvpm.kernel import ff_solve
+# and perfbench records linalg.ff_solve's module as the kernel's.
+from tvpm.kernel import eliminate, ff_solve
 
 _RAT_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
@@ -59,16 +59,8 @@ def vadd(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vscale(c, v):
     return tuple(c * a for a in v)
-
-
-def vneg(v):
-    return tuple(-a for a in v)
 
 
 def vdot(u, v):
@@ -112,28 +104,7 @@ def solve_system(rows, rhs):
     m = len(rows)
     n = len(rows[0]) if m else 0
     a = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    prev = 1
-    pivots = []  # pivot column of echelon row 0, 1, ...
-    for col in range(n + 1):
-        row = len(pivots)
-        if row == m:
-            break
-        p = row
-        while p < m and a[p][col] == 0:
-            p += 1
-        if p == m:
-            continue
-        a[row], a[p] = a[p], a[row]
-        ar = a[row]
-        piv = ar[col]
-        for i in range(row + 1, m):
-            ai = a[i]
-            f = ai[col]
-            for j in range(col + 1, n + 1):
-                ai[j] = (piv * ai[j] - f * ar[j]) // prev
-            ai[col] = 0
-        prev = piv
-        pivots.append(col)
+    pivots, _ = eliminate(a, n + 1, n + 1)
     rank_aug = len(pivots)
     rank_m = rank_aug - (1 if pivots and pivots[-1] == n else 0)
     if rank_m < rank_aug or rank_m < n:
@@ -177,27 +148,8 @@ def hull_factor(points):
     a = [[p[c] for p in points] + [int(k == c) for k in range(dim)]
          for c in range(dim - 1)]
     a.append([1] * s + [0] * (dim - 1) + [1])
-    prev = 1
-    for col in range(s):
-        p = col
-        while p < dim and a[p][col] == 0:
-            p += 1
-        if p == dim:
-            return None
-        a[col], a[p] = a[p], a[col]
-        ac = a[col]
-        piv = ac[col]
-        for i in range(col + 1, dim):
-            ai = a[i]
-            f = ai[col]
-            if f:
-                for j in range(col + 1, width):
-                    ai[j] = (piv * ai[j] - f * ac[j]) // prev
-            elif prev != piv:
-                for j in range(col + 1, width):
-                    ai[j] = piv * ai[j] // prev
-            ai[col] = 0
-        prev = piv
+    if len(eliminate(a, s, width)[0]) < s:
+        return None
     return HullFactor(
         rows=[row[s:width - 1] for row in a[s:]],
         rhs=[-row[-1] for row in a[s:]],

@@ -195,14 +195,41 @@ class DegenerateGamma:
     weights: tuple
 
 
+def decode_weights(d, choice, beta, m_set, parts):
+    """Unscale a zero transversal's weights into affine coefficients.
+
+    ``parts`` lists, per part, the ``(index, point)`` pairs it holds, the
+    points in R^d; index i carries the weight beta[i], negated when i is
+    in m_set.  The per-part sums of signed weight times (point, 1) must
+    agree; their last coordinate is gamma.  Returns ``(alpha, z, gamma)``
+    with alpha[i] = signed[i] / gamma and z the common sum of the points
+    over gamma, or DegenerateGamma when gamma = 0.
+    """
+    signed = [-b if i in m_set else b for i, b in enumerate(beta)]
+    sums = []
+    for part in parts:
+        u = vzero(d + 1)
+        for i, p in part:
+            u = vadd(u, vscale(signed[i], p + (Fraction(1),)))
+        sums.append(u)
+    if any(u != sums[0] for u in sums[1:]):
+        raise AssertionError("per-part sums must agree")
+    gamma = sums[0][d]
+    if gamma == 0:
+        return DegenerateGamma(choice=tuple(choice), weights=beta)
+    alpha = tuple(s / gamma for s in signed)
+    z = vscale(1 / gamma, sums[0][:d])
+    return alpha, z, gamma
+
+
 def recover(ls, t):
     """Decode a zero transversal into a partition certificate.
 
     The per-part sums sum_{i in part} eps_i beta_i (a_i, 1) agree across
-    parts; their last coordinate is gamma.  gamma > 0 realizes negatives
-    on m_set, gamma < 0 on the complement, gamma = 0 is surfaced as
-    degenerate.  An empty part forces all sums to vanish and yields an
-    exact common point of the two hulls instead.
+    parts; their last coordinate is gamma (``decode_weights``).  gamma > 0
+    realizes negatives on m_set, gamma < 0 on the complement, gamma = 0 is
+    surfaced as degenerate.  An empty part forces all sums to vanish and
+    yields an exact common point of the two hulls instead.
     """
     config = ls.config
     n, d, r = config.n, config.d, config.r
@@ -210,15 +237,9 @@ def recover(ls, t):
     parts = [[] for _ in range(r)]
     for i in range(n):
         parts[t.choice[i]].append(i)
-    signed = [-beta[i] if i in ls.m_set else beta[i] for i in range(n)]
-    sums = []
-    for part in parts:
-        u = vzero(d + 1)
-        for i in part:
-            u = vadd(u, vscale(signed[i], config.points[i] + (Fraction(1),)))
-        sums.append(u)
-    if any(u != sums[0] for u in sums[1:]):
-        raise AssertionError("per-part sums must agree")
+    decoded = decode_weights(
+        d, t.choice, beta, ls.m_set,
+        [[(i, config.points[i]) for i in part] for part in parts])
     if any(not part for part in parts):
         # All sums vanish; inside any part carrying weight, the positive
         # and the negated points average to the same point with the same
@@ -244,12 +265,10 @@ def recover(ls, t):
                 rest_weights={i: w / scale for i, w in rw.items()},
             )
         raise AssertionError("an empty part implies a weighted overlap")
-    gamma = sums[0][d]
-    if gamma == 0:
-        return DegenerateGamma(choice=t.choice, weights=t.weights)
-    alpha = {i: signed[i] / gamma for i in range(n)}
-    z = vscale(1 / gamma, sums[0][:d])
-    cert = make_certificate(z=z, alpha=alpha, gamma=gamma)
+    if isinstance(decoded, DegenerateGamma):
+        return decoded
+    alpha, z, gamma = decoded
+    cert = make_certificate(z=z, alpha=dict(enumerate(alpha)), gamma=gamma)
     partition = canonical_partition(parts)
     return PMCertificate(
         partition=partition,

@@ -198,8 +198,11 @@ def check_separation(config, m_set):
     the m side and < offset strictly on the other side.  NotSeparated:
     returns an exact common point with convex weights for both hulls.
     """
-    m_idx = sorted(frozenset(m_set))
-    rest = sorted(frozenset(range(config.n)) - frozenset(m_idx))
+    m_set = frozenset(m_set)
+    if not m_set <= frozenset(range(config.n)):
+        raise ValueError("m_set out of range")
+    m_idx = sorted(m_set)
+    rest = sorted(frozenset(range(config.n)) - m_set)
     if not m_idx or not rest:
         raise ValueError("m_set must be a nonempty proper subset")
     d = config.d

@@ -1,13 +1,13 @@
 """Exact rank and square solve over rational matrices, for the tests.
 
 The library works on integer systems it assembles itself; these two
-rational front ends to the fraction-free kernels exist only as references
+rational front ends to the fraction-free kernel exist only as references
 for tests that state a system over ``Fraction`` entries.
 """
 
 from fractions import Fraction
 
-from tvpm.kernel import ff_rank, ff_solve
+from tvpm.kernel import eliminate, ff_solve
 from tvpm.linalg import denominator_lcm, to_int
 
 
@@ -15,7 +15,8 @@ def rank(rows):
     """Exact rank of a rectangular rational matrix."""
     if not rows:
         return 0
-    return ff_rank(to_int(rows, denominator_lcm(rows)))
+    a = [list(row) for row in to_int(rows, denominator_lcm(rows))]
+    return len(eliminate(a, len(a[0]), len(a[0]))[0])
 
 
 def solve_linear(rows, rhs):

@@ -312,3 +312,25 @@ def test_malformed_json_shapes_are_usage_errors(tmp_path, doc, key, value):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["separation", "--m", "0,99"], LINE_CFG),
+    (["separation", "--m", "-1"], LINE_CFG),
+    (["separation"], dict(LINE_CFG, m=[99])),
+], ids=["m-0,99", "m--1", "input-m-99"])
+def test_separation_out_of_range_indices_are_usage_errors(argv, doc):
+    code, out, err = run_cli(argv, stdin=json.dumps(doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_import_leaves_the_solver_modules_unloaded():
+    probe = ("import sys, tvpm.cli; print(sorted(m for m in ("
+             "'tvpm.sarkaria', 'tvpm.colored', 'tvpm.minnorm') "
+             "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

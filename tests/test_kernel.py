@@ -1,20 +1,9 @@
-"""Integer kernel tests: both backends against independent oracles."""
+"""Integer kernel tests against independent oracles."""
 
 import random
 from fractions import Fraction
 
-import pytest
-
-from tvpm import _kernel_py
-
-BACKENDS = [_kernel_py]
-try:
-    from tvpm import _kernel
-    BACKENDS.append(_kernel)
-except ImportError:
-    _kernel = None
-
-IDS = [mod.BACKEND for mod in BACKENDS]
+from tvpm.kernel import eliminate, ff_det, ff_solve
 
 
 def cofactor_det(rows):
@@ -31,12 +20,12 @@ def cofactor_det(rows):
     return total
 
 
-def gauss_rank(rows):
-    # independent rank oracle over Fractions
+def gauss_pivots(rows):
+    # independent echelon-form oracle over Fractions: the pivot columns
     a = [[Fraction(v) for v in r] for r in rows]
     m = len(a)
     n = len(a[0]) if m else 0
-    rank = 0
+    pivots = []
     row = 0
     for col in range(n):
         piv = None
@@ -51,48 +40,50 @@ def gauss_rank(rows):
             if a[i][col] != 0:
                 f = a[i][col] / a[row][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[row])]
-        rank += 1
+        pivots.append(col)
         row += 1
-    return rank
+    return pivots
+
+
+def ff_rank(rows):
+    a = [list(r) for r in rows]
+    return len(eliminate(a, len(a[0]), len(a[0]))[0])
 
 
 def random_matrix(rng, m, n, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
 
 
-@pytest.mark.parametrize("mod", BACKENDS, ids=IDS)
-def test_det_known_values(mod):
-    assert mod.ff_det([]) == 1
-    assert mod.ff_det([[5]]) == 5
-    assert mod.ff_det([[1, 2], [3, 4]]) == -2
-    assert mod.ff_det([[1, 2], [2, 4]]) == 0
-    assert mod.ff_det([[0, 1], [1, 0]]) == -1  # needs a row swap
-    assert mod.ff_det([[2, 0, 0], [0, 3, 0], [0, 0, 4]]) == 24
+def test_det_known_values():
+    assert ff_det([]) == 1
+    assert ff_det([[5]]) == 5
+    assert ff_det([[1, 2], [3, 4]]) == -2
+    assert ff_det([[1, 2], [2, 4]]) == 0
+    assert ff_det([[0, 1], [1, 0]]) == -1  # needs a row swap
+    assert ff_det([[2, 0, 0], [0, 3, 0], [0, 0, 4]]) == 24
 
 
-@pytest.mark.parametrize("mod", BACKENDS, ids=IDS)
-def test_det_matches_cofactor_oracle(mod):
+def test_det_matches_cofactor_oracle():
     rng = random.Random(11)
     for trial in range(200):
         n = rng.randint(1, 5)
         a = random_matrix(rng, n, n)
-        assert mod.ff_det(a) == cofactor_det(a)
+        assert ff_det(a) == cofactor_det(a)
 
 
-@pytest.mark.parametrize("mod", BACKENDS, ids=IDS)
-def test_solve_round_trip(mod):
+def test_solve_round_trip():
     rng = random.Random(23)
     solved = 0
     for trial in range(200):
         n = rng.randint(1, 6)
         a = random_matrix(rng, n, n)
         b = [rng.randint(-9, 9) for _ in range(n)]
-        got = mod.ff_solve(a, b)
+        got = ff_solve(a, b)
         if got is None:
-            assert mod.ff_det(a) == 0
+            assert ff_det(a) == 0
             continue
         den, nums = got
-        assert den == mod.ff_det(a) != 0
+        assert den == ff_det(a) != 0
         x = [Fraction(v, den) for v in nums]
         for i in range(n):
             assert sum(a[i][j] * x[j] for j in range(n)) == b[i]
@@ -100,42 +91,64 @@ def test_solve_round_trip(mod):
     assert solved > 150
 
 
-@pytest.mark.parametrize("mod", BACKENDS, ids=IDS)
-def test_solve_singular(mod):
-    assert mod.ff_solve([[1, 2], [2, 4]], [1, 1]) is None
-    assert mod.ff_solve([[0]], [1]) is None
-    assert mod.ff_solve([], []) == (1, [])
+def test_solve_singular():
+    assert ff_solve([[1, 2], [2, 4]], [1, 1]) is None
+    assert ff_solve([[0]], [1]) is None
+    assert ff_solve([], []) == (1, [])
 
 
-@pytest.mark.parametrize("mod", BACKENDS, ids=IDS)
-def test_rank_known_and_oracle(mod):
-    assert mod.ff_rank([[0, 0], [0, 0]]) == 0
-    assert mod.ff_rank([[1, 0], [0, 1]]) == 2
-    assert mod.ff_rank([[1, 2], [2, 4], [0, 1]]) == 2
+def test_rank_known_and_oracle():
+    assert ff_rank([[0, 0], [0, 0]]) == 0
+    assert ff_rank([[1, 0], [0, 1]]) == 2
+    assert ff_rank([[1, 2], [2, 4], [0, 1]]) == 2
     rng = random.Random(37)
     for trial in range(200):
         m = rng.randint(1, 6)
         n = rng.randint(1, 6)
         a = random_matrix(rng, m, n, -4, 4)
-        assert mod.ff_rank(a) == gauss_rank(a)
+        assert ff_rank(a) == len(gauss_pivots(a))
 
 
-@pytest.mark.skipif(_kernel is None, reason="compiled kernel unavailable")
-def test_backend_parity():
-    # both implementations must agree bit for bit
-    rng = random.Random(51)
-    for trial in range(100):
-        n = rng.randint(1, 6)
-        a = random_matrix(rng, n, n, -20, 20)
-        b = [rng.randint(-20, 20) for _ in range(n)]
-        assert _kernel.ff_det(a) == _kernel_py.ff_det(a)
-        assert _kernel.ff_solve(a, b) == _kernel_py.ff_solve(a, b)
+def test_eliminate_pivots_match_gauss_oracle():
+    # rectangular, rank-deficient and zero-column input
+    rng = random.Random(41)
+    for trial in range(300):
         m = rng.randint(1, 6)
-        rect = random_matrix(rng, m, n, -5, 5)
-        assert _kernel.ff_rank(rect) == _kernel_py.ff_rank(rect)
+        n = rng.randint(1, 6)
+        a = random_matrix(rng, m, n, -3, 3)
+        for col in rng.sample(range(n), rng.randint(0, n - 1)):
+            for row in a:
+                row[col] = 0
+        if m > 2 and rng.random() < 0.5:
+            a[-1] = [x + 2 * y for x, y in zip(a[0], a[1])]
+        pivots, sign = eliminate([row[:] for row in a], n, n)
+        assert pivots == gauss_pivots(a)
+        assert sign in (1, -1)
 
 
-def test_backend_names():
-    assert _kernel_py.BACKEND == "python"
-    if _kernel is not None:
-        assert _kernel.BACKEND == "cython"
+def test_eliminate_sign_times_last_pivot_is_det():
+    rng = random.Random(43)
+    checked = 0
+    for trial in range(200):
+        n = rng.randint(1, 5)
+        a = random_matrix(rng, n, n)
+        work = [row[:] for row in a]
+        pivots, sign = eliminate(work, n, n)
+        if len(pivots) < n:
+            assert cofactor_det(a) == 0
+            continue
+        assert pivots == list(range(n))
+        assert sign * work[n - 1][n - 1] == cofactor_det(a)
+        checked += 1
+    assert checked > 150
+
+
+def test_eliminate_width_and_column_skip():
+    # zero first column: skipped, and the pivot search continues in
+    # column 1; columns at or past width stay untouched
+    a = [[0, 2, 1, 7], [0, 4, 3, 9]]
+    assert eliminate(a, 3, 3) == ([1, 2], 1)
+    assert a == [[0, 2, 1, 7], [0, 0, 2, 9]]
+    b = [[0, 1], [1, 0]]
+    assert eliminate(b, 2, 2) == ([0, 1], -1)
+    assert eliminate([], 3, 3) == ([], 1)
