@@ -3,7 +3,10 @@
 JSON in, JSON out, everything seeded.  Exit codes: 0 when the requested
 object was found/validated, 1 when a search was exhaustively negative, a
 claim failed to verify, or separation does not hold, 2 on usage errors,
-malformed input, or degenerate (non-general-position) outcomes.
+malformed input, or degenerate (non-general-position) outcomes, 3 on an
+internal error (an exception the program did not expect), reported as an
+``error: internal:`` line and an ``internal_error`` result, never a
+traceback.
 """
 
 import argparse
@@ -17,6 +20,7 @@ from tvpm.linalg import format_rat, format_vec, parse_rat
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class UsageError(Exception):
@@ -219,15 +223,23 @@ def cmd_verify(args):
     # which rejects it.
     kind = cert_obj.get("kind") if isinstance(cert_obj, dict) else None
     try:
+        m_set = proper = None
+        if isinstance(cert_obj, dict):
+            if "m" in cert_obj:
+                m_set = frozenset(core.index_list(cert_obj["m"], "'m'"))
+            proper = cert_obj.get("proper")
+            if proper is not None and not isinstance(proper, bool):
+                raise ValueError("'proper' must be true or false")
         if kind == "colored_certificate":
             from tvpm import colored as colored_mod
             cc = colored_mod.classes_from_json(input_obj)
             cp = colored_mod.colorful_from_json(cert_obj)
-            ok, problems = colored_mod.verify_colorful(cc, cp)
+            ok, problems = colored_mod.verify_colorful(cc, cp, m_set)
         else:
             config = core.config_from_json(input_obj)
-            cert, partition, _ = core.certificate_from_json(cert_obj)
-            ok, problems = core.verify_certificate(config, partition, cert)
+            cert, partition, alternative = core.certificate_from_json(cert_obj)
+            ok, problems = core.verify_certificate(
+                config, partition, cert, alternative, m_set, proper)
     except ValueError as e:
         raise UsageError(str(e))
     if ok:
@@ -371,6 +383,11 @@ def main(argv=None):
     except (UsageError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
+    except Exception as e:
+        print("error: internal: %s: %s" % (type(e).__name__, e),
+              file=sys.stderr)
+        _emit({"schema": core.SCHEMA, "result": "internal_error"})
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

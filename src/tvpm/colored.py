@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from tvpm.core import SCHEMA, index_list, int_field, json_list
+from tvpm.core import (
+    SCHEMA,
+    alternative_problems,
+    index_list,
+    int_field,
+    json_list,
+)
 from tvpm.linalg import (
     denominator_lcm,
     format_rat,
@@ -165,8 +171,12 @@ def colored_tverberg_pm(cc, m_set, trace=None):
     )
 
 
-def verify_colorful(cc, cp):
-    """Exact re-check of a colorful partition certificate."""
+def verify_colorful(cc, cp, m_set=None):
+    """Exact re-check of a colorful partition certificate.
+
+    With ``m_set``, the alternative ("m_negative" or "m_positive") must
+    describe the negatives (``core.alternative_problems``).
+    """
     problems = []
     if len(cp.assignment) != cc.n or len(cp.alpha) != cc.n:
         return False, ["shape mismatch"]
@@ -189,8 +199,14 @@ def verify_colorful(cc, cp):
     neg = frozenset(i for i, a in enumerate(cp.alpha) if a < 0)
     if neg != cp.negatives:
         problems.append("negatives set does not match coefficient signs")
+    zero = frozenset(i for i, a in enumerate(cp.alpha) if a == 0)
+    if zero != cp.zero_set:
+        problems.append("zero_set does not match zeros of alpha")
     if cp.gamma == 0:
         problems.append("gamma is zero")
+    problems += alternative_problems(cc.n, cp.negatives, cp.zero_set,
+                                     cp.alternative, m_set,
+                                     ("m_negative", "m_positive"))
     return not problems, problems
 
 
@@ -222,7 +238,7 @@ def classes_from_json(obj):
 
 
 def colorful_to_json(cp):
-    return {
+    out = {
         "schema": SCHEMA,
         "kind": "colored_certificate",
         "assignment": [list(row) for row in cp.assignment],
@@ -232,6 +248,9 @@ def colorful_to_json(cp):
         "negatives": sorted(cp.negatives),
         "alternative": cp.alternative,
     }
+    if cp.zero_set:
+        out["zero_set"] = sorted(cp.zero_set)
+    return out
 
 
 def colorful_from_json(obj):
@@ -249,5 +268,5 @@ def colorful_from_json(obj):
         gamma=parse_rat(obj["gamma"]),
         negatives=frozenset(index_list(obj["negatives"], "'negatives'")),
         zero_set=frozenset(index_list(obj.get("zero_set", []), "'zero_set'")),
-        alternative=obj.get("alternative", ""),
+        alternative=obj.get("alternative"),
     )

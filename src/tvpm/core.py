@@ -213,12 +213,40 @@ def intersect_affine_hulls(config, partition):
     return Intersection("degenerate", None, detv, rk, rka)
 
 
-def verify_certificate(config, partition, cert):
+def alternative_problems(n, negatives, zero_set, alternative, m_set, names):
+    """Problems with the claim that the negatives sit on m_set (alternative
+    ``names[0]``) or on its complement (``names[1]``).
+
+    An index with a zero coefficient carries no sign, so the claim is
+    negatives == side - zero_set.  Nothing is claimed when alternative is
+    None; without m_set only the alternative's name is checked.
+    """
+    if alternative is None:
+        return []
+    if alternative not in names:
+        return ["unknown alternative %r" % (alternative,)]
+    if m_set is None:
+        return []
+    everything = frozenset(range(n))
+    if not m_set <= everything:
+        return ["m %s is out of range" % sorted(m_set)]
+    side = m_set if alternative == names[0] else everything - m_set
+    if negatives != side - zero_set:
+        return ["negatives %s do not match alternative %s for m %s"
+                % (sorted(negatives), alternative, sorted(m_set))]
+    return []
+
+
+def verify_certificate(config, partition, cert, alternative=None,
+                       m_set=None, proper=None):
     """Re-check a certificate against its configuration, exactly.
 
     Returns ``(ok, problems)`` where problems names every violated
     equation.  Checks: index coverage, per-part coefficient sums equal 1,
-    per-part weighted point sums equal z, and sign-set bookkeeping.
+    per-part weighted point sums equal z, and sign-set bookkeeping.  The
+    optional claims are checked when given: ``proper`` must equal
+    ``is_proper``, and ``alternative`` ("in_m" or "complement") with
+    ``m_set`` must describe the negatives (``alternative_problems``).
     """
     problems = []
     try:
@@ -251,6 +279,13 @@ def verify_certificate(config, partition, cert):
         problems.append("zero_set does not match zeros of alpha")
     if cert.gamma == 0:
         problems.append("gamma is zero")
+    if proper is not None and proper != is_proper(config, partition):
+        problems.append("proper is %s but the partition %s"
+                        % (str(proper).lower(),
+                           "is not proper" if proper else "is proper"))
+    problems += alternative_problems(config.n, cert.negatives, cert.zero_set,
+                                     alternative, m_set,
+                                     ("in_m", "complement"))
     return not problems, problems
 
 

@@ -49,22 +49,6 @@ def _point(lam, q, points, scale):
         for c in range(dim))
 
 
-def affine_minimizer(points):
-    """Minimum-norm point of the affine hull of the given points.
-
-    Returns ``(x, weights)`` with weights summing to 1 (signs free), or
-    None when the points are affinely dependent.
-    """
-    scale = denominator_lcm(points)
-    ints = to_int(points, scale)
-    got = _affine_weights(_gram(ints), range(len(ints)))
-    if got is None:
-        return None
-    den, nums = got
-    x = _point(dict(enumerate(nums)), den, ints, scale)
-    return x, tuple(Fraction(v, den) for v in nums)
-
-
 def min_norm_point(points, gram=None):
     """Exact minimum-norm point of conv(points).
 

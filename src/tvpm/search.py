@@ -10,6 +10,14 @@ pattern from per-part hull equations and one d x d integer solve, and
 builds a certificate (through ``core.intersect_affine_hulls``) only for the
 partition it returns.
 
+For r = 2 the n = d+2 points have one affine dependence lambda,
+sum lambda_i (a_i, 1) = 0, and every bipartition (T, A \\ T) with
+lambda(T) != 0 meets in the point with coefficients lambda_i / lambda(T)
+on T and -lambda_j / lambda(T) off T (Radon, 1921).  When lambda is
+unique with every lambda_i != 0, the scan reads every bipartition's signs
+from it and factors no part; otherwise (the points lie in a hyperplane,
+or some lambda_i = 0) it reads them from the part hulls as for r > 2.
+
 Separation of conv(M) from conv(A \\ M) is decided by exact LP
 feasibility for a common point; the Farkas vector of an infeasible system
 is turned into a strict separating hyperplane witness.
@@ -115,18 +123,58 @@ def _part_signs(points, partition, memo):
     return negatives
 
 
+def _radon_weights(points):
+    """The integer Radon dependence of n = d+2 integer points, or None.
+
+    lambda = (nums, den) from one solve of the lifted first d+1 points
+    against the last: sum lambda_i (a_i, 1) = 0.  None when that solve is
+    singular or some lambda_i is 0, where a bipartition's signs cannot be
+    read from lambda alone.
+    """
+    cols = [tuple(p) + (1,) for p in points]
+    rows = [[c[k] for c in cols[:-1]] for k in range(len(cols[0]))]
+    got = ff_solve(rows, [-v for v in cols[-1]])
+    if got is None:
+        return None
+    den, nums = got
+    lam = nums + [den]
+    return None if 0 in lam else lam
+
+
+def _radon_signs(lam, partition):
+    """Negative indices of a bipartition's unique intersection point, read
+    from the Radon dependence (``_radon_weights``), or None when
+    lambda(T) = 0, T the first part: then T is affinely dependent."""
+    first, second = partition
+    total = sum(lam[i] for i in first)
+    if total == 0:
+        return None
+    pos = total > 0
+    return ([i for i in first if (lam[i] > 0) != pos]
+            + [j for j in second if (lam[j] > 0) == pos])
+
+
 def _scan(config, accept):
     """Scan the proper partitions until ``accept(negatives)`` is true for
     one with a unique intersection point; only that one gets a
-    certificate (from ``intersect_affine_hulls``)."""
+    certificate (from ``intersect_affine_hulls``).
+
+    For r = 2 (n = d+2, as every caller requires) the signs come from the
+    Radon dependence when it has no zero entry, and from ``_part_signs``
+    otherwise; the input decides which.
+    """
     _, points = config.scaled
+    lam = _radon_weights(points) if config.r == 2 else None
     # With r = 2 a part fixes its partition, so no part is seen twice.
     memo = {} if config.r > 2 else None
     scanned = 0
     skipped = 0
     for partition in proper_partitions(config.n, config.r, config.d):
         scanned += 1
-        negatives = _part_signs(points, partition, memo)
+        if lam is not None:
+            negatives = _radon_signs(lam, partition)
+        else:
+            negatives = _part_signs(points, partition, memo)
         if negatives is None:
             skipped += 1
         elif accept(negatives):

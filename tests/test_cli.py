@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from tvpm import cli, gen, search
 from tvpm.colored import ColorClasses, classes_to_json
 from tvpm.core import dump_json
 
@@ -60,6 +61,79 @@ def test_verify_rejects_corruption(tmp_path):
     obj = json.loads(verdict)
     assert obj["result"] == "invalid"
     assert obj["problems"]
+
+
+def _verify_edited(tmp_path, input_text, cert_text, key, value):
+    cert = json.loads(cert_text)
+    cert[key] = value
+    cfg_path = tmp_path / "input.json"
+    cert_path = tmp_path / "cert.json"
+    cfg_path.write_text(input_text)
+    cert_path.write_text(json.dumps(cert))
+    return run_cli(
+        ["verify", "--input", str(cfg_path), "--cert", str(cert_path)])
+
+
+@pytest.mark.parametrize("key, value, problem", [
+    ("proper", False, "proper is false but the partition is proper"),
+    ("alternative", "complement", "alternative complement for m [0, 1]"),
+    ("m", [2], "alternative in_m for m [2]"),
+], ids=["proper", "alternative", "m"])
+def test_verify_rejects_false_claims(tmp_path, key, value, problem):
+    _, cfg_text, _ = run_cli(["gen", "--d", "2", "--r", "3", "--seed", "5"])
+    code, cert_text, _ = run_cli(["solve", "--m", "0,1"], stdin=cfg_text)
+    assert code == 0
+    assert json.loads(cert_text)["proper"] is True
+    code, verdict, _ = _verify_edited(tmp_path, cfg_text, cert_text,
+                                      key, value)
+    assert code == 1
+    obj = json.loads(verdict)
+    assert obj["result"] == "invalid"
+    assert len(obj["problems"]) == 1
+    assert problem in obj["problems"][0]
+
+
+@pytest.mark.parametrize("key, value, problem", [
+    ("zero_set", [1], "zero_set does not match zeros of alpha"),
+    ("alternative", "m_positive", "alternative m_positive for m [0]"),
+    ("m", [1], "alternative m_negative for m [1]"),
+], ids=["zero_set", "alternative", "m"])
+def test_verify_rejects_false_colored_claims(tmp_path, key, value, problem):
+    cc = ColorClasses(d=1, r=2, classes=((("0",), ("4",)),
+                                         (("1",), ("3",))))
+    classes_text = dump_json(classes_to_json(cc))
+    code, cert_text, _ = run_cli(["colored", "--m", "0"], stdin=classes_text)
+    assert code == 0
+    code, verdict, _ = _verify_edited(tmp_path, classes_text, cert_text,
+                                      key, value)
+    assert code == 1
+    obj = json.loads(verdict)
+    assert obj["result"] == "invalid"
+    assert len(obj["problems"]) == 1
+    assert problem in obj["problems"][0]
+
+
+def _crash(config, accept):
+    raise AssertionError("scan invariant")
+
+
+@pytest.mark.parametrize("argv, patch, kind", [
+    (["gen", "--d", "2", "--r", "3"], (gen, "MAX_ATTEMPTS", 0),
+     "RuntimeError"),
+    (["search", "--k", "0"], (search, "_scan", _crash), "AssertionError"),
+], ids=["gen-max-attempts", "search-assertion"])
+def test_internal_errors_exit_three(tmp_path, monkeypatch, capsys,
+                                    argv, patch, kind):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(LINE_CFG))
+    monkeypatch.setattr(*patch)
+    if argv[0] == "search":
+        argv = argv + ["--input", str(cfg_path)]
+    assert cli.main(argv) == cli.EXIT_INTERNAL == 3
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"schema": "tvpm/1", "result": "internal_error"}
+    assert err.startswith("error: internal: %s: " % kind), err
+    assert "Traceback" not in err
 
 
 def test_example_pipe_search_prescribed_not_found():

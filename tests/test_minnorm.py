@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from tvpm.linalg import vdot
-from tvpm.minnorm import affine_minimizer, min_norm_point
+from tvpm.minnorm import min_norm_point
 
-from minnorm_oracle import min_norm_point_naive
+from minnorm_oracle import affine_minimizer, min_norm_point_naive
 
 F = Fraction
 

@@ -204,16 +204,21 @@ def test_radon_spectrum_preconditions():
 
 def _parity_configs():
     cases = [random_config(d, r, seed=seed)
-             for d, r, seeds in ((1, 2, 3), (2, 2, 3), (5, 2, 3), (2, 3, 2),
-                                 (3, 3, 1), (2, 4, 1), (1, 4, 2))
+             for d, r, seeds in ((1, 2, 3), (2, 2, 3), (3, 2, 2), (4, 2, 2),
+                                 (5, 2, 3), (6, 2, 2), (2, 3, 2), (3, 3, 1),
+                                 (2, 4, 1), (1, 4, 2))
              for seed in range(seeds)]
     cases.append(example1(2, 3, seed=4)[0])
     cases.append(PointConfig(d=2, r=2, points=(
         (F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1)))))
-    # three collinear points: some parts are affinely dependent
-    cases.append(PointConfig(d=2, r=2, points=(
-        (F(0), F(0)), (F(1), F(1)), (F(2), F(2)), (F(1, 2), F(3)))))
+    cases.append(_collinear_config())
     return cases
+
+
+def _collinear_config():
+    # three collinear points: some parts are affinely dependent
+    return PointConfig(d=2, r=2, points=(
+        (F(0), F(0)), (F(1), F(1)), (F(2), F(2)), (F(1, 2), F(3))))
 
 
 def test_part_factored_scan_matches_block_system():
@@ -256,3 +261,33 @@ def test_part_factored_scan_matches_block_system():
                 ok, problems = verify_certificate(cfg, res.partition, res.cert)
                 assert ok, problems
     assert skips > 0
+
+
+def test_r2_scan_reads_signs_from_the_radon_dependence(monkeypatch):
+    # A generic r = 2 configuration has a Radon dependence with no zero
+    # entry, so its scan factors no part; three collinear points give
+    # lambda_3 = 0 and fall back to the part hulls.
+    cfg = random_config(4, 2, seed=6)
+    spectrum = radon_spectrum(cfg)
+    found = [search_exact_k(cfg, k) for k in range(cfg.n + 1)]
+    collinear = _collinear_config()
+    fallback = radon_spectrum(collinear)
+    hull_factor = search.hull_factor
+
+    def no_factor(points):
+        raise AssertionError("hull_factor called")
+
+    monkeypatch.setattr(search, "hull_factor", no_factor)
+    assert radon_spectrum(cfg) == spectrum
+    assert spectrum.achievable == set(range(radon_top(cfg.points)[0] + 1))
+    assert [search_exact_k(cfg, k) for k in range(cfg.n + 1)] == found
+
+    calls = []
+
+    def counted(points):
+        calls.append(points)
+        return hull_factor(points)
+
+    monkeypatch.setattr(search, "hull_factor", counted)
+    assert radon_spectrum(collinear) == fallback
+    assert calls
