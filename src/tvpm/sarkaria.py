@@ -102,13 +102,21 @@ def pivot_to_origin(sets, init_choice, trace=None, scale=1):
     norm divided by ``scale``: a caller that passes its vectors times a
     scale gets the trace of the unscaled ones.
 
-    Rational sets are scaled once to integers.  The Gram matrix of the
-    transversal is kept across pivots, one row and column per swap, and
-    each pivot calls ``min_norm_point`` on it once.
+    A set is a sequence of vectors, or an implicit colour: an integral
+    indexable set with ``most_opposed(y)``, which returns ``(index,
+    vector, <y, vector>)`` for its first vector of least inner product
+    with y (``colored.PermutationColor``).  Rational sequences are scaled
+    once to integers; implicit colours are used as they are.  The Gram
+    matrix of the transversal is kept across pivots, one row and column
+    per swap, and each pivot calls ``min_norm_point`` on it once.
     """
     ncolors = len(sets)
-    unit = denominator_lcm([v for s in sets for v in s])
-    sets = [to_int(s, unit) for s in sets]
+    explicit = [not hasattr(s, "most_opposed") for s in sets]
+    unit = denominator_lcm([v for s, e in zip(sets, explicit) if e
+                            for v in s])
+    if unit != 1 and not all(explicit):
+        raise ValueError("implicit colours need integral companions")
+    sets = [to_int(s, unit) if e else s for s, e in zip(sets, explicit)]
     unit *= scale
     choice = list(init_choice)
     current = [sets[i][choice[i]] for i in range(ncolors)]
@@ -141,16 +149,20 @@ def pivot_to_origin(sets, init_choice, trace=None, scale=1):
         if not free:
             raise AssertionError("full support with nonzero norm")
         i0 = free[0]
-        best_j, best_val = None, None
-        for j, s in enumerate(sets[i0]):
-            val = vdot(y, s)
-            if best_val is None or val < best_val:
-                best_j, best_val = j, val
+        if explicit[i0]:
+            best_j, best_val = None, None
+            for j, s in enumerate(sets[i0]):
+                val = vdot(y, s)
+                if best_val is None or val < best_val:
+                    best_j, best_val = j, val
+            p = sets[i0][best_j]
+        else:
+            best_j, p, best_val = sets[i0].most_opposed(y)
         if best_val > 0:
             raise ValueError(
                 "color %d does not contain the origin in its hull" % i0)
         choice[i0] = best_j
-        p = current[i0] = sets[i0][best_j]
+        current[i0] = p
         row = [vdot(p, q) for q in current]
         gram[i0] = row
         for k in range(ncolors):

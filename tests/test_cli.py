@@ -1,6 +1,7 @@
 """End-to-end command-line tests through subprocesses."""
 
 import json
+import random
 import subprocess
 import sys
 
@@ -211,6 +212,27 @@ def test_colored_pipeline(tmp_path):
     assert res["alpha"] == ["-1", "2"]
     assert res["negatives"] == [0]
 
+    cert_path = tmp_path / "colored_cert.json"
+    cert_path.write_text(out)
+    code, verdict, _ = run_cli(
+        ["verify", "--input", str(classes_path), "--cert", str(cert_path)])
+    assert code == 0
+    assert json.loads(verdict)["result"] == "valid"
+
+
+@pytest.mark.parametrize("d,r", [(1, 6), (2, 6), (1, 7), (2, 7)])
+def test_colored_runs_beyond_r5(tmp_path, d, r):
+    rng = random.Random(600 + 10 * d + r)
+    coords = rng.sample(range(-10**6, 10**6), ((r - 1) * d + 1) * r * d)
+    points = [tuple(str(c) for c in coords[k:k + d])
+              for k in range(0, len(coords), d)]
+    cc = ColorClasses(d=d, r=r, classes=tuple(
+        tuple(points[k:k + r]) for k in range(0, len(points), r)))
+    classes_path = tmp_path / "classes.json"
+    classes_path.write_text(dump_json(classes_to_json(cc, m_set={0, 1})))
+    code, out, _ = run_cli(["colored", "--input", str(classes_path)])
+    assert code == 0
+    assert len(json.loads(out)["assignment"]) == cc.n
     cert_path = tmp_path / "colored_cert.json"
     cert_path.write_text(out)
     code, verdict, _ = run_cli(

@@ -1,26 +1,35 @@
-"""Colored variant: permutation lifts, solver, verifier, JSON."""
+"""Colored variant: implicit lifts, solver, verifier, JSON."""
 
 import random
+import re
+import time
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from tvpm import colored
 from tvpm.colored import (
-    CapacityError,
     ColorClasses,
+    PermutationColor,
     classes_from_json,
     classes_to_json,
     colored_tverberg_pm,
     colorful_from_json,
     colorful_to_json,
-    permutation_lift,
+    lehmer_rank,
+    lex_first_assignment,
     verify_colorful,
 )
 from tvpm.gen import general_position
-from tvpm.linalg import tensor, vadd, vzero
-from tvpm.sarkaria import DegenerateGamma, companion_simplex
+from tvpm.linalg import denominator_lcm, tensor, to_int, vadd, vzero
+from tvpm.sarkaria import DegenerateGamma, companion_simplex, pivot_to_origin
 
+from colored_oracle import permutation_lift
 from linalg_oracle import solve_linear
 
 F = Fraction
@@ -38,6 +47,23 @@ def random_classes(d, r, seed):
         if len(set(pts)) == len(pts) and general_position(pts, d):
             groups = tuple(tuple(pts[i * r:(i + 1) * r]) for i in range(n))
             return ColorClasses(d=d, r=r, classes=groups)
+
+
+def distinct_classes(d, r, seed, num=10**6, den=10**3):
+    """(r-1)d+1 classes of r points with coordinates k/den, |k| <= num,
+    distinct but not checked for general position."""
+    rng = random.Random(seed)
+    seen = set()
+    groups = []
+    for _ in range((r - 1) * d + 1):
+        group = []
+        while len(group) < r:
+            p = tuple(F(rng.randint(-num, num), den) for _ in range(d))
+            if p not in seen:
+                seen.add(p)
+                group.append(p)
+        groups.append(tuple(group))
+    return ColorClasses(d=d, r=r, classes=tuple(groups))
 
 
 def line_classes():
@@ -94,11 +120,98 @@ def test_permutation_lift_full_sum_vanishes():
         assert u == v
 
 
-def test_permutation_lift_capacity():
-    vs = companion_simplex(6)
-    points = tuple((F(i),) for i in range(6))
-    with pytest.raises(CapacityError):
-        permutation_lift(points, False, vs)
+def test_lehmer_rank_is_the_lexicographic_position():
+    for r in range(2, 6):
+        color = PermutationColor([(F(i),) for i in range(r)], False,
+                                 companion_simplex(r))
+        for rank, sigma in enumerate(permutations(range(r))):
+            assert lehmer_rank(sigma) == rank
+            assert color.permutation(rank) == sigma
+        with pytest.raises(IndexError):
+            color.permutation(factorial(r))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda r: st.lists(
+    st.lists(st.integers(-2, 2), min_size=r, max_size=r),
+    min_size=r, max_size=r)))
+def test_lex_first_assignment_matches_brute_force(cost):
+    # costs in -2..2 tie often; the first minimum in lexicographic order
+    # is the one a scan over the materialized lift would keep
+    r = len(cost)
+    best = min(permutations(range(r)), key=lambda sigma: (
+        sum(cost[j][l] for j, l in enumerate(sigma)), sigma))
+    assert lex_first_assignment(cost) == best
+
+
+def _pivot_run(sets, n, scale):
+    steps = []
+    result = pivot_to_origin(sets, [0] * n, scale=scale,
+                             trace=lambda *step: steps.append(step))
+    return result, steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), r=st.integers(2, 5), seed=st.integers(0, 10**6),
+       den=st.sampled_from([1, 2]))
+@example(d=1, r=3, seed=267, den=1)  # a tie on a swapped colour
+def test_implicit_lift_pivots_like_the_explicit_oracle(d, r, seed, den):
+    # the fewest integer numerators that leave room for the n*r distinct
+    # points, so that lift vectors tie as often as they can; the implicit
+    # colour must break ties as the scan over the oracle's sets does
+    n = (r - 1) * d + 1
+    num = 1
+    while (2 * num + 1) ** d < 2 * n * r:
+        num += 1
+    cc = distinct_classes(d, r, seed, num=num, den=den)
+    rng = random.Random(seed)
+    m = frozenset(i for i in range(n) if rng.random() < 0.5)
+    vs = companion_simplex(r)
+    scale = denominator_lcm([p for group in cc.classes for p in group])
+    groups = [to_int(group, scale) for group in cc.classes]
+    lifts = [permutation_lift(g, i in m, vs) for i, g in enumerate(groups)]
+    implicit = [PermutationColor(g, i in m, vs) for i, g in enumerate(groups)]
+    # distinct points: no two permutations merge, so index = Lehmer rank
+    assert all(len(vectors) == factorial(r) for vectors, _ in lifts)
+    explicit_run = _pivot_run([vectors for vectors, _ in lifts], n, scale)
+    implicit_run = _pivot_run(implicit, n, scale)
+    assert implicit_run == explicit_run
+    (choice, _), _ = implicit_run
+    for color, (vectors, sigmas), rank in zip(implicit, lifts, choice):
+        assert color.permutation(rank) == sigmas[rank]
+        assert color[rank] == vectors[rank]
+
+
+def test_implicit_colours_refuse_rational_companions():
+    # the implicit colour is not rescaled, so a rational explicit set
+    # beside it cannot be scaled to integers consistently
+    color = PermutationColor(((1,), (3,)), False, companion_simplex(2))
+    with pytest.raises(ValueError):
+        pivot_to_origin([color, ((F(1, 2),), (F(-1, 2),))], [0, 0])
+
+
+@pytest.mark.parametrize("d,r", [(1, 6), (2, 6), (1, 7), (2, 7)])
+def test_large_r_certificates_verify(d, r):
+    cc = distinct_classes(d, r, seed=70 + 10 * d + r)
+    m = frozenset(range(0, cc.n, 3))
+    res = colored_tverberg_pm(cc, m)
+    assert not isinstance(res, DegenerateGamma)
+    ok, problems = verify_colorful(cc, res, m)
+    assert ok, problems
+    assert res.negatives in (m, frozenset(range(cc.n)) - m)
+
+
+def test_r8_runs_without_materializing_the_lift():
+    # the r! lift would build 40,320 vectors for each of the 15 classes;
+    # the implicit colours solve this in a few hundredths of a second
+    cc = distinct_classes(2, 8, seed=8)
+    start = time.perf_counter()
+    res = colored_tverberg_pm(cc, frozenset({0, 1, 2}))
+    assert time.perf_counter() - start < 5.0
+    ok, problems = verify_colorful(cc, res, frozenset({0, 1, 2}))
+    assert ok, problems
+    text = Path(colored.__file__).read_text()
+    assert not re.search(r"\b(permutations|MAX_R|CapacityError)\b", text)
 
 
 def test_line_classes_all_prescriptions():
@@ -199,14 +312,6 @@ def test_degenerate_gamma_symmetric_classes():
                                          ((F(1),), (F(5),))))
     res = colored_tverberg_pm(cc, {0})
     assert isinstance(res, DegenerateGamma)
-
-
-def test_capacity_error_propagates_from_solver():
-    pts = [tuple((F(i * 7 + j),)) for i in range(6) for j in range(6)]
-    classes = tuple(tuple(pts[i * 6:(i + 1) * 6]) for i in range(6))
-    cc = ColorClasses(d=1, r=6, classes=classes)
-    with pytest.raises(CapacityError):
-        colored_tverberg_pm(cc, frozenset())
 
 
 def test_verifier_flags_corruption():
