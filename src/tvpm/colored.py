@@ -224,8 +224,9 @@ def colored_tverberg_pm(cc, m_set, trace=None):
     # The lift runs on the classes times the lcm D of their denominators;
     # pivot choices and weights do not change under the uniform scaling.
     scale = denominator_lcm([p for group in cc.classes for p in group])
-    sets = [PermutationColor(to_int(group, scale), i in m_set, vs)
-            for i, group in enumerate(cc.classes)]
+    ints = [to_int(group, scale) for group in cc.classes]
+    sets = [PermutationColor(group, i in m_set, vs)
+            for i, group in enumerate(ints)]
     choice, beta = pivot_to_origin(sets, [0] * cc.n, trace=trace, scale=scale)
     # assignment[i][l]: the point of class i that sigma_i sends to part l
     assignment = []
@@ -236,8 +237,8 @@ def colored_tverberg_pm(cc, m_set, trace=None):
         assignment.append(tuple(inv))
     decoded = decode_weights(
         cc.d, choice, beta, m_set,
-        [[(i, cc.classes[i][assignment[i][l]]) for i in range(cc.n)]
-         for l in range(cc.r)])
+        [[(i, ints[i][assignment[i][l]]) for i in range(cc.n)]
+         for l in range(cc.r)], scale)
     if isinstance(decoded, DegenerateGamma):
         return decoded
     alpha, z, gamma = decoded

@@ -1,9 +1,12 @@
 """Fraction-free elimination on integer matrices.
 
-``eliminate`` is the innermost loop of every exact computation in this
-package: exhaustive partition scans, pivoting runs, general-position and
-rank tests all bottom out in it.  ``ff_det`` and ``ff_solve`` (and the
+``eliminate`` is the innermost loop of the package's matrix work:
+exhaustive partition scans, intersection certificates, general-position
+and rank tests all bottom out in it.  ``ff_det`` and ``ff_solve`` (and the
 callers in ``tvpm.linalg``) only set up its input and read its result.
+The pivoting solver does not call it: Wolfe's method in ``tvpm.minnorm``
+updates its bordered systems in place, and separation runs on that
+method too.
 
 All matrices are row-major lists of Python ints.  Elimination uses the
 one-step fraction-free scheme: every 2x2 cross-multiplication is divided by

@@ -5,16 +5,18 @@ subsets whose affine minimizer has strictly positive weights.  The input
 is scaled once to integer points; the method then runs on their integer
 Gram matrix alone.  The current point is x = sum lam[i] * p_i / q with
 integer lam and one denominator q, so every inner product <x, p_i> and
-every norm comparison is an integer operation, and each affine minimizer
-is one fraction-free solve of the bordered Gram system.  The result is
-the exact closest point to the origin, together with its convex weights;
-uniform scaling leaves the weights unchanged.
+every norm comparison is an integer operation.  The affine minimizer of
+the support is read from the integer adjugate and determinant of its
+bordered Gram matrix, which are updated in O(k^2) exact steps as the
+support gains or loses one point (Bareiss 1968) instead of being solved
+afresh.  The result is the exact closest point to the origin, together
+with its convex weights; uniform scaling leaves the weights unchanged.
 """
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
-from tvpm.kernel import ff_solve
 from tvpm.linalg import denominator_lcm, to_int, vdot
 
 
@@ -22,22 +24,67 @@ def _gram(points):
     return [[vdot(p, q) for q in points] for p in points]
 
 
-def _affine_weights(gram, support):
-    # Minimum-norm point of the affine hull of the support points:
-    # stationarity of |sum w_i p_i|^2 under sum w_i = 1 is the bordered
-    # system [G 1; 1 0] (w, mu) = (0, 1).  Returns (den, nums) with
-    # w_i = nums[i] / den and den > 0, or None when the points are
-    # affinely dependent.
-    k = len(support)
-    rows = [[gram[s][t] for t in support] + [1] for s in support]
-    rows.append([1] * k + [0])
-    got = ff_solve(rows, [0] * k + [1])
-    if got is None:
-        return None
-    den, nums = got
-    if den < 0:
-        return -den, [-v for v in nums[:k]]
-    return den, nums[:k]
+class _Bordered:
+    """The support S of Wolfe's method with the adjugate ``adj`` and the
+    determinant ``det`` of its bordered Gram matrix B = [0 1^T; 1 G_S].
+
+    Stationarity of |sum w_i p_i|^2 under sum w_i = 1 is B (mu, w) = e_0,
+    so the affine minimizer's weights are column 0 of adj over det.  B is
+    nonsingular exactly when S is affinely independent.  Both updates
+    divide by the old det, and those divisions are exact: every result is
+    a minor of B (Sylvester's identity, Jacobi's theorem on the adjugate).
+    adj is symmetric; each update computes one triangle and mirrors it.
+    """
+
+    def __init__(self, gram, start):
+        self.gram = gram
+        self.support = [start]
+        self.det = -1
+        self.adj = [[gram[start][start], -1], [-1, 0]]
+
+    def add(self, e):
+        """Append point e: det' = g_ee det - c.u and adj' = [(det' adj +
+        u u^T) / det, -u; -u^T, det] with c = (1, G_Se), u = adj c."""
+        gram, adj, det = self.gram, self.adj, self.det
+        ge = gram[e]
+        c = [1] + [ge[s] for s in self.support]
+        u = [sum(map(mul, row, c)) for row in adj]
+        det2 = ge[e] * det - sum(map(mul, c, u))
+        if det2 == 0:
+            raise AssertionError("support must stay affinely independent")
+        low = [[(det2 * a + ui * ul) // det for a, ul in zip(row, u[:i + 1])]
+               for i, (row, ui) in enumerate(zip(adj, u))]
+        k = len(low)
+        self.adj = [row + [low[l][i] for l in range(i + 1, k)] + [-u[i]]
+                    for i, row in enumerate(low)]
+        self.adj.append([-x for x in u] + [det])
+        self.det = det2
+        self.support.append(e)
+
+    def remove(self, pos):
+        """Drop the point at support position pos: with j = pos + 1,
+        det' = adj[j][j] and adj'[i][l] = (adj[i][l] adj[j][j] -
+        adj[i][j] adj[j][l]) / det."""
+        adj, det = self.adj, self.det
+        j = pos + 1
+        aj = adj[j]
+        ajj = aj[j]
+        keep = [i for i in range(len(adj)) if i != j]
+        low = [[(adj[i][l] * ajj - aj[i] * aj[l]) // det for l in keep[:t + 1]]
+               for t, i in enumerate(keep)]
+        k = len(low)
+        self.adj = [row + [low[l][t] for l in range(t + 1, k)]
+                    for t, row in enumerate(low)]
+        self.det = ajj
+        del self.support[pos]
+
+    def weights(self):
+        """``(den, nums)`` with w_i = nums[i] / den and den > 0: the
+        affine minimizer of the support, in support order."""
+        nums = [row[0] for row in self.adj[1:]]
+        if self.det < 0:
+            return -self.det, [-v for v in nums]
+        return self.det, nums
 
 
 def _point(lam, q, points, scale):
@@ -68,13 +115,16 @@ def min_norm_point(points, gram=None):
         gram = _gram(points)
     n = len(points)
     start = min(range(n), key=lambda i: (gram[i][i], i))
-    support = [start]
+    border = _Bordered(gram, start)
+    support = border.support  # grown and shrunk by border's updates
     lam = {start: 1}
     q = 1
     prev = None  # (q^2 |x|^2, q^2) of the previous iterate
     while True:
         # v[i] = q <x, p_i>, and nsq = q^2 |x|^2
-        v = [sum(lam[s] * gram[s][i] for s in support) for i in range(n)]
+        coef = [lam[s] for s in support]
+        v = [sum(map(mul, coef, col))
+             for col in zip(*(gram[s] for s in support))]
         nsq = sum(lam[s] * v[s] for s in support)
         if prev is not None and not nsq * prev[1] < prev[0] * q * q:
             raise AssertionError("norm failed to decrease")
@@ -87,13 +137,10 @@ def min_norm_point(points, gram=None):
         # points[enter] is outside the affine hull of the support (inner
         # products with x are constant = |x|^2 on that hull), so the
         # grown set stays affinely independent.
-        support.append(enter)
+        border.add(enter)
         lam[enter] = 0
         while True:
-            got = _affine_weights(gram, support)
-            if got is None:
-                raise AssertionError("support must stay affinely independent")
-            e, w = got
+            e, w = border.weights()
             if all(x > 0 for x in w):
                 g = gcd(e, *w)
                 lam = {s: x // g for s, x in zip(support, w)}
@@ -118,6 +165,9 @@ def min_norm_point(points, gram=None):
             g = gcd(den, *new.values())
             lam = {s: x // g for s, x in new.items()}
             q = den // g
-            support = [s for s in support if s in lam]
+            # One point at a time, last first, so positions stay valid.
+            for pos in range(len(support) - 1, -1, -1):
+                if support[pos] not in lam:
+                    border.remove(pos)
     weights = {s: Fraction(x, q) for s, x in lam.items()}
     return _point(lam, q, points, scale), weights

@@ -207,31 +207,39 @@ class DegenerateGamma:
     weights: tuple
 
 
-def decode_weights(d, choice, beta, m_set, parts):
+def decode_weights(d, choice, beta, m_set, parts, scale):
     """Unscale a zero transversal's weights into affine coefficients.
 
     ``parts`` lists, per part, the ``(index, point)`` pairs it holds, the
-    points in R^d; index i carries the weight beta[i], negated when i is
-    in m_set.  The per-part sums of signed weight times (point, 1) must
-    agree; their last coordinate is gamma.  Returns ``(alpha, z, gamma)``
-    with alpha[i] = signed[i] / gamma and z the common sum of the points
-    over gamma, or DegenerateGamma when gamma = 0.
+    points integer vectors in Z^d equal to ``scale`` times the input
+    points; index i carries the weight beta[i], negated when i is in
+    m_set.  The per-part sums of signed weight times (point, 1) must
+    agree; their last coordinate is gamma.  The sums run on ints, over the
+    weights' common denominator q and the point scale.  Returns ``(alpha,
+    z, gamma)`` with alpha[i] = signed[i] / gamma and z the common sum of
+    the points over gamma, or DegenerateGamma when gamma = 0.
     """
-    signed = [-b if i in m_set else b for i, b in enumerate(beta)]
+    q = lcm(*(b.denominator for b in beta))
+    signed = [b.numerator * (q // b.denominator) * (-1 if i in m_set else 1)
+              for i, b in enumerate(beta)]
+    # q * scale times each part's sum of signed[i] / q * (a_i, 1)
     sums = []
     for part in parts:
-        u = vzero(d + 1)
+        u = [0] * d
         for i, p in part:
-            u = vadd(u, vscale(signed[i], p + (Fraction(1),)))
+            c = signed[i]
+            if c:
+                u = [x + c * y for x, y in zip(u, p)]
+        u.append(scale * sum(signed[i] for i, _ in part))
         sums.append(u)
     if any(u != sums[0] for u in sums[1:]):
         raise AssertionError("per-part sums must agree")
-    gamma = sums[0][d]
-    if gamma == 0:
+    top = sums[0][d]
+    if top == 0:
         return DegenerateGamma(choice=tuple(choice), weights=beta)
-    alpha = tuple(s / gamma for s in signed)
-    z = vscale(1 / gamma, sums[0][:d])
-    return alpha, z, gamma
+    alpha = tuple(Fraction(c * scale, top) for c in signed)
+    z = tuple(Fraction(x, top) for x in sums[0][:d])
+    return alpha, z, Fraction(top, q * scale)
 
 
 def recover(ls, t):
@@ -249,9 +257,10 @@ def recover(ls, t):
     parts = [[] for _ in range(r)]
     for i in range(n):
         parts[t.choice[i]].append(i)
+    unit, points = config.scaled
     decoded = decode_weights(
         d, t.choice, beta, ls.m_set,
-        [[(i, config.points[i]) for i in part] for part in parts])
+        [[(i, points[i]) for i in part] for part in parts], unit)
     if any(not part for part in parts):
         # All sums vanish; inside any part carrying weight, the positive
         # and the negated points average to the same point with the same

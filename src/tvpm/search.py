@@ -18,16 +18,16 @@ unique with every lambda_i != 0, the scan reads every bipartition's signs
 from it and factors no part; otherwise (the points lie in a hyperplane,
 or some lambda_i = 0) it reads them from the part hulls as for r > 2.
 
-Separation of conv(M) from conv(A \\ M) is decided by exact LP
-feasibility for a common point; the Farkas vector of an infeasible system
-is turned into a strict separating hyperplane witness.
+Separation of conv(M) from conv(A \\ M) is decided by the exact
+minimum-norm point of the differences a_i - a_j, i in M, j not in M: zero
+gives a common point of the two hulls, anything else the max-margin
+separating hyperplane.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from tvpm import lp
 from tvpm.core import intersect_affine_hulls
 from tvpm.kernel import ff_solve
 from tvpm.linalg import hull_factor, vdot, vscale, vzero, vadd
@@ -242,10 +242,17 @@ class NotSeparated:
 def check_separation(config, m_set):
     """Decide whether conv(m_set points) and conv(the rest) are disjoint.
 
-    Separated: returns a hyperplane with <normal, x> > offset strictly on
-    the m side and < offset strictly on the other side.  NotSeparated:
-    returns an exact common point with convex weights for both hulls.
+    The two hulls meet exactly when the origin lies in the hull of the
+    differences a_i - a_j (i in m_set, j not), so one exact nearest-point
+    computation (``minnorm.min_norm_point``) over those differences
+    decides it.  Separated: the nearest point w is nonzero, and w scaled to
+    primitive integers is the max-margin normal, with <normal, x> > offset
+    strictly on the m side and < offset strictly on the other side.
+    NotSeparated: w = 0, and summing the pair weights per side gives an
+    exact common point with convex weights for both hulls.
     """
+    from tvpm.minnorm import min_norm_point
+
     m_set = frozenset(m_set)
     if not m_set <= frozenset(range(config.n)):
         raise ValueError("m_set out of range")
@@ -254,34 +261,30 @@ def check_separation(config, m_set):
     if not m_idx or not rest:
         raise ValueError("m_set must be a nonempty proper subset")
     d = config.d
-    zero, one = Fraction(0), Fraction(1)
-    # Columns: convex weights on the m side, then on the rest; rows ask
-    # the two weighted sums to agree and both weight sets to sum to 1.
-    rows = []
-    for coord in range(d):
-        rows.append([config.points[i][coord] for i in m_idx]
-                    + [-config.points[j][coord] for j in rest])
-    rows.append([one] * len(m_idx) + [zero] * len(rest))
-    rows.append([zero] * len(m_idx) + [one] * len(rest))
-    rhs = [zero] * d + [one, one]
-    status, vec = lp.feasible_point(rows, rhs)
-    if status == "feasible":
-        lam = {i: vec[pos] for pos, i in enumerate(m_idx)}
-        mu = {j: vec[len(m_idx) + pos] for pos, j in enumerate(rest)}
+    _, points = config.scaled
+    pairs = [(i, j) for i in m_idx for j in rest]
+    w, weights = min_norm_point(
+        [tuple(a - b for a, b in zip(points[i], points[j]))
+         for i, j in pairs])
+    if not any(w):
+        lam = {i: Fraction(0) for i in m_idx}
+        mu = {j: Fraction(0) for j in rest}
+        for k, v in weights.items():
+            i, j = pairs[k]
+            lam[i] += v
+            mu[j] += v
         pt = vzero(d)
-        for i, w in lam.items():
-            pt = vadd(pt, vscale(w, config.points[i]))
+        for i, v in lam.items():
+            pt = vadd(pt, vscale(v, config.points[i]))
         return NotSeparated(point=pt, m_weights=lam, rest_weights=mu)
-    # Farkas vector (u, s, t): <u, a_i> <= -s on m, <u, a_j> >= t on the
-    # rest, with -s < t.  Flip so the m side sits above the hyperplane,
-    # then scale the normal to primitive integers.
-    u = tuple(-vec[coord] for coord in range(d))
-    mult = lcm(*(x.denominator for x in u))
-    ints = [int(x * mult) for x in u]
+    # <w, a_i - a_j> >= |w|^2 > 0 for every pair, so w points from the
+    # rest to the m side; scale it to primitive integers.
+    mult = lcm(*(x.denominator for x in w))
+    ints = [int(x * mult) for x in w]
     g = gcd(*ints)
     normal = tuple(Fraction(v, g) for v in ints)
     lo = min(vdot(normal, config.points[i]) for i in m_idx)
     hi = max(vdot(normal, config.points[j]) for j in rest)
     if not hi < lo:
-        raise AssertionError("Farkas vector does not separate")
+        raise AssertionError("nearest point does not separate")
     return Separated(normal=normal, offset=(lo + hi) / 2)

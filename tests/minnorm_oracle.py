@@ -3,14 +3,35 @@
 ``min_norm_point_naive`` projects onto every affinely independent subset
 (``affine_minimizer``) and keeps the best hull-feasible candidate; it is
 exponential and exists only as the independent check of
-``tvpm.minnorm.min_norm_point``.
+``tvpm.minnorm.min_norm_point``.  ``_affine_weights`` solves each bordered
+Gram system afresh, the reference for the incremental adjugate updates
+inside ``min_norm_point``.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+from tvpm.kernel import ff_solve
 from tvpm.linalg import denominator_lcm, to_int, vdot
-from tvpm.minnorm import _affine_weights, _gram, _point
+from tvpm.minnorm import _gram, _point
+
+
+def _affine_weights(gram, support):
+    # Minimum-norm point of the affine hull of the support points:
+    # stationarity of |sum w_i p_i|^2 under sum w_i = 1 is the bordered
+    # system [G 1; 1 0] (w, mu) = (0, 1).  Returns (den, nums) with
+    # w_i = nums[i] / den and den > 0, or None when the points are
+    # affinely dependent.
+    k = len(support)
+    rows = [[gram[s][t] for t in support] + [1] for s in support]
+    rows.append([1] * k + [0])
+    got = ff_solve(rows, [0] * k + [1])
+    if got is None:
+        return None
+    den, nums = got
+    if den < 0:
+        return -den, [-v for v in nums[:k]]
+    return den, nums[:k]
 
 
 def affine_minimizer(points):

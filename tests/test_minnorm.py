@@ -4,11 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvpm.linalg import vdot
-from tvpm.minnorm import min_norm_point
+from tvpm.minnorm import _Bordered, _gram, min_norm_point
 
-from minnorm_oracle import affine_minimizer, min_norm_point_naive
+from minnorm_oracle import (
+    _affine_weights,
+    affine_minimizer,
+    min_norm_point_naive,
+)
 
 F = Fraction
 
@@ -85,3 +91,43 @@ def test_agrees_with_subset_oracle():
         fast, _ = min_norm_point(pts)
         slow, _ = min_norm_point_naive(pts)
         assert fast == slow
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_bordered_updates_match_fresh_solves(data):
+    # Random add/remove sequences over small integer points, duplicates
+    # included: after every update the maintained (den, nums) must equal
+    # a fresh solve of the bordered system exactly, unreduced, and an add
+    # that makes the support affinely dependent must raise and change
+    # nothing.
+    dim = data.draw(st.integers(1, 4))
+    coord = st.integers(-3, 3)
+    pts = data.draw(st.lists(st.tuples(*[coord] * dim),
+                             min_size=2, max_size=7))
+    gram = _gram(pts)
+    border = _Bordered(gram, data.draw(st.integers(0, len(pts) - 1)))
+    assert border.weights() == _affine_weights(gram, border.support)
+    for _ in range(data.draw(st.integers(1, 12))):
+        outside = [i for i in range(len(pts)) if i not in border.support]
+        if outside and (len(border.support) == 1
+                        or data.draw(st.booleans())):
+            e = data.draw(st.sampled_from(outside))
+            if _affine_weights(gram, border.support + [e]) is None:
+                before = (border.det, border.adj, list(border.support))
+                with pytest.raises(AssertionError):
+                    border.add(e)
+                assert (border.det, border.adj, border.support) == before
+                continue
+            border.add(e)
+        elif len(border.support) > 1:
+            # Several points in one step, last position first, as a minor
+            # cycle of min_norm_point drops them.
+            drop = data.draw(st.lists(
+                st.integers(0, len(border.support) - 1), min_size=1,
+                max_size=len(border.support) - 1, unique=True))
+            for pos in sorted(drop, reverse=True):
+                border.remove(pos)
+        else:
+            continue
+        assert border.weights() == _affine_weights(gram, border.support)

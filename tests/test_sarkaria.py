@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from tvpm.core import PointConfig, intersect_affine_hulls, verify_certificate
-from tvpm.gen import random_config, separated_subset
+from tvpm import kernel, linalg
+from tvpm.gen import example2, random_config, separated_subset
 from tvpm.linalg import vadd, vscale, vzero
 from tvpm.sarkaria import (
     DegenerateGamma,
@@ -188,3 +189,25 @@ def test_large_prescription_dichotomy():
             assert res.cert.negatives == m
         else:
             assert res.cert.negatives == complement
+
+
+def test_pipeline_runs_without_the_kernel(monkeypatch):
+    # Wolfe's bordered solves and the separation test run on their own
+    # integer updates: with every elimination made to fail once the
+    # configurations are built, the solver returns the same certificates.
+    cases = []
+    for seed in (1, 2, 3):
+        cfg = random_config(3, 5, seed=seed)
+        cases.append((cfg, separated_subset(cfg, 2, seed)))
+    cases.append(example2(3, 5, seed=1))
+    want = [tverberg_pm(cfg, m) for cfg, m in cases]
+
+    def eliminate(*args):
+        raise AssertionError("kernel.eliminate called")
+
+    monkeypatch.setattr(kernel, "eliminate", eliminate)
+    monkeypatch.setattr(linalg, "eliminate", eliminate)
+    for (cfg, m), expected in zip(cases, want):
+        assert isinstance(expected, PMCertificate)
+        assert expected.separation_warning is False
+        assert tverberg_pm(cfg, m) == expected

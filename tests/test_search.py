@@ -1,14 +1,15 @@
 """Partition enumeration, brute-force search, spectrum, separation."""
 
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvpm import search
 from tvpm.core import PointConfig, intersect_affine_hulls, verify_certificate
 from tvpm.gen import example1, random_config
-from tvpm.linalg import vdot
+from tvpm.linalg import vadd, vdot, vscale
 from tvpm.search import (
     NotSeparated,
     Separated,
@@ -142,6 +143,19 @@ def test_separation_square_adjacent_corners():
     assert isinstance(res, Separated)
 
 
+def test_separation_normal_is_max_margin():
+    # The nearest point of the difference hull is the max-margin normal:
+    # a - b for two points, and the edge normal for the square's edges.
+    cfg = PointConfig(d=3, r=2, points=((F(3), F(1), F(2)),
+                                        (F(1), F(1), F(-2))))
+    res = check_separation(cfg, {0})
+    assert res == Separated(normal=(F(1), F(0), F(2)), offset=F(2))
+    cfg = PointConfig(d=2, r=2, points=(
+        (F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))))
+    res = check_separation(cfg, {0, 1})
+    assert res == Separated(normal=(F(0), F(-1)), offset=F(-1, 2))
+
+
 def _assert_separation_sound(cfg, m_set, res):
     rest = frozenset(range(cfg.n)) - frozenset(m_set)
     if isinstance(res, Separated):
@@ -152,7 +166,8 @@ def _assert_separation_sound(cfg, m_set, res):
     else:
         for weights, side in ((res.m_weights, m_set),
                               (res.rest_weights, rest)):
-            assert set(weights) <= set(side)
+            # every index of the side, zero weights included
+            assert set(weights) == set(side)
             assert sum(weights.values()) == 1
             assert all(w >= 0 for w in weights.values())
             comb = tuple(
@@ -162,16 +177,53 @@ def _assert_separation_sound(cfg, m_set, res):
             assert comb == res.point
 
 
-def test_separation_soundness_random():
-    rng = random.Random(73)
-    for trial in range(40):
-        d = rng.randint(1, 3)
-        r = rng.randint(2, 3)
-        cfg = random_config(d, r, seed=900 + trial)
-        size = rng.randint(1, cfg.n - 1)
-        m_set = frozenset(rng.sample(range(cfg.n), size))
-        res = check_separation(cfg, m_set)
-        _assert_separation_sound(cfg, m_set, res)
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 4), r=st.integers(2, 3),
+       seed=st.integers(0, 10**6), data=st.data())
+def test_separation_soundness_random(d, r, seed, data):
+    cfg = random_config(d, r, seed=seed)
+    m_set = data.draw(st.sets(st.integers(0, cfg.n - 1), min_size=1,
+                              max_size=cfg.n - 1))
+    _assert_separation_sound(cfg, m_set, check_separation(cfg, m_set))
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 4), data=st.data())
+def test_separation_sound_on_lattice_points(d, data):
+    # Small lattice coordinates: many ties, touching and nested hulls.
+    pts = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d),
+                             min_size=2, max_size=8, unique=True))
+    cfg = PointConfig(d=d, r=2, points=pts)
+    m_set = data.draw(st.sets(st.integers(0, cfg.n - 1), min_size=1,
+                              max_size=cfg.n - 1))
+    _assert_separation_sound(cfg, m_set, check_separation(cfg, m_set))
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(2, 4), data=st.data())
+def test_separation_hulls_touching_in_one_point(d, data):
+    # The w = 0 boundary: c is a point of M, the midpoint of the segment
+    # c -+ v of the rest inside the hyperplane <n, x> = <n, c>, and every
+    # other point lies strictly on its side, so the hulls meet in c alone.
+    vec = st.tuples(*[st.integers(-3, 3)] * d)
+    c = data.draw(vec)
+    n = data.draw(vec.filter(any))
+    a = next(t for t in range(d) if n[t])
+    b = (a + 1) % d
+    v = [0] * d
+    v[a], v[b] = -n[b], n[a]
+    v = vscale(data.draw(st.integers(1, 2)), v)
+    offsets = data.draw(st.lists(vec, max_size=6, unique=True))
+    m_pts = [c] + [vadd(c, o) for o in offsets if vdot(n, o) > 0]
+    rest_pts = [vadd(c, v), vadd(c, vscale(-1, v))] + [
+        vadd(c, o) for o in offsets if vdot(n, o) < 0]
+    pts = data.draw(st.permutations(m_pts + rest_pts))
+    cfg = PointConfig(d=d, r=2, points=pts)
+    m_set = {pts.index(p) for p in m_pts}
+    res = check_separation(cfg, m_set)
+    assert isinstance(res, NotSeparated)
+    assert res.point == tuple(F(x) for x in c)
+    _assert_separation_sound(cfg, m_set, res)
 
 
 def test_radon_spectrum_line():
