@@ -7,11 +7,8 @@ from tvpm.core import (
     AffineCertificate,
     Intersection,
     PointConfig,
-    SignPattern,
-    build_system,
     canonical_partition,
     intersect_affine_hulls,
-    sign_pattern,
     verify_certificate,
 )
 
@@ -20,10 +17,7 @@ __all__ = [
     "AffineCertificate",
     "Intersection",
     "PointConfig",
-    "SignPattern",
-    "build_system",
     "canonical_partition",
     "intersect_affine_hulls",
-    "sign_pattern",
     "verify_certificate",
 ]

@@ -1,27 +1,29 @@
-"""Point configurations, partitions, and the block linear system.
+"""Point configurations, partitions, and the common point of part hulls.
 
-For a partition of n points in R^d into r parts, the common point of all
-part affine hulls (when it exists) solves a block system: for each part,
-d rows equating the weighted point sum with z and one row forcing the
-weights to sum to 1.  Unknowns are the n affine coefficients followed by
-the d coordinates of z, so the matrix is r(d+1) x (n+d) and square exactly
-when n = (r-1)(d+1)+1.
+For a partition of n points in R^d into r parts, each part's affine hull
+is the solution set of d+1-k integer equations, k the part's affine rank
+(``linalg.hull_factor``).  Stacking every part's equations gives one
+system for the common point w of all the hulls.  With n = (r-1)(d+1)+1
+and affinely independent parts the codimensions add up to exactly d, so
+the system is d x d; when it is nonsingular w is unique, and each part's
+affine coefficients follow from its triangular factor (``common_point``).
 
-Classification of the system drives everything downstream: a nonsingular
-square system gives a unique intersection point with exact coefficients;
-an inconsistent system certifies empty intersection; a consistent
-underdetermined system is reported as degenerate (a general-position
-failure), never silently repaired.
+Classification drives everything downstream: a unique point comes with
+exact coefficients; inconsistent equations certify empty intersection;
+consistent ones whose point or coefficients are not unique are reported
+as degenerate (a general-position failure), never silently repaired.
 """
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from typing import NamedTuple
 
 from tvpm import linalg
 from tvpm.kernel import ff_solve
-from tvpm.linalg import format_rat, format_vec, parse_rat, parse_vec
+from tvpm.linalg import format_rat, format_vec, parse_rat, parse_vec, vdot
 
 SCHEMA = "tvpm/1"
 
@@ -103,13 +105,6 @@ class AffineCertificate:
     zero_set: frozenset
 
 
-@dataclass(frozen=True)
-class SignPattern:
-    negative_count: int
-    negative_set: frozenset
-    zero_set: frozenset
-
-
 def make_certificate(z, alpha, gamma=Fraction(1)):
     """Build a certificate, deriving the sign sets from alpha."""
     neg = frozenset(i for i, a in alpha.items() if a < 0)
@@ -120,97 +115,127 @@ def make_certificate(z, alpha, gamma=Fraction(1)):
     )
 
 
-def sign_pattern(cert):
-    return SignPattern(
-        negative_count=len(cert.negatives),
-        negative_set=cert.negatives,
-        zero_set=cert.zero_set,
-    )
+class CommonPoint(NamedTuple):
+    """A partition's stacked hull equations and, when unique, their point.
 
-
-def _blocks(config, partition, points, unit):
-    # Block rows for the given point coordinates: per part, d rows
-    # sum_i alpha_i points[i] - unit * z = 0, then sum_i alpha_i = 1.
-    validate_partition(config, partition, require_proper=False)
-    n, d = config.n, config.d
-    col_point = [i for part in partition for i in part]
-    col_of = {i: pos for pos, i in enumerate(col_point)}
-    m = []
-    b = []
-    for part in partition:
-        for coord in range(d):
-            row = [0] * (n + d)
-            for i in part:
-                row[col_of[i]] = points[i][coord]
-            row[n + coord] = -unit
-            m.append(row)
-            b.append(0)
-        ones = [0] * (n + d)
-        for i in part:
-            ones[col_of[i]] = 1
-        m.append(ones)
-        b.append(1)
-    return m, b, col_point
-
-
-def build_system(config, partition):
-    """Assemble the block matrix and right-hand side for a partition.
-
-    Returns ``(m, b, col_point)`` where column j of m (for j < n) carries
-    the coefficient unknown of point ``col_point[j]`` and the last d
-    columns carry -z.  Rows come in per-part blocks of d+1: the d
-    weighted-sum rows, then the weights-sum row (right-hand side 1).
-    ``intersect_affine_hulls`` solves the same system with every
-    weighted-sum row multiplied by the configuration's scale D, which
-    makes it integral.
+    ``rows`` w = ``rhs`` stacks every part's hull equations over the
+    scaled points.  When the point and coefficients are read, y = t (w, 1)
+    is integral (t is the stack's determinant), ``negatives`` lists the
+    indices with negative coefficients, and ``coeffs`` holds per part
+    (x, den) with alpha_i = x_i / (den t); otherwise all three are None.
     """
-    return _blocks(config, partition, config.points, 1)
+
+    factors: list
+    rows: list
+    rhs: list
+    y: list = None
+    negatives: list = None
+    coeffs: list = None
+
+
+def common_point(points, partition, memo=None):
+    """Read the partition's common point from per-part hull factors.
+
+    ``points`` are integer (``PointConfig.scaled``); ``memo`` maps parts
+    to their ``linalg.hull_factor`` across calls (None: factor every part
+    afresh).  The parts' ranks add up to r(d+1) less the equation count,
+    so the stack is d x d with every part independent exactly when there
+    are d equations and n = (r-1)(d+1)+1; the point is read when that
+    square system is nonsingular.
+    """
+    factors = []
+    rows = []
+    rhs = []
+    for part in partition:
+        f = memo.get(part) if memo is not None else None
+        if f is None:
+            f = linalg.hull_factor([points[i] for i in part])
+            if memo is not None:
+                memo[part] = f
+        rows += f.rows
+        rhs += f.rhs
+        factors.append(f)
+    d = len(points[0])
+    if len(rows) != d or len(points) != len(partition) * (d + 1) - d:
+        return CommonPoint(factors, rows, rhs)
+    got = ff_solve(rows, rhs)
+    if got is None:
+        return CommonPoint(factors, rows, rhs)
+    t, nums = got
+    y = nums + [t]
+    return CommonPoint(factors, rows, rhs, y,
+                       *_coefficients(factors, partition, y))
+
+
+def _coefficients(factors, partition, y):
+    """``(negatives, coeffs)`` at y = t (w, 1), t != 0, in one pass.
+
+    A part's factor gives upper (t alpha) = left y; back substitution
+    scaled by the last pivot den gives x = den * t * alpha in integers.
+    """
+    t = y[-1]
+    negatives = []
+    coeffs = []
+    for part, f in zip(partition, factors):
+        upper = f.upper
+        c = [vdot(row, y) for row in f.left]
+        s = len(part)
+        den = upper[s - 1][s - 1]
+        x = [0] * s
+        x[s - 1] = c[s - 1]
+        for k in range(s - 2, -1, -1):
+            uk = upper[k]
+            v = c[k] * den
+            for j in range(k + 1, s):
+                v -= uk[j] * x[j]
+            x[k] = v // uk[k]
+        flip = (den < 0) != (t < 0)
+        negatives += [i for i, v in zip(part, x)
+                      if (v > 0 if flip else v < 0)]
+        coeffs.append((x, den))
+    return negatives, coeffs
 
 
 @dataclass(frozen=True)
 class Intersection:
     kind: str  # "point" | "empty" | "degenerate"
-    cert: object
-    det: object  # Fraction for square systems, None otherwise
-    rank_m: object
-    rank_aug: object
-
-
-def _solution_cert(x, col_point, n):
-    alpha = {col_point[pos]: x[pos] for pos in range(n)}
-    return make_certificate(z=x[n:], alpha=alpha)
+    cert: object  # AffineCertificate for "point", else None
 
 
 def intersect_affine_hulls(config, partition):
     """Classify the common point of all part affine hulls.
 
-    Returns Intersection with kind "point" (unique solution, certificate
-    attached), "empty" (inconsistent system), or "degenerate" (consistent
-    but underdetermined; only possible off general position).  The
-    system is the integer one over the scaled points; its r*d scaled rows
-    make its determinant D**(r*d) times that of ``build_system``'s.
+    Returns Intersection with kind "point" (unique point and coefficients,
+    certificate attached), "empty" (the stacked hull equations are
+    inconsistent), or "degenerate" (consistent, but the point or some
+    part's coefficients are not unique; only possible off general
+    position).  When ``common_point`` reads no point, one rank test on its
+    stacked equations classifies the partition; off n = (r-1)(d+1)+1 that
+    test can still find a unique point.
     """
     partition = canonical_partition(partition)
+    validate_partition(config, partition, require_proper=False)
     scale, points = config.scaled
-    m, b, col_point = _blocks(config, partition, points, scale)
-    n, d = config.n, config.d
-    square = len(m) == n + d
-    if square:
-        got = ff_solve(m, b)
-        if got is not None:
-            den, nums = got
-            x = [Fraction(v, den) for v in nums]
-            cert = _solution_cert(x, col_point, n)
-            detv = Fraction(den, scale ** (config.r * d))
-            return Intersection("point", cert, detv, None, None)
-    rk, rka, x = linalg.solve_system(m, b)
-    detv = Fraction(0) if square else None
-    if rk < rka:
-        return Intersection("empty", None, detv, rk, rka)
-    if x is not None:
-        cert = _solution_cert(x, col_point, n)
-        return Intersection("point", cert, detv, rk, rka)
-    return Intersection("degenerate", None, detv, rk, rka)
+    got = common_point(points, partition)
+    y, coeffs = got.y, got.coeffs
+    if y is None:
+        if not got.rows:
+            # every part spans R^d: any point is common
+            return Intersection("degenerate", None)
+        rk, rka, w = linalg.solve_system(got.rows, got.rhs)
+        if rk < rka:
+            return Intersection("empty", None)
+        if w is None or any(f.upper is None for f in got.factors):
+            return Intersection("degenerate", None)
+        t = lcm(*(v.denominator for v in w))
+        y = [v.numerator * (t // v.denominator) for v in w] + [t]
+        coeffs = _coefficients(got.factors, partition, y)[1]
+    t = y[-1]
+    alpha = {i: Fraction(v, den * t)
+             for part, (x, den) in zip(partition, coeffs)
+             for i, v in zip(part, x)}
+    z = [Fraction(v, t * scale) for v in y[:-1]]
+    return Intersection("point", make_certificate(z=z, alpha=alpha))
 
 
 def alternative_problems(n, negatives, zero_set, alternative, m_set, names):

@@ -119,12 +119,13 @@ def solve_system(rows, rhs):
 
 
 class HullFactor(NamedTuple):
-    """The affine hull of s affinely independent integer points in Z^d.
+    """The affine hull of s integer points in Z^d, of affine rank k.
 
-    The hull is {x : rows x = rhs} (d+1-s equations).  With P the
-    (d+1) x s matrix of lifted columns (p, 1), ``left`` P = ``upper``:
-    ``upper`` is s x s upper triangular with nonzero diagonal and
-    ``left`` is s x (d+1), both integer.
+    The hull is {x : rows x = rhs} (d+1-k equations).  When the points
+    are affinely independent (k = s), with P the (d+1) x s matrix of
+    lifted columns (p, 1), ``left`` P = ``upper``: ``upper`` is s x s
+    upper triangular with nonzero diagonal and ``left`` is s x (d+1),
+    both integer.  Both are None for dependent points.
     """
 
     rows: list
@@ -134,13 +135,12 @@ class HullFactor(NamedTuple):
 
 
 def hull_factor(points):
-    """Factor the affine hull of integer points, or None when the points
-    are affinely dependent.
+    """Factor the affine hull of integer points.
 
     One fraction-free pass over [P | I], P the lifted columns (p, 1),
-    turns it into [L P | L].  The first s rows give ``upper`` and
-    ``left``; the other d+1-s rows have L P = 0, so each is an integer
-    equation e with e . (x, 1) = 0 on the hull.
+    turns it into [L P | L].  The rows past the rank k have L P = 0, so
+    each is an integer equation e with e . (x, 1) = 0 on the hull; when
+    k = s the first s rows give ``upper`` and ``left``.
     """
     s = len(points)
     dim = len(points[0]) + 1
@@ -148,11 +148,11 @@ def hull_factor(points):
     a = [[p[c] for p in points] + [int(k == c) for k in range(dim)]
          for c in range(dim - 1)]
     a.append([1] * s + [0] * (dim - 1) + [1])
-    if len(eliminate(a, s, width)[0]) < s:
-        return None
+    rank = len(eliminate(a, s, width)[0])
+    independent = rank == s
     return HullFactor(
-        rows=[row[s:width - 1] for row in a[s:]],
-        rhs=[-row[-1] for row in a[s:]],
-        upper=[row[:s] for row in a[:s]],
-        left=[row[s:] for row in a[:s]],
+        rows=[row[s:width - 1] for row in a[rank:]],
+        rhs=[-row[-1] for row in a[rank:]],
+        upper=[row[:s] for row in a[:s]] if independent else None,
+        left=[row[s:] for row in a[:s]] if independent else None,
     )

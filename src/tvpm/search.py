@@ -6,8 +6,9 @@ with part sizes capped at d+1, exactly once, in a deterministic order
 their smallest element).  Brute-force scans over this stream serve as the
 independent oracle for the constructive solver: "not found" always means
 the whole stream was checked.  The scan reads each partition's sign
-pattern from per-part hull equations and one d x d integer solve, and
-builds a certificate (through ``core.intersect_affine_hulls``) only for the
+pattern from per-part hull equations and one d x d integer solve
+(``core.common_point``), and builds a certificate (through
+``core.intersect_affine_hulls``, which reads the same routine) only for the
 partition it returns.
 
 For r = 2 the n = d+2 points have one affine dependence lambda,
@@ -28,9 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from tvpm.core import intersect_affine_hulls
+from tvpm.core import common_point, intersect_affine_hulls
 from tvpm.kernel import ff_solve
-from tvpm.linalg import hull_factor, vdot, vscale, vzero, vadd
+from tvpm.linalg import vdot, vscale, vzero, vadd
 
 
 def proper_partitions(n, r, d):
@@ -74,53 +75,9 @@ class SearchResult:
 
 def _part_signs(points, partition, memo):
     """Negative indices of the partition's unique intersection point, or
-    None when the part hulls do not meet in exactly one point.
-
-    For n = (r-1)(d+1)+1 the parts' hull equations number exactly d, so
-    the common point w solves one d x d integer system; each part's
-    coefficients then follow from its triangular factor.  ``memo`` maps
-    parts to factors across calls (None: factor every part afresh).
-    """
-    factors = []
-    rows = []
-    rhs = []
-    for part in partition:
-        if memo is not None and part in memo:
-            f = memo[part]
-        else:
-            f = hull_factor([points[i] for i in part])
-            if memo is not None:
-                memo[part] = f
-        if f is None:
-            return None
-        rows += f.rows
-        rhs += f.rhs
-        factors.append(f)
-    got = ff_solve(rows, rhs)
-    if got is None:
-        return None
-    zden, nums = got
-    y = nums + [zden]  # zden * (w, 1)
-    negatives = []
-    for part, f in zip(partition, factors):
-        # upper (zden * alpha) = left y; back substitution scaled by the
-        # last pivot den gives x = den * zden * alpha in integers.
-        upper = f.upper
-        c = [vdot(row, y) for row in f.left]
-        s = len(part)
-        den = upper[s - 1][s - 1]
-        x = [0] * s
-        x[s - 1] = c[s - 1]
-        for k in range(s - 2, -1, -1):
-            uk = upper[k]
-            t = c[k] * den
-            for j in range(k + 1, s):
-                t -= uk[j] * x[j]
-            x[k] = t // uk[k]
-        flip = (den < 0) != (zden < 0)
-        negatives.extend(i for i, v in zip(part, x)
-                         if (v > 0 if flip else v < 0))
-    return negatives
+    None when the part hulls do not meet in exactly one point
+    (``core.common_point``, with ``memo`` its per-part factor cache)."""
+    return common_point(points, partition, memo).negatives
 
 
 def _radon_weights(points):

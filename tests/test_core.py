@@ -1,4 +1,4 @@
-"""Block system assembly, intersection classification, certificates."""
+"""Intersections checked against the block-system oracle, certificates."""
 
 import random
 from fractions import Fraction
@@ -7,7 +7,6 @@ import pytest
 
 from tvpm.core import (
     PointConfig,
-    build_system,
     canonical_partition,
     certificate_from_json,
     certificate_to_json,
@@ -15,12 +14,13 @@ from tvpm.core import (
     config_to_json,
     intersect_affine_hulls,
     make_certificate,
-    sign_pattern,
     validate_partition,
     verify_certificate,
 )
 from tvpm.gen import random_config
 from tvpm.search import proper_partitions
+
+from linalg_oracle import block_intersection, block_system
 
 F = Fraction
 
@@ -66,7 +66,7 @@ def test_validate_partition_errors():
 
 def test_build_system_small_line():
     cfg = line_config()
-    m, b, col_point = build_system(cfg, ((0, 2), (1,)))
+    m, b, col_point = block_system(cfg, ((0, 2), (1,)))
     assert col_point == [0, 2, 1]
     assert m == [
         [F(0), F(2), F(0), F(-1)],
@@ -81,7 +81,7 @@ def test_build_system_column_structure():
     # column i restricted to its part's block rows must read (a_i, 1)
     cfg = random_config(2, 3, seed=5)
     partition = next(proper_partitions(cfg.n, cfg.r, cfg.d))
-    m, b, col_point = build_system(cfg, partition)
+    m, b, col_point = block_system(cfg, partition)
     row0 = 0
     for part in partition:
         for i in part:
@@ -96,7 +96,7 @@ def test_rhs_ones_positions():
     # ones exactly at positions (d+1), 2(d+1), ..., r(d+1), 1-indexed
     cfg = random_config(2, 3, seed=6)
     partition = next(proper_partitions(cfg.n, cfg.r, cfg.d))
-    _, b, _ = build_system(cfg, partition)
+    _, b, _ = block_system(cfg, partition)
     expect = {j * (cfg.d + 1) - 1 for j in range(1, cfg.r + 1)}
     for pos, val in enumerate(b):
         assert val == (1 if pos in expect else 0)
@@ -109,7 +109,7 @@ def test_intersect_line_examples():
     assert res.cert.z == (F(1),)
     assert res.cert.alpha == {0: F(1, 2), 1: F(1), 2: F(1, 2)}
     assert res.cert.negatives == frozenset()
-    assert res.det != 0
+    assert block_intersection(cfg, ((0, 2), (1,))).det != 0
 
     res = intersect_affine_hulls(cfg, ((0, 1), (2,)))
     assert res.kind == "point"
@@ -123,14 +123,23 @@ def test_intersect_parallel_lines_empty():
         (F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))))
     res = intersect_affine_hulls(cfg, ((0, 1), (2, 3)))
     assert res.kind == "empty"
-    assert res.det == 0
-    assert res.rank_m < res.rank_aug
+    block = block_intersection(cfg, ((0, 1), (2, 3)))
+    assert block.kind == "empty" and block.det == 0
 
 
 def test_intersect_deficient_two_points():
     cfg = PointConfig(d=1, r=2, points=((F(0),), (F(1),)))
     res = intersect_affine_hulls(cfg, ((0,), (1,)))
     assert res.kind == "empty"
+    # below (r-1)(d+1)+1 points the hulls can still meet in one point:
+    # the third point lies on the line through the first two
+    cfg = PointConfig(d=2, r=2, points=(
+        (F(0), F(0)), (F(2), F(1)), (F(1, 2), F(1, 4))))
+    res = intersect_affine_hulls(cfg, ((0, 1), (2,)))
+    block = block_intersection(cfg, ((0, 1), (2,)))
+    assert res.kind == block.kind == "point"
+    assert res.cert.alpha == block.alpha == {0: F(3, 4), 1: F(1, 4), 2: 1}
+    assert res.cert.z == block.z == (F(1, 2), F(1, 4))
 
 
 def test_intersect_degenerate_overlapping_lines():
@@ -139,7 +148,30 @@ def test_intersect_degenerate_overlapping_lines():
         (F(0), F(0)), (F(2), F(0)), (F(1), F(0)), (F(3), F(0))))
     res = intersect_affine_hulls(cfg, ((0, 1), (2, 3)))
     assert res.kind == "degenerate"
-    assert res.rank_m == res.rank_aug
+    assert block_intersection(cfg, ((0, 1), (2, 3))).kind == "degenerate"
+    # on the real line each pair spans the whole space: no hull equations
+    cfg = PointConfig(d=1, r=2, points=((F(0),), (F(1),), (F(2),), (F(3),)))
+    assert intersect_affine_hulls(cfg, ((0, 1), (2, 3))).kind == "degenerate"
+    assert block_intersection(cfg, ((0, 1), (2, 3))).kind == "degenerate"
+
+
+def test_intersect_dependent_part():
+    # {0, 1, 2} is affinely dependent: its coefficients are not unique,
+    # so the partition is degenerate when the other part's hull meets its
+    # line and empty when it does not.  On the real line the stacked hull
+    # equations are 1 x 1 and nonsingular, though n = 4 is above
+    # (r-1)(d+1)+1.
+    line = ((F(0), F(0)), (F(1), F(0)), (F(2), F(0)))
+    cases = [
+        (PointConfig(d=2, r=2, points=line + ((F(3), F(0)),)), "degenerate"),
+        (PointConfig(d=2, r=2, points=line + ((F(5), F(5)),)), "empty"),
+        (PointConfig(d=1, r=2, points=((F(0),), (F(1),), (F(2),), (F(5),))),
+         "degenerate"),
+    ]
+    for cfg, kind in cases:
+        res = intersect_affine_hulls(cfg, ((0, 1, 2), (3,)))
+        assert res.kind == kind and res.cert is None
+        assert block_intersection(cfg, ((0, 1, 2), (3,))).kind == kind
 
 
 def test_intersect_crossing_lines_zero_coefficient():
@@ -181,14 +213,11 @@ def test_singleton_part_coefficient_is_one():
 
 def test_sign_pattern_examples():
     c = make_certificate((F(1),), {0: F(1, 2), 1: F(1), 2: F(1, 2)})
-    sp = sign_pattern(c)
-    assert sp.negative_count == 0 and sp.negative_set == frozenset()
+    assert len(c.negatives) == 0 and c.negatives == frozenset()
     c = make_certificate((F(2),), {0: F(-1), 1: F(2), 2: F(1)})
-    sp = sign_pattern(c)
-    assert sp.negative_count == 1 and sp.negative_set == {0}
+    assert len(c.negatives) == 1 and c.negatives == {0}
     c = make_certificate((F(0),), {0: F(0), 1: F(1), 2: F(1)})
-    sp = sign_pattern(c)
-    assert sp.negative_count == 0 and sp.zero_set == {0}
+    assert len(c.negatives) == 0 and c.zero_set == {0}
 
 
 def test_verify_catches_corruption():

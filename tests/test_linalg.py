@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from tvpm import linalg
-from tvpm.core import PointConfig, build_system, intersect_affine_hulls
+from tvpm.core import PointConfig, intersect_affine_hulls
 from tvpm.linalg import (
     format_rat,
     hull_factor,
@@ -17,7 +17,7 @@ from tvpm.linalg import (
 )
 from tvpm.search import proper_partitions
 
-from linalg_oracle import rank, solve_linear
+from linalg_oracle import block_intersection, block_system, rank, solve_linear
 
 F = Fraction
 
@@ -102,8 +102,9 @@ def test_solve_linear_reproduces_rhs():
 
 
 def test_block_system_det_matches_cofactor_expansion():
-    # intersect_affine_hulls solves the block system scaled to integers
-    # and reports the determinant of the unscaled rational one
+    # the oracle eliminates the block system scaled to integers and
+    # reports the determinant of the unscaled rational one; the library
+    # finds a point exactly when that determinant is nonzero
     rng = random.Random(13)
     for trial in range(30):
         d, r = ((1, 2), (1, 3), (2, 2))[trial % 3]
@@ -114,9 +115,11 @@ def test_block_system_det_matches_cofactor_expansion():
                              for _ in range(d)))
         cfg = PointConfig(d=d, r=r, points=tuple(sorted(points)))
         for partition in list(proper_partitions(n, r, d))[:4]:
-            m, _, _ = build_system(cfg, partition)
-            res = intersect_affine_hulls(cfg, partition)
-            assert res.det == cofactor_det(m)
+            m, _, _ = block_system(cfg, partition)
+            det = block_intersection(cfg, partition).det
+            assert det == cofactor_det(m)
+            kind = intersect_affine_hulls(cfg, partition).kind
+            assert (kind == "point") == (det != 0)
 
 
 def test_rank_examples_and_oracle():
@@ -200,29 +203,35 @@ def test_solve_system_ranks_and_solution_match_oracles():
 def test_hull_factor_equations_and_triangular_factor():
     rng = random.Random(31)
     factored = 0
+    dependent = 0
     for _ in range(200):
         d = rng.randint(1, 4)
         s = rng.randint(1, d + 1)
         pts = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(s)]
+        if rng.random() < 0.25:
+            # a point on the line through two others: affinely dependent
+            pts.append(tuple(2 * b - a for a, b in zip(pts[0], pts[-1])))
+            s += 1
         lifted = [p + (1,) for p in pts]  # the columns of P
         prows = list(zip(*lifted))  # the rows of P
         f = hull_factor(pts)
-        if f is None:
-            assert rank(lifted) < s
-            continue
-        factored += 1
-        assert rank(lifted) == s
-        # d+1-s independent equations, each satisfied by every point
-        assert len(f.rows) == len(f.rhs) == d + 1 - s
+        rk = rank(lifted)
+        # d+1-rk independent equations, each satisfied by every point
+        assert len(f.rows) == len(f.rhs) == d + 1 - rk
         if f.rows:
             eqs = [row + [b] for row, b in zip(f.rows, f.rhs)]
-            assert rank(eqs) == d + 1 - s
+            assert rank(eqs) == d + 1 - rk
         for p in pts:
             for row, b in zip(f.rows, f.rhs):
                 assert sum(e * x for e, x in zip(row, p)) == b
+        if rk < s:
+            assert f.upper is None and f.left is None
+            dependent += 1
+            continue
+        factored += 1
         # left P = upper, upper triangular with nonzero diagonal
         for k, (lrow, urow) in enumerate(zip(f.left, f.upper)):
             assert [sum(l * prow[i] for l, prow in zip(lrow, prows))
                     for i in range(s)] == urow
             assert urow[k] != 0 and all(v == 0 for v in urow[:k])
-    assert factored > 100
+    assert factored > 100 and dependent > 40

@@ -169,7 +169,7 @@ def test_prescribed_small_sets_match_search():
         assert ok, problems
         oracle = search_prescribed(cfg, m)
         assert oracle.found
-        # the recovered partition solves the same block system
+        # the recovered partition has the same intersection point
         direct = intersect_affine_hulls(cfg, res.partition)
         assert direct.kind == "point"
         assert direct.cert.z == res.cert.z

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvpm import search
+from tvpm import linalg, search
 from tvpm.core import PointConfig, intersect_affine_hulls, verify_certificate
 from tvpm.gen import example1, random_config
 from tvpm.linalg import vadd, vdot, vscale
@@ -20,6 +20,7 @@ from tvpm.search import (
     search_prescribed,
 )
 
+from linalg_oracle import block_intersection
 from radon_oracle import radon_top
 
 F = Fraction
@@ -280,13 +281,20 @@ def test_part_factored_scan_matches_block_system():
         memo = {}
         want = []  # per partition: the block system's negatives, or None
         for partition in proper_partitions(cfg.n, cfg.r, cfg.d):
+            block = block_intersection(cfg, partition)
+            negatives = (None if block.kind != "point" else frozenset(
+                i for i, a in block.alpha.items() if a < 0))
+            want.append(negatives)
             res = intersect_affine_hulls(cfg, partition)
-            want.append(res.cert.negatives if res.kind == "point" else None)
+            assert res.kind == block.kind, partition
+            if res.cert is not None:
+                assert res.cert.alpha == block.alpha, partition
+                assert res.cert.z == block.z, partition
             for m in (None, memo):
                 got = search._part_signs(points, partition, m)
-                assert (got is None) == (res.kind != "point"), partition
+                assert (got is None) == (negatives is None), partition
                 if got is not None:
-                    assert frozenset(got) == res.cert.negatives, partition
+                    assert frozenset(got) == negatives, partition
         skips += want.count(None)
 
         seen = []
@@ -317,29 +325,32 @@ def test_part_factored_scan_matches_block_system():
 
 def test_r2_scan_reads_signs_from_the_radon_dependence(monkeypatch):
     # A generic r = 2 configuration has a Radon dependence with no zero
-    # entry, so its scan factors no part; three collinear points give
+    # entry, so its scan factors no part: only a found bipartition's two
+    # parts are factored, for its certificate.  Three collinear points give
     # lambda_3 = 0 and fall back to the part hulls.
     cfg = random_config(4, 2, seed=6)
     spectrum = radon_spectrum(cfg)
     found = [search_exact_k(cfg, k) for k in range(cfg.n + 1)]
     collinear = _collinear_config()
     fallback = radon_spectrum(collinear)
-    hull_factor = search.hull_factor
-
-    def no_factor(points):
-        raise AssertionError("hull_factor called")
-
-    monkeypatch.setattr(search, "hull_factor", no_factor)
-    assert radon_spectrum(cfg) == spectrum
-    assert spectrum.achievable == set(range(radon_top(cfg.points)[0] + 1))
-    assert [search_exact_k(cfg, k) for k in range(cfg.n + 1)] == found
-
+    hull_factor = linalg.hull_factor
     calls = []
 
     def counted(points):
         calls.append(points)
         return hull_factor(points)
 
-    monkeypatch.setattr(search, "hull_factor", counted)
+    monkeypatch.setattr(linalg, "hull_factor", counted)
+    assert radon_spectrum(cfg) == spectrum
+    assert spectrum.achievable == set(range(radon_top(cfg.points)[0] + 1))
+    assert not calls
+    for k in range(cfg.n + 1):
+        del calls[:]
+        assert search_exact_k(cfg, k) == found[k]
+        assert len(calls) == (2 if found[k].found else 0), k
+    assert any(res.found for res in found)
+    assert not all(res.found for res in found)
+
+    del calls[:]
     assert radon_spectrum(collinear) == fallback
     assert calls
