@@ -6,12 +6,14 @@ claim failed to verify, or separation does not hold, 2 on usage errors,
 malformed input, or degenerate (non-general-position) outcomes, 3 on an
 internal error (an exception the program did not expect), reported as an
 ``error: internal:`` line and an ``internal_error`` result, never a
-traceback.
+traceback.  A stdout whose reader has gone also exits 3, with an
+``error:`` line on stderr and nothing more written to stdout.
 """
 
 import argparse
 import csv
 import json
+import os
 import sys
 
 from tvpm import core, gen, search
@@ -375,19 +377,57 @@ def build_parser():
     return p
 
 
+def _stdout_closed():
+    # True when stdout is a pipe or socket whose reader has gone: polling
+    # its descriptor for writing then reports an error or a hang-up.
+    import select
+    try:
+        poller = select.poll()
+        poller.register(sys.stdout.fileno(), select.POLLOUT)
+        events = poller.poll(0)
+    except (AttributeError, OSError, ValueError):
+        return False
+    return any(ev & (select.POLLERR | select.POLLHUP) for _, ev in events)
+
+
+def _silence_stdout():
+    # Point stdout's descriptor at the null device, so that the flush at
+    # interpreter exit does not meet the broken pipe again.
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            # --help, or a usage error: flush what argparse printed here,
+            # where a closed stdout is still caught
+            sys.stdout.flush()
+            raise
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (UsageError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
-    except Exception as e:
-        print("error: internal: %s: %s" % (type(e).__name__, e),
-              file=sys.stderr)
-        _emit({"schema": core.SCHEMA, "result": "internal_error"})
+    except BrokenPipeError as e:
+        if not _stdout_closed():
+            return _internal_error(e)
+        _silence_stdout()
+        print("error: stdout closed: %s" % e, file=sys.stderr)
         return EXIT_INTERNAL
+    except Exception as e:
+        return _internal_error(e)
+
+
+def _internal_error(e):
+    print("error: internal: %s: %s" % (type(e).__name__, e), file=sys.stderr)
+    _emit({"schema": core.SCHEMA, "result": "internal_error"})
+    return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -11,6 +11,14 @@ bordered Gram matrix, which are updated in O(k^2) exact steps as the
 support gains or loses one point (Bareiss 1968) instead of being solved
 afresh.  The result is the exact closest point to the origin, together
 with its convex weights; uniform scaling leaves the weights unchanged.
+
+A ``Corral`` holds that state between calls: the bordered system, the
+weights lam and q, and the integers v and nsq that the last major cycle
+tested optimality with.  A caller that replaces points off the support
+(a colorful-Caratheodory pivot swaps a color of weight zero) keeps the
+corral valid, since the bordered system reads only the support's Gram
+entries, and the next call starts from the previous point instead of
+rebuilding its support one update at a time (Wolfe 1976).
 """
 
 from fractions import Fraction
@@ -96,29 +104,61 @@ def _point(lam, q, points, scale):
         for c in range(dim))
 
 
-def min_norm_point(points, gram=None):
+class Corral:
+    """Wolfe's method's state between calls: the support's bordered system
+    ``border`` (``_Bordered``), the current point x = sum lam[s] p_s / q
+    over it, and, after a call, v[i] = q <x, p_i> for every point and nsq
+    = q^2 |x|^2, the integers its last major cycle tested optimality with.
+
+    The bordered system reads only the Gram entries of the support, so a
+    caller may replace any point off the support, row and column of
+    ``gram`` in place, and call ``min_norm_point`` again from this corral:
+    the run starts at x, not at one point.
+    """
+
+    def __init__(self, gram):
+        start = min(range(len(gram)), key=lambda i: (gram[i][i], i))
+        self.border = _Bordered(gram, start)
+        self.lam = {start: 1}
+        self.q = 1
+        self.v = self.nsq = None
+
+    def weights(self):
+        """The convex weights {point index: positive Fraction} of x."""
+        return {s: Fraction(x, self.q) for s, x in self.lam.items()}
+
+
+def min_norm_point(points, corral=None):
     """Exact minimum-norm point of conv(points).
 
-    Returns ``(w, weights)`` where weights is a dict {point index:
-    positive Fraction} over an affinely independent support with
-    sum(weights) = 1 and w = sum weights[i] * points[i].  ``gram`` is the
-    Gram matrix of the points, which must then be integer vectors; a
-    caller that changes one point at a time keeps it up to date in one row
-    and column instead of rebuilding it here.
+    Without ``corral``, returns ``(w, weights)`` where weights is a dict
+    {point index: positive Fraction} over an affinely independent support
+    with sum(weights) = 1 and w = sum weights[i] * points[i].  With
+    ``corral``, a ``Corral`` over the Gram matrix of ``points`` (integer
+    vectors), left by an earlier call or fresh, the run starts from it,
+    leaves its final state there and returns nothing: a caller that reads
+    the integers lam, q, v and nsq builds no Fraction point.
     """
     if not points:
         raise ValueError("need at least one point")
-    scale = 1
-    if gram is None:
-        scale = denominator_lcm(points)
-        points = to_int(points, scale)
-        gram = _gram(points)
-    n = len(points)
-    start = min(range(n), key=lambda i: (gram[i][i], i))
-    border = _Bordered(gram, start)
+    if corral is not None:
+        _wolfe(corral)
+        return None
+    scale = denominator_lcm(points)
+    points = to_int(points, scale)
+    corral = Corral(_gram(points))
+    _wolfe(corral)
+    return _point(corral.lam, corral.q, points, scale), corral.weights()
+
+
+def _wolfe(corral):
+    # Wolfe's major and minor cycles from the corral's state to the
+    # minimum-norm point of the points of its Gram matrix.
+    border = corral.border
+    gram = border.gram
     support = border.support  # grown and shrunk by border's updates
-    lam = {start: 1}
-    q = 1
+    lam, q = corral.lam, corral.q
+    n = len(gram)
     prev = None  # (q^2 |x|^2, q^2) of the previous iterate
     while True:
         # v[i] = q <x, p_i>, and nsq = q^2 |x|^2
@@ -169,5 +209,4 @@ def min_norm_point(points, gram=None):
             for pos in range(len(support) - 1, -1, -1):
                 if support[pos] not in lam:
                     border.remove(pos)
-    weights = {s: Fraction(x, q) for s, x in lam.items()}
-    return _point(lam, q, points, scale), weights
+    corral.lam, corral.q, corral.v, corral.nsq = lam, q, v, nsq

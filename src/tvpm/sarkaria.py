@@ -12,9 +12,13 @@ R^{n-1} whose convex hull contains the origin:
      coordinate denominators, makes every lifted vector integral; it
      scales all of them alike, so pivot choices and weights do not change.
   3. ``colorful_caratheodory``: pivoting on the exact minimum-norm point
-     of the current transversal; while it is nonzero, some color has
-     weight zero in its support representation, and swapping that color
-     to its most-opposed element strictly shrinks the norm.
+     w of the current transversal.  While w is nonzero, every current
+     point has <w, p> >= |w|^2; the smallest color strictly off that
+     hyperplane (or, when none is, the smallest color of weight zero) is
+     swapped to its most-opposed element, which strictly shrinks the
+     norm (Barany-Onn 1997).  The rule reads only w, which is unique.
+     The swapped color is off the support, so Wolfe's method resumes
+     from the previous pivot's corral instead of restarting.
   4. ``recover``: reading the partition off the chosen tensor factors and
      unscaling the weights by the common per-part coefficient sum gamma;
      the sign of gamma selects which of the two sign alternatives was
@@ -41,7 +45,7 @@ from tvpm.linalg import (
     vscale,
     vzero,
 )
-from tvpm.minnorm import min_norm_point
+from tvpm.minnorm import Corral, min_norm_point
 from tvpm.search import NotSeparated, check_separation
 
 
@@ -108,7 +112,13 @@ def pivot_to_origin(sets, init_choice, trace=None, scale=1):
     with y (``colored.PermutationColor``).  Rational sequences are scaled
     once to integers; implicit colours are used as they are.  The Gram
     matrix of the transversal is kept across pivots, one row and column
-    per swap, and each pivot calls ``min_norm_point`` on it once.
+    per swap, and so is one ``minnorm.Corral`` over it: each pivot calls
+    ``min_norm_point`` once, starting from the previous pivot's support
+    and weights.  The swapped color is the smallest one whose point has
+    <w, p> > |w|^2, read from the integers the corral already holds, and
+    only when no color lies off that hyperplane the smallest one of
+    weight zero.  Either way it is off the support, so the corral stays
+    valid after the swap.
     """
     ncolors = len(sets)
     explicit = [not hasattr(s, "most_opposed") for s in sets]
@@ -121,34 +131,39 @@ def pivot_to_origin(sets, init_choice, trace=None, scale=1):
     choice = list(init_choice)
     current = [sets[i][choice[i]] for i in range(ncolors)]
     gram = [[vdot(p, q) for q in current] for p in current]
+    corral = Corral(gram)
     prev = None  # (q^2 |w|^2, q^2) of the previous pivot
     step = 0
     while True:
-        _, wts = min_norm_point(current, gram)
-        # w = y / q with integer y: q is the weights' common denominator.
-        q = lcm(*(v.denominator for v in wts.values()))
+        min_norm_point(current, corral)
+        # w = y / q with integer y; v[i] = <y, p_i> and nsq = |y|^2.
+        lam, q, v, nsq = corral.lam, corral.q, corral.v, corral.nsq
         y = [0] * len(current[0])
-        for i, v in wts.items():
-            c = v.numerator * (q // v.denominator)
+        for i, c in lam.items():
             y = [a + c * b for a, b in zip(y, current[i])]
-        nsq = vdot(y, y)
         if trace is not None:
             den = q * unit
             trace(step, tuple(choice), tuple(Fraction(c, den) for c in y),
                   Fraction(nsq, den * den))
         if nsq == 0:
-            weights = tuple(wts.get(i, Fraction(0)) for i in range(ncolors))
-            return tuple(choice), weights
+            return tuple(choice), tuple(Fraction(lam.get(i, 0), q)
+                                        for i in range(ncolors))
         if prev is not None and not nsq * prev[1] < prev[0] * q * q:
             raise AssertionError("pivot norm failed to decrease")
         prev = (nsq, q * q)
-        # The support lies in the hyperplane <w, p> = |w|^2 and is
-        # affinely independent, so at most ncolors - 1 colors carry
-        # weight; the smallest color without weight gets swapped.
-        free = [i for i in range(ncolors) if wts.get(i, 0) == 0]
-        if not free:
-            raise AssertionError("full support with nonzero norm")
-        i0 = free[0]
+        # Every current point has <w, p> >= |w|^2, with equality on the
+        # support.  Swap the smallest color strictly off that hyperplane:
+        # the choice then depends on w alone, which is unique, and not on
+        # the support that represents it.  Only when every color lies on
+        # the hyperplane does the smallest color without weight get
+        # swapped; the support is affinely independent, so at most
+        # ncolors - 1 colors carry weight.
+        i0 = next((i for i in range(ncolors) if v[i] * q > nsq), None)
+        if i0 is None:
+            free = [i for i in range(ncolors) if i not in lam]
+            if not free:
+                raise AssertionError("full support with nonzero norm")
+            i0 = free[0]
         if explicit[i0]:
             best_j, best_val = None, None
             for j, s in enumerate(sets[i0]):
@@ -161,6 +176,8 @@ def pivot_to_origin(sets, init_choice, trace=None, scale=1):
         if best_val > 0:
             raise ValueError(
                 "color %d does not contain the origin in its hull" % i0)
+        # i0 is off the support, so the corral's bordered system stays
+        # valid and the next pivot's Wolfe run starts from it.
         choice[i0] = best_j
         current[i0] = p
         row = [vdot(p, q) for q in current]

@@ -1,0 +1,59 @@
+"""Cold-replay oracle for ``tvpm.sarkaria.pivot_to_origin``.
+
+``cold_pivot_to_origin`` makes the same pivots with the same swap rule,
+read from w alone, but every pivot runs Wolfe's method afresh: a new Gram
+matrix and a cold ``min_norm_point`` call from its single point of least
+norm.  The library keeps one corral across pivots instead, so the two
+agree on every pivot up to the first one where no color lies strictly
+off the hyperplane <w, p> = |w|^2 and the rule falls back to the smallest
+color without weight, which depends on the support that represents w.
+"""
+
+from fractions import Fraction
+from math import lcm
+
+from tvpm.linalg import vdot
+from tvpm.minnorm import min_norm_point
+
+
+def cold_pivot_to_origin(sets, init_choice, scale=1):
+    """Return ``((choice, weights), steps, fallbacks)``.
+
+    ``sets`` are integer vector sequences or implicit colours with
+    ``most_opposed``; ``steps`` are the ``(step, choice, w, normsq)``
+    tuples ``pivot_to_origin``'s trace gets with the same ``scale``, and
+    ``fallbacks`` lists the steps at which no color lay off the
+    hyperplane.
+    """
+    ncolors = len(sets)
+    choice = list(init_choice)
+    steps, fallbacks = [], []
+    while True:
+        current = [sets[i][choice[i]] for i in range(ncolors)]
+        _, wts = min_norm_point(current)
+        q = lcm(*(v.denominator for v in wts.values()))
+        y = [0] * len(current[0])
+        for i, v in wts.items():
+            c = v.numerator * (q // v.denominator)
+            y = [a + c * b for a, b in zip(y, current[i])]
+        nsq = vdot(y, y)
+        den = q * scale
+        steps.append((len(steps), tuple(choice),
+                      tuple(Fraction(c, den) for c in y),
+                      Fraction(nsq, den * den)))
+        if nsq == 0:
+            weights = tuple(wts.get(i, Fraction(0)) for i in range(ncolors))
+            return (tuple(choice), weights), steps, fallbacks
+        # the colors with <w, p> > |w|^2
+        off = [i for i, p in enumerate(current) if vdot(y, p) * q > nsq]
+        if off:
+            i0 = off[0]
+        else:
+            fallbacks.append(len(steps) - 1)
+            i0 = min(i for i in range(ncolors) if i not in wts)
+        if hasattr(sets[i0], "most_opposed"):
+            j = sets[i0].most_opposed(y)[0]
+        else:
+            j = min(range(len(sets[i0])),
+                    key=lambda t: (vdot(y, sets[i0][t]), t))
+        choice[i0] = j

@@ -1,6 +1,7 @@
 """End-to-end command-line tests through subprocesses."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -118,11 +119,18 @@ def _crash(config, accept):
     raise AssertionError("scan invariant")
 
 
+def _pipe_gone(d, r, seed):
+    # a broken pipe that is not stdout's, as from --out on a closed FIFO
+    raise BrokenPipeError(32, "Broken pipe")
+
+
 @pytest.mark.parametrize("argv, patch, kind", [
     (["gen", "--d", "2", "--r", "3"], (gen, "MAX_ATTEMPTS", 0),
      "RuntimeError"),
     (["search", "--k", "0"], (search, "_scan", _crash), "AssertionError"),
-], ids=["gen-max-attempts", "search-assertion"])
+    (["gen", "--d", "2", "--r", "3"], (gen, "random_config", _pipe_gone),
+     "BrokenPipeError"),
+], ids=["gen-max-attempts", "search-assertion", "other-broken-pipe"])
 def test_internal_errors_exit_three(tmp_path, monkeypatch, capsys,
                                     argv, patch, kind):
     cfg_path = tmp_path / "cfg.json"
@@ -135,6 +143,42 @@ def test_internal_errors_exit_three(tmp_path, monkeypatch, capsys,
     assert json.loads(out) == {"schema": "tvpm/1", "result": "internal_error"}
     assert err.startswith("error: internal: %s: " % kind), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["gen", "--d", "2", "--r", "3", "--seed", "5"],
+    ["batch", "--mode", "search-k", "--d", "2", "--r", "3", "--trials", "2",
+     "--k", "1"],
+    ["--help"],
+], ids=["gen", "batch", "help"])
+def test_closed_stdout_exits_three_without_traceback(argv, buffered):
+    # stdout is a pipe whose read end is already closed: the write fails,
+    # and neither the error handler nor the exit flush may try again
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(CMD + argv, stdout=write_end, env=env,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    if argv == ["--help"] and not buffered:
+        # argparse drops a failed unbuffered write of its help by itself
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return
+    # one error line, last: batch's summary may precede it on stderr when
+    # its rows stay buffered until the final flush
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 3
+    assert lines[-1].startswith("error: stdout closed:"), proc.stderr
+    assert sum(line.startswith("error:") for line in lines) == 1
 
 
 def test_example_pipe_search_prescribed_not_found():

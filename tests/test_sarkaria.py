@@ -2,13 +2,17 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvpm.core import PointConfig, intersect_affine_hulls, verify_certificate
-from tvpm import kernel, linalg
+from tvpm import kernel, linalg, minnorm, sarkaria
+from tvpm.colored import PermutationColor
 from tvpm.gen import example2, random_config, separated_subset
-from tvpm.linalg import vadd, vscale, vzero
+from tvpm.linalg import denominator_lcm, to_int, vadd, vdot, vscale, vzero
 from tvpm.sarkaria import (
     DegenerateGamma,
     PMCertificate,
@@ -24,6 +28,7 @@ from tvpm.sarkaria import (
 from tvpm.search import search_prescribed
 
 from linalg_oracle import rank
+from pivot_oracle import cold_pivot_to_origin
 
 F = Fraction
 
@@ -211,3 +216,113 @@ def test_pipeline_runs_without_the_kernel(monkeypatch):
         assert isinstance(expected, PMCertificate)
         assert expected.separation_warning is False
         assert tverberg_pm(cfg, m) == expected
+
+
+def _warm_run(sets, init, scale):
+    # pivot_to_origin with every Wolfe result it reads recorded
+    steps, calls = [], []
+
+    def record(points, corral):
+        got = minnorm.min_norm_point(points, corral)
+        wts = corral.weights()
+        w = tuple(sum(x * points[i][c] for i, x in wts.items())
+                  for c in range(len(points[0])))
+        calls.append((w, wts))
+        return got
+
+    with mock.patch.object(sarkaria, "min_norm_point", record):
+        result = pivot_to_origin(sets, init, scale=scale,
+                                 trace=lambda *step: steps.append(step))
+    return result, steps, calls
+
+
+def _check_against_cold_replay(sets, init, scale):
+    """Assert the swap rule on every pivot of the warm run and its
+    agreement with the cold replay; return the warm run's fallback steps
+    and its result."""
+    result, steps, calls = _warm_run(sets, init, scale)
+    fallbacks = []
+    for (step, choice, _, _), (_, after, _, _), (w, wts) in zip(
+            steps, steps[1:], calls):
+        changed = [i for i, (a, b) in enumerate(zip(choice, after)) if a != b]
+        assert len(changed) == 1
+        current = [sets[i][choice[i]] for i in range(len(sets))]
+        nsq = vdot(w, w)
+        off = [i for i, p in enumerate(current) if vdot(w, p) > nsq]
+        if off:
+            # the smallest color strictly off <w, p> = |w|^2
+            assert changed == off[:1]
+        else:
+            fallbacks.append(step)
+            assert changed == [min(i for i in range(len(sets))
+                                   if i not in wts)]
+    cold, cold_steps, cold_fallbacks = cold_pivot_to_origin(sets, init, scale)
+    if not fallbacks:
+        assert not cold_fallbacks
+        assert result == cold
+        assert steps == cold_steps
+    else:
+        # the runs agree up to the first pivot where the rule reads the
+        # support, which the warm corral and the cold start may differ on
+        assert cold_fallbacks[0] == fallbacks[0]
+        assert steps[:fallbacks[0] + 1] == cold_steps[:fallbacks[0] + 1]
+    return fallbacks, result
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 4), r=st.integers(3, 5), seed=st.integers(0, 10**6),
+       k=st.integers(0, 3))
+def test_warm_pivots_match_the_cold_replay(d, r, seed, k):
+    cfg = random_config(d, r, seed=seed)
+    ls = lift(cfg, separated_subset(cfg, k, seed))
+    n = len(ls.sets)
+    _check_against_cold_replay(ls.sets, [i % r for i in range(n)], ls.scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), r=st.integers(2, 5), seed=st.integers(0, 10**6))
+def test_warm_colored_pivots_match_the_cold_replay(d, r, seed):
+    rng = random.Random(seed)
+    n = (r - 1) * d + 1
+    groups = [[tuple(F(rng.randint(-999, 999), 10) for _ in range(d))
+               for _ in range(r)] for _ in range(n)]
+    scale = denominator_lcm([p for g in groups for p in g])
+    vs = companion_simplex(r)
+    sets = [PermutationColor(to_int(g, scale), rng.random() < 0.5, vs)
+            for g in groups]
+    _check_against_cold_replay(sets, [0] * n, scale)
+
+
+def test_swap_fallback_fires_and_the_certificate_verifies():
+    # every color lies on <w, p> = |w|^2 at pivot 1 of this instance, so
+    # the smallest color without weight is swapped
+    cfg = random_config(2, 3, seed=17)
+    m = separated_subset(cfg, 1, 17)
+    ls = lift(cfg, m)
+    fallbacks, _ = _check_against_cold_replay(
+        ls.sets, [i % 3 for i in range(cfg.n)], ls.scale)
+    assert fallbacks == [1]
+    res = tverberg_pm(cfg, m)
+    assert isinstance(res, PMCertificate)
+    ok, problems = verify_certificate(cfg, res.partition, res.cert,
+                                      res.alternative, m, res.proper)
+    assert ok, problems
+
+
+def test_pivot_to_origin_keeps_one_bordered_system():
+    # Wolfe's method warm-starts every pivot from the previous corral:
+    # one bordered system per pivot_to_origin call, however many pivots
+    built = []
+    init = minnorm._Bordered.__init__
+
+    def count(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    cfg = random_config(3, 5, seed=3)
+    ls = lift(cfg, separated_subset(cfg, 2, 3))
+    steps = []
+    with mock.patch.object(minnorm._Bordered, "__init__", count):
+        colorful_caratheodory(ls, trace=lambda *step: steps.append(step))
+    assert len(steps) > 5
+    assert len(built) == 1

@@ -23,7 +23,7 @@ from tvpm.cli import main
 from tvpm.core import PointConfig, intersect_affine_hulls, verify_certificate
 from tvpm.gen import random_config, separated_subset
 from tvpm.linalg import denominator_lcm, to_int, vdot
-from tvpm.minnorm import min_norm_point
+from tvpm.minnorm import Corral, min_norm_point
 from tvpm.sarkaria import PMCertificate, pivot_to_origin, tverberg_pm
 
 from minnorm_oracle import min_norm_point_naive
@@ -111,13 +111,18 @@ def test_min_norm_point_rational_input_matches_oracle():
         assert sum(wts.values()) == 1 and all(v > 0 for v in wts.values())
         assert w == tuple(sum(v * pts[i][c] for i, v in wts.items())
                           for c in range(len(w)))
-        # the integer path with a given Gram matrix: same weights, w * D
+        # the integer path from a corral over a given Gram matrix: same
+        # weights, and w * D = y / q with y = sum lam[i] * ints[i]
         scale = denominator_lcm(pts)
         ints = to_int(pts, scale)
-        gram = [[vdot(p, q) for q in ints] for p in ints]
-        w_int, wts_int = min_norm_point(ints, gram)
-        assert wts_int == wts
-        assert w_int == tuple(scale * x for x in w)
+        corral = Corral([[vdot(p, q) for q in ints] for p in ints])
+        assert min_norm_point(ints, corral) is None
+        assert corral.weights() == wts
+        y = [sum(x * ints[i][c] for i, x in corral.lam.items())
+             for c in range(len(w))]
+        assert [F(a, corral.q) for a in y] == [scale * x for x in w]
+        assert corral.nsq == vdot(y, y)
+        assert corral.v == [vdot(y, p) for p in ints]
 
 
 def test_pivot_to_origin_rational_sets_match_oracle():
