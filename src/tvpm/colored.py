@@ -153,8 +153,8 @@ class PermutationColor:
     elements: if sigma and tau gave the same one, z_{sigma^-1(l)} -
     z_{tau^-1(l)} would be one constant for every l, and those differences
     sum to 0.  So the rank order is the order of a scan over all of them,
-    and ``pivot_to_origin`` reads the colour through ``most_opposed``
-    without materializing it.
+    and ``most_opposed`` keeps the tie rule of ``sarkaria.LiftColor``, the
+    first element of least value, without materializing the colour.
     """
 
     def __init__(self, points, flip, simplex):

@@ -71,10 +71,6 @@ def vzero(dim):
     return (Fraction(0),) * dim
 
 
-def is_zero_vec(v):
-    return all(a == 0 for a in v)
-
-
 def tensor(u, b):
     """Tensor (outer) product flattened row-major: entry (i,j) is u_i*b_j."""
     return tuple(ui * bj for ui in u for bj in b)

@@ -6,19 +6,19 @@ R^{n-1} whose convex hull contains the origin:
 
   1. ``companion_simplex``: r vectors in R^{r-1} whose only linear
      dependence (up to scale) is that they sum to zero.
-  2. ``lift``: each point a_i becomes the set {v_j (x) b_i} where
+  2. ``lift``: each point a_i becomes the colour {v_j (x) b_i} where
      b_i = (D a_i, D), negated exactly on the prescribed index set, so the
-     origin is the uniform average of every set.  D, the lcm of the
+     origin is the uniform average of every colour.  D, the lcm of the
      coordinate denominators, makes every lifted vector integral; it
      scales all of them alike, so pivot choices and weights do not change.
-  3. ``colorful_caratheodory``: pivoting on the exact minimum-norm point
-     w of the current transversal.  While w is nonzero, every current
-     point has <w, p> >= |w|^2; the smallest color strictly off that
-     hyperplane (or, when none is, the smallest color of weight zero) is
-     swapped to its most-opposed element, which strictly shrinks the
-     norm (Barany-Onn 1997).  The rule reads only w, which is unique.
-     The swapped color is off the support, so Wolfe's method resumes
-     from the previous pivot's corral instead of restarting.
+  3. ``pivot_to_origin``, from the start j(i) = i mod r: pivoting on the
+     exact minimum-norm point w of the current transversal.  While w is
+     nonzero, every current point has <w, p> >= |w|^2; the smallest color
+     strictly off that hyperplane (or, when none is, the smallest color of
+     weight zero) is swapped to its most-opposed element, which strictly
+     shrinks the norm (Barany-Onn 1997).  The rule reads only w, which is
+     unique.  The swapped color is off the support, so Wolfe's method
+     resumes from the previous pivot's corral instead of restarting.
   4. ``recover``: reading the partition off the chosen tensor factors and
      unscaling the weights by the common per-part coefficient sum gamma;
      the sign of gamma selects which of the two sign alternatives was
@@ -35,16 +35,7 @@ from tvpm.core import (
     is_proper,
     make_certificate,
 )
-from tvpm.linalg import (
-    denominator_lcm,
-    is_zero_vec,
-    tensor,
-    to_int,
-    vadd,
-    vdot,
-    vscale,
-    vzero,
-)
+from tvpm.linalg import tensor, vadd, vdot, vscale, vzero
 from tvpm.minnorm import Corral, min_norm_point
 from tvpm.search import NotSeparated, check_separation
 
@@ -63,16 +54,26 @@ def companion_simplex(r):
 
 @dataclass(frozen=True)
 class LiftedSystem:
-    sets: tuple  # n color sets, each a tuple of r int vectors in Z^{n-1}
+    sets: tuple  # n LiftColors, each r int vectors in Z^{n-1}
     m_set: frozenset
     config: object
     scale: int = 1  # the sets are scale times the lift of (a_i, 1)
 
 
-@dataclass(frozen=True)
-class Transversal:
-    choice: tuple  # choice[i] = selected element index within set i
-    weights: tuple  # convex weights, one per color (zero off support)
+class LiftColor(tuple):
+    """The r lifted vectors v_j (x) b_i of one point, as a colour."""
+
+    __slots__ = ()
+
+    def most_opposed(self, y):
+        """``(index, vector, <y, vector>)`` for the first vector with the
+        least inner product with y."""
+        best = None
+        for j, v in enumerate(self):
+            val = vdot(y, v)
+            if best is None or val < best[2]:
+                best = (j, v, val)
+        return best
 
 
 def lift(config, m_set):
@@ -89,8 +90,7 @@ def lift(config, m_set):
         b = a + (scale,)
         if i in m_set:
             b = tuple(-x for x in b)
-        lifted = tuple(tensor(v, b) for v in vs)
-        sets.append(lifted)
+        sets.append(LiftColor(tensor(v, b) for v in vs))
     assert all(len(s[0]) == config.n - 1 for s in sets)
     return LiftedSystem(sets=tuple(sets), m_set=m_set, config=config,
                         scale=scale)
@@ -106,28 +106,21 @@ def pivot_to_origin(sets, init_choice, trace=None, scale=1):
     norm divided by ``scale``: a caller that passes its vectors times a
     scale gets the trace of the unscaled ones.
 
-    A set is a sequence of vectors, or an implicit colour: an integral
-    indexable set with ``most_opposed(y)``, which returns ``(index,
-    vector, <y, vector>)`` for its first vector of least inner product
-    with y (``colored.PermutationColor``).  Rational sequences are scaled
-    once to integers; implicit colours are used as they are.  The Gram
-    matrix of the transversal is kept across pivots, one row and column
-    per swap, and so is one ``minnorm.Corral`` over it: each pivot calls
-    ``min_norm_point`` once, starting from the previous pivot's support
-    and weights.  The swapped color is the smallest one whose point has
-    <w, p> > |w|^2, read from the integers the corral already holds, and
-    only when no color lies off that hyperplane the smallest one of
-    weight zero.  Either way it is off the support, so the corral stays
-    valid after the swap.
+    A set is a colour: an integral indexable set with
+    ``most_opposed(y)``, which returns ``(index, vector, <y, vector>)``
+    for its first vector of least inner product with y (``LiftColor``,
+    ``colored.PermutationColor``).  The Gram matrix of the transversal is
+    kept across pivots, one row and column per swap, and so is one
+    ``minnorm.Corral`` over it: each pivot calls ``min_norm_point`` once,
+    starting from the previous pivot's support and weights.  The swapped
+    color is the smallest one whose point has <w, p> > |w|^2, read from
+    the integers the corral already holds, and only when no color lies
+    off that hyperplane the smallest one of weight zero.  Either way it is
+    off the support, so the corral stays valid after the swap.  The
+    returned weights are checked exactly: their combination is the origin
+    and they sum to 1.
     """
     ncolors = len(sets)
-    explicit = [not hasattr(s, "most_opposed") for s in sets]
-    unit = denominator_lcm([v for s, e in zip(sets, explicit) if e
-                            for v in s])
-    if unit != 1 and not all(explicit):
-        raise ValueError("implicit colours need integral companions")
-    sets = [to_int(s, unit) if e else s for s, e in zip(sets, explicit)]
-    unit *= scale
     choice = list(init_choice)
     current = [sets[i][choice[i]] for i in range(ncolors)]
     gram = [[vdot(p, q) for q in current] for p in current]
@@ -142,10 +135,12 @@ def pivot_to_origin(sets, init_choice, trace=None, scale=1):
         for i, c in lam.items():
             y = [a + c * b for a, b in zip(y, current[i])]
         if trace is not None:
-            den = q * unit
+            den = q * scale
             trace(step, tuple(choice), tuple(Fraction(c, den) for c in y),
                   Fraction(nsq, den * den))
         if nsq == 0:
+            if any(y) or sum(lam.values()) != q:
+                raise AssertionError("transversal weights miss the origin")
             return tuple(choice), tuple(Fraction(lam.get(i, 0), q)
                                         for i in range(ncolors))
         if prev is not None and not nsq * prev[1] < prev[0] * q * q:
@@ -164,15 +159,7 @@ def pivot_to_origin(sets, init_choice, trace=None, scale=1):
             if not free:
                 raise AssertionError("full support with nonzero norm")
             i0 = free[0]
-        if explicit[i0]:
-            best_j, best_val = None, None
-            for j, s in enumerate(sets[i0]):
-                val = vdot(y, s)
-                if best_val is None or val < best_val:
-                    best_j, best_val = j, val
-            p = sets[i0][best_j]
-        else:
-            best_j, p, best_val = sets[i0].most_opposed(y)
+        best_j, p, best_val = sets[i0].most_opposed(y)
         if best_val > 0:
             raise ValueError(
                 "color %d does not contain the origin in its hull" % i0)
@@ -185,20 +172,6 @@ def pivot_to_origin(sets, init_choice, trace=None, scale=1):
         for k in range(ncolors):
             gram[k][i0] = row[k]
         step += 1
-
-
-def colorful_caratheodory(ls, trace=None):
-    """Run the pivoting from the deterministic start j(i) = i mod r."""
-    n = len(ls.sets)
-    r = len(ls.sets[0])
-    init = [i % r for i in range(n)]
-    choice, weights = pivot_to_origin(ls.sets, init, trace=trace,
-                                      scale=ls.scale)
-    total = vzero(len(ls.sets[0][0]))
-    for i in range(n):
-        total = vadd(total, vscale(weights[i], ls.sets[i][choice[i]]))
-    assert is_zero_vec(total) and sum(weights) == 1
-    return Transversal(choice=tuple(choice), weights=weights)
 
 
 @dataclass(frozen=True)
@@ -259,8 +232,9 @@ def decode_weights(d, choice, beta, m_set, parts, scale):
     return alpha, z, Fraction(top, q * scale)
 
 
-def recover(ls, t):
-    """Decode a zero transversal into a partition certificate.
+def recover(ls, choice, beta):
+    """Decode a zero transversal, ``pivot_to_origin``'s ``(choice,
+    beta)``, into a partition certificate.
 
     The per-part sums sum_{i in part} eps_i beta_i (a_i, 1) agree across
     parts; their last coordinate is gamma (``decode_weights``).  gamma > 0
@@ -270,13 +244,12 @@ def recover(ls, t):
     """
     config = ls.config
     n, d, r = config.n, config.d, config.r
-    beta = t.weights
     parts = [[] for _ in range(r)]
     for i in range(n):
-        parts[t.choice[i]].append(i)
+        parts[choice[i]].append(i)
     unit, points = config.scaled
     decoded = decode_weights(
-        d, t.choice, beta, ls.m_set,
+        d, choice, beta, ls.m_set,
         [[(i, points[i]) for i in part] for part in parts], unit)
     if any(not part for part in parts):
         # All sums vanish; inside any part carrying weight, the positive
@@ -330,8 +303,10 @@ def tverberg_pm(config, m_set, check_sep=True, trace=None):
         sep = check_separation(config, m_set)
         warning = isinstance(sep, NotSeparated)
     ls = lift(config, m_set)
-    t = colorful_caratheodory(ls, trace=trace)
-    result = recover(ls, t)
+    choice, weights = pivot_to_origin(
+        ls.sets, [i % config.r for i in range(config.n)], trace=trace,
+        scale=ls.scale)
+    result = recover(ls, choice, weights)
     if isinstance(result, PMCertificate):
         return PMCertificate(
             partition=result.partition,

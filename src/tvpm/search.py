@@ -73,13 +73,6 @@ class SearchResult:
     skipped: int
 
 
-def _part_signs(points, partition, memo):
-    """Negative indices of the partition's unique intersection point, or
-    None when the part hulls do not meet in exactly one point
-    (``core.common_point``, with ``memo`` its per-part factor cache)."""
-    return common_point(points, partition, memo).negatives
-
-
 def _radon_weights(points):
     """The integer Radon dependence of n = d+2 integer points, or None.
 
@@ -116,9 +109,10 @@ def _scan(config, accept):
     one with a unique intersection point; only that one gets a
     certificate (from ``intersect_affine_hulls``).
 
-    For r = 2 (n = d+2, as every caller requires) the signs come from the
-    Radon dependence when it has no zero entry, and from ``_part_signs``
-    otherwise; the input decides which.
+    The signs come from the part hulls (``core.common_point``, with
+    ``memo`` its per-part factor cache).  For r = 2 (n = d+2, as every
+    caller requires) they come from the Radon dependence instead when it
+    has no zero entry; the input decides which.
     """
     _, points = config.scaled
     lam = _radon_weights(points) if config.r == 2 else None
@@ -131,7 +125,7 @@ def _scan(config, accept):
         if lam is not None:
             negatives = _radon_signs(lam, partition)
         else:
-            negatives = _part_signs(points, partition, memo)
+            negatives = common_point(points, partition, memo).negatives
         if negatives is None:
             skipped += 1
         elif accept(negatives):

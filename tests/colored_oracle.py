@@ -3,7 +3,8 @@
 ``permutation_lift`` materializes every permutation tensor of a class in
 ``itertools.permutations`` order, merging duplicates.  It grows as r! and
 exists only as the explicit twin of ``tvpm.colored.PermutationColor``: fed
-to ``pivot_to_origin`` as plain vector sets, it must give the same pivots.
+to ``pivot_to_origin`` through ``pivot_oracle.VectorColor``, it must give
+the same pivots.
 """
 
 from itertools import permutations

@@ -7,6 +7,8 @@ norm.  The library keeps one corral across pivots instead, so the two
 agree on every pivot up to the first one where no color lies strictly
 off the hyperplane <w, p> = |w|^2 and the rule falls back to the smallest
 color without weight, which depends on the support that represents w.
+
+``VectorColor`` hands an explicit vector set to either engine as a colour.
 """
 
 from fractions import Fraction
@@ -16,14 +18,24 @@ from tvpm.linalg import vdot
 from tvpm.minnorm import min_norm_point
 
 
+class VectorColor(tuple):
+    """Integer vectors as a colour: ``most_opposed`` scans them all for
+    the first of least inner product with y."""
+
+    __slots__ = ()
+
+    def most_opposed(self, y):
+        j = min(range(len(self)), key=lambda t: (vdot(y, self[t]), t))
+        return j, self[j], vdot(y, self[j])
+
+
 def cold_pivot_to_origin(sets, init_choice, scale=1):
     """Return ``((choice, weights), steps, fallbacks)``.
 
-    ``sets`` are integer vector sequences or implicit colours with
-    ``most_opposed``; ``steps`` are the ``(step, choice, w, normsq)``
-    tuples ``pivot_to_origin``'s trace gets with the same ``scale``, and
-    ``fallbacks`` lists the steps at which no color lay off the
-    hyperplane.
+    ``sets`` are colours, as ``pivot_to_origin`` takes them; ``steps``
+    are the ``(step, choice, w, normsq)`` tuples ``pivot_to_origin``'s
+    trace gets with the same ``scale``, and ``fallbacks`` lists the steps
+    at which no color lay off the hyperplane.
     """
     ncolors = len(sets)
     choice = list(init_choice)
@@ -51,9 +63,4 @@ def cold_pivot_to_origin(sets, init_choice, scale=1):
         else:
             fallbacks.append(len(steps) - 1)
             i0 = min(i for i in range(ncolors) if i not in wts)
-        if hasattr(sets[i0], "most_opposed"):
-            j = sets[i0].most_opposed(y)[0]
-        else:
-            j = min(range(len(sets[i0])),
-                    key=lambda t: (vdot(y, sets[i0][t]), t))
-        choice[i0] = j
+        choice[i0] = sets[i0].most_opposed(y)[0]

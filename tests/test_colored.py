@@ -31,6 +31,7 @@ from tvpm.sarkaria import DegenerateGamma, companion_simplex, pivot_to_origin
 
 from colored_oracle import permutation_lift
 from linalg_oracle import solve_linear
+from pivot_oracle import VectorColor
 
 F = Fraction
 
@@ -173,21 +174,14 @@ def test_implicit_lift_pivots_like_the_explicit_oracle(d, r, seed, den):
     implicit = [PermutationColor(g, i in m, vs) for i, g in enumerate(groups)]
     # distinct points: no two permutations merge, so index = Lehmer rank
     assert all(len(vectors) == factorial(r) for vectors, _ in lifts)
-    explicit_run = _pivot_run([vectors for vectors, _ in lifts], n, scale)
+    explicit_run = _pivot_run([VectorColor(vectors) for vectors, _ in lifts],
+                              n, scale)
     implicit_run = _pivot_run(implicit, n, scale)
     assert implicit_run == explicit_run
     (choice, _), _ = implicit_run
     for color, (vectors, sigmas), rank in zip(implicit, lifts, choice):
         assert color.permutation(rank) == sigmas[rank]
         assert color[rank] == vectors[rank]
-
-
-def test_implicit_colours_refuse_rational_companions():
-    # the implicit colour is not rescaled, so a rational explicit set
-    # beside it cannot be scaled to integers consistently
-    color = PermutationColor(((1,), (3,)), False, companion_simplex(2))
-    with pytest.raises(ValueError):
-        pivot_to_origin([color, ((F(1, 2),), (F(-1, 2),))], [0, 0])
 
 
 @pytest.mark.parametrize("d,r", [(1, 6), (2, 6), (1, 7), (2, 7)])

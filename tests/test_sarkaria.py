@@ -12,13 +12,12 @@ from tvpm.core import PointConfig, intersect_affine_hulls, verify_certificate
 from tvpm import kernel, linalg, minnorm, sarkaria
 from tvpm.colored import PermutationColor
 from tvpm.gen import example2, random_config, separated_subset
-from tvpm.linalg import denominator_lcm, to_int, vadd, vdot, vscale, vzero
+from tvpm.linalg import denominator_lcm, to_int, vadd, vdot, vzero
 from tvpm.sarkaria import (
     DegenerateGamma,
     PMCertificate,
+    LiftColor,
     SeparationViolated,
-    Transversal,
-    colorful_caratheodory,
     companion_simplex,
     lift,
     pivot_to_origin,
@@ -28,7 +27,7 @@ from tvpm.sarkaria import (
 from tvpm.search import search_prescribed
 
 from linalg_oracle import rank
-from pivot_oracle import cold_pivot_to_origin
+from pivot_oracle import VectorColor, cold_pivot_to_origin
 
 F = Fraction
 
@@ -62,6 +61,7 @@ def test_lift_shapes_and_signs():
     cfg = line_config()
     ls = lift(cfg, frozenset())
     assert len(ls.sets) == 3
+    assert all(isinstance(s, LiftColor) for s in ls.sets)
     # point 2, not flipped: tensors of (2, 1) with (1) and (-1)
     assert ls.sets[2] == ((F(2), F(1)), (F(-2), F(-1)))
     flipped = lift(cfg, {2})
@@ -87,7 +87,7 @@ def test_lift_uniform_average_is_origin():
 
 
 def test_pivot_two_interval_colors():
-    sets = (((F(-1),), (F(1),)), ((F(-2),), (F(2),)))
+    sets = (VectorColor(((-1,), (1,))), VectorColor(((-2,), (2,))))
     choice, weights = pivot_to_origin(sets, (0, 0))
     assert choice == (0, 1)
     assert weights == (F(2, 3), F(1, 3))
@@ -95,17 +95,37 @@ def test_pivot_two_interval_colors():
     assert total == 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), r=st.integers(2, 5), seed=st.integers(0, 10**6),
+       data=st.data())
+def test_lift_colour_scans_for_the_first_least_value(d, r, seed, data):
+    # small entries make whole blocks of y vanish, so values tie; at
+    # y = 0 every vector ties and index 0 must win
+    cfg = random_config(d, r, seed)
+    ls = lift(cfg, separated_subset(cfg, min(r - 1, 2), seed))
+    i = data.draw(st.integers(0, cfg.n - 1))
+    color = ls.sets[i]
+    assert isinstance(color, LiftColor) and len(color) == r
+    drawn = data.draw(st.lists(st.integers(-2, 2), min_size=cfg.n - 1,
+                               max_size=cfg.n - 1))
+    for y in ([0] * (cfg.n - 1), drawn):
+        values = [vdot(y, v) for v in color]
+        j = values.index(min(values))
+        assert color.most_opposed(y) == (j, color[j], values[j])
+    assert color.most_opposed([0] * (cfg.n - 1))[0] == 0
+
+
 def test_pivot_rejects_hull_without_origin():
-    sets = (((F(1),), (F(2),)), ((F(3),), (F(4),)))
+    sets = (VectorColor(((1,), (2,))), VectorColor(((3,), (4,))))
     with pytest.raises(ValueError):
         pivot_to_origin(sets, (0, 0))
 
 
 def test_pivot_trace_norm_strictly_decreases():
     cfg = random_config(2, 3, seed=77)
-    ls = lift(cfg, separated_subset(cfg, 2, 77))
     norms = []
-    colorful_caratheodory(ls, trace=lambda step, ch, w, nsq: norms.append(nsq))
+    tverberg_pm(cfg, separated_subset(cfg, 2, 77), check_sep=False,
+                trace=lambda step, ch, w, nsq: norms.append(nsq))
     assert norms[-1] == 0
     assert all(a > b for a, b in zip(norms, norms[1:]))
 
@@ -153,8 +173,7 @@ def test_recover_gamma_zero_is_surfaced():
     sq = PointConfig(d=2, r=2, points=(
         (F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))))
     ls = lift(sq, {0, 2})
-    t = Transversal(choice=(0, 0, 1, 1), weights=(F(1, 4),) * 4)
-    res = recover(ls, t)
+    res = recover(ls, (0, 0, 1, 1), (F(1, 4),) * 4)
     assert isinstance(res, DegenerateGamma)
 
 
@@ -320,9 +339,10 @@ def test_pivot_to_origin_keeps_one_bordered_system():
         init(self, *args)
 
     cfg = random_config(3, 5, seed=3)
-    ls = lift(cfg, separated_subset(cfg, 2, 3))
+    m = separated_subset(cfg, 2, 3)
     steps = []
     with mock.patch.object(minnorm._Bordered, "__init__", count):
-        colorful_caratheodory(ls, trace=lambda *step: steps.append(step))
+        tverberg_pm(cfg, m, check_sep=False,
+                    trace=lambda *step: steps.append(step))
     assert len(steps) > 5
     assert len(built) == 1

@@ -7,8 +7,9 @@
 - Scaling a configuration by an integer leaves the solver's partition,
   alpha and negatives unchanged; translating it as well leaves alpha and
   the negatives of that partition unchanged.
-- ``min_norm_point`` and ``pivot_to_origin`` on non-integer rational input
-  agree with the subset oracle.
+- ``min_norm_point`` on non-integer rational input, and ``pivot_to_origin``
+  on its integer scaling by D with the trace unscaled by D, agree with the
+  subset oracle on the rational points.
 """
 
 import random
@@ -27,6 +28,7 @@ from tvpm.minnorm import Corral, min_norm_point
 from tvpm.sarkaria import PMCertificate, pivot_to_origin, tverberg_pm
 
 from minnorm_oracle import min_norm_point_naive
+from pivot_oracle import VectorColor
 
 F = Fraction
 DATA = Path(__file__).resolve().parent / "data"
@@ -138,9 +140,13 @@ def test_pivot_to_origin_rational_sets_match_oracle():
             # close each set around the origin: its mean is zero
             last = tuple(-sum(p[c] for p in pts) for c in range(dim))
             sets.append(tuple(pts) + (last,))
+        # the sets times D as integer colours, traced with scale=D: the
+        # trace is the run on the rational sets
+        scale = denominator_lcm([v for s in sets for v in s])
         steps = []
         choice, weights = pivot_to_origin(
-            sets, [0] * ncolors, trace=lambda *a: steps.append(a))
+            [VectorColor(to_int(s, scale)) for s in sets], [0] * ncolors,
+            scale=scale, trace=lambda *a: steps.append(a))
         runs += 1
         for _, ch, w, normsq in steps:
             current = [sets[i][ch[i]] for i in range(ncolors)]
@@ -150,11 +156,3 @@ def test_pivot_to_origin_rational_sets_match_oracle():
         total = tuple(sum(weights[i] * sets[i][choice[i]][c]
                           for i in range(ncolors)) for c in range(dim))
         assert total == (0,) * dim and sum(weights) == 1
-        # the same sets times D, traced with scale=D: the same run
-        scale = denominator_lcm([v for s in sets for v in s])
-        scaled_steps = []
-        got = pivot_to_origin([to_int(s, scale) for s in sets],
-                              [0] * ncolors, scale=scale,
-                              trace=lambda *a: scaled_steps.append(a))
-        assert got == (choice, weights)
-        assert scaled_steps == steps

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvpm import linalg, search
-from tvpm.core import PointConfig, intersect_affine_hulls, verify_certificate
+from tvpm.core import (
+    PointConfig,
+    common_point,
+    intersect_affine_hulls,
+    verify_certificate,
+)
 from tvpm.gen import example1, random_config
 from tvpm.linalg import vadd, vdot, vscale
 from tvpm.search import (
@@ -291,7 +296,7 @@ def test_part_factored_scan_matches_block_system():
                 assert res.cert.alpha == block.alpha, partition
                 assert res.cert.z == block.z, partition
             for m in (None, memo):
-                got = search._part_signs(points, partition, m)
+                got = common_point(points, partition, m).negatives
                 assert (got is None) == (negatives is None), partition
                 if got is not None:
                     assert frozenset(got) == negatives, partition
