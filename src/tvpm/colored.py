@@ -29,10 +29,8 @@ from tvpm.linalg import (
     parse_vec,
     tensor,
     to_int,
-    vadd,
     vdot,
-    vscale,
-    vzero,
+    weighted_sum,
 )
 from tvpm.sarkaria import (
     DegenerateGamma,
@@ -274,9 +272,8 @@ def verify_colorful(cc, cp, m_set=None):
     if total != 1:
         problems.append("coefficient sum %s != 1" % format_rat(total))
     for l in range(cc.r):
-        u = vzero(cc.d)
-        for i in range(cc.n):
-            u = vadd(u, vscale(cp.alpha[i], cc.classes[i][cp.assignment[i][l]]))
+        u = weighted_sum(cp.alpha, [cc.classes[i][cp.assignment[i][l]]
+                                    for i in range(cc.n)])
         if u != tuple(cp.z):
             problems.append(
                 "part %d: weighted sum %s != z %s"

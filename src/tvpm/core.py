@@ -3,10 +3,12 @@
 For a partition of n points in R^d into r parts, each part's affine hull
 is the solution set of d+1-k integer equations, k the part's affine rank
 (``linalg.hull_factor``).  Stacking every part's equations gives one
-system for the common point w of all the hulls.  With n = (r-1)(d+1)+1
-and affinely independent parts the codimensions add up to exactly d, so
-the system is d x d; when it is nonsingular w is unique, and each part's
-affine coefficients follow from its triangular factor (``common_point``).
+system for the common point w of all the hulls, whatever the partition's
+size; one exact solve (``kernel.ff_solve``) classifies it, and when w is
+unique and every part is affinely independent each part's affine
+coefficients follow from its triangular factor (``common_point``).  With
+n = (r-1)(d+1)+1 and affinely independent parts the codimensions add up
+to exactly d, so the stack is d x d.
 
 Classification drives everything downstream: a unique point comes with
 exact coefficients; inconsistent equations certify empty intersection;
@@ -18,12 +20,18 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import NamedTuple
 
 from tvpm import linalg
-from tvpm.kernel import ff_solve
-from tvpm.linalg import format_rat, format_vec, parse_rat, parse_vec, vdot
+from tvpm.kernel import back_substitute, ff_solve
+from tvpm.linalg import (
+    format_rat,
+    format_vec,
+    parse_rat,
+    parse_vec,
+    vdot,
+    weighted_sum,
+)
 
 SCHEMA = "tvpm/1"
 
@@ -116,32 +124,31 @@ def make_certificate(z, alpha, gamma=Fraction(1)):
 
 
 class CommonPoint(NamedTuple):
-    """A partition's stacked hull equations and, when unique, their point.
+    """A partition's intersection class and, for a point, its integers.
 
-    ``rows`` w = ``rhs`` stacks every part's hull equations over the
-    scaled points.  When the point and coefficients are read, y = t (w, 1)
-    is integral (t is the stack's determinant), ``negatives`` lists the
+    ``kind`` is "point", "empty" or "degenerate", as for
+    ``intersect_affine_hulls``.  For a point, y = t (w, 1) is integral (w
+    the common point of the scaled parts, t != 0), ``negatives`` lists the
     indices with negative coefficients, and ``coeffs`` holds per part
     (x, den) with alpha_i = x_i / (den t); otherwise all three are None.
     """
 
-    factors: list
-    rows: list
-    rhs: list
+    kind: str
     y: list = None
     negatives: list = None
     coeffs: list = None
 
 
 def common_point(points, partition, memo=None):
-    """Read the partition's common point from per-part hull factors.
+    """Classify the partition from per-part hull factors.
 
     ``points`` are integer (``PointConfig.scaled``); ``memo`` maps parts
     to their ``linalg.hull_factor`` across calls (None: factor every part
-    afresh).  The parts' ranks add up to r(d+1) less the equation count,
-    so the stack is d x d with every part independent exactly when there
-    are d equations and n = (r-1)(d+1)+1; the point is read when that
-    square system is nonsingular.
+    afresh).  One ``ff_solve`` of the stacked hull equations gives the
+    kind: inconsistent is "empty"; a point that is not unique, or a part
+    that is affinely dependent, is "degenerate".  Otherwise each part's
+    factor gives upper (t alpha) = left y, and ``back_substitute`` reads
+    x = den * t * alpha in integers, den the factor's last pivot.
     """
     factors = []
     rows = []
@@ -155,45 +162,28 @@ def common_point(points, partition, memo=None):
         rows += f.rows
         rhs += f.rhs
         factors.append(f)
-    d = len(points[0])
-    if len(rows) != d or len(points) != len(partition) * (d + 1) - d:
-        return CommonPoint(factors, rows, rhs)
     got = ff_solve(rows, rhs)
-    if got is None:
-        return CommonPoint(factors, rows, rhs)
-    t, nums = got
-    y = nums + [t]
-    return CommonPoint(factors, rows, rhs, y,
-                       *_coefficients(factors, partition, y))
-
-
-def _coefficients(factors, partition, y):
-    """``(negatives, coeffs)`` at y = t (w, 1), t != 0, in one pass.
-
-    A part's factor gives upper (t alpha) = left y; back substitution
-    scaled by the last pivot den gives x = den * t * alpha in integers.
-    """
-    t = y[-1]
+    if got.rank < got.rank_aug:
+        return CommonPoint("empty")
+    # With no equations (every part spans R^d) the stack has no columns,
+    # so its rank is compared with d, not with its width.
+    if got.rank < len(points[0]):
+        return CommonPoint("degenerate")
+    t = got.den
+    y = got.nums + [t]
     negatives = []
     coeffs = []
     for part, f in zip(partition, factors):
         upper = f.upper
-        c = [vdot(row, y) for row in f.left]
-        s = len(part)
-        den = upper[s - 1][s - 1]
-        x = [0] * s
-        x[s - 1] = c[s - 1]
-        for k in range(s - 2, -1, -1):
-            uk = upper[k]
-            v = c[k] * den
-            for j in range(k + 1, s):
-                v -= uk[j] * x[j]
-            x[k] = v // uk[k]
+        if upper is None:  # affinely dependent: coefficients not unique
+            return CommonPoint("degenerate")
+        x = back_substitute(upper, [vdot(row, y) for row in f.left])
+        den = upper[-1][-1]
         flip = (den < 0) != (t < 0)
         negatives += [i for i, v in zip(part, x)
                       if (v > 0 if flip else v < 0)]
         coeffs.append((x, den))
-    return negatives, coeffs
+    return CommonPoint("point", y, negatives, coeffs)
 
 
 @dataclass(frozen=True)
@@ -209,32 +199,19 @@ def intersect_affine_hulls(config, partition):
     certificate attached), "empty" (the stacked hull equations are
     inconsistent), or "degenerate" (consistent, but the point or some
     part's coefficients are not unique; only possible off general
-    position).  When ``common_point`` reads no point, one rank test on its
-    stacked equations classifies the partition; off n = (r-1)(d+1)+1 that
-    test can still find a unique point.
+    position), as ``common_point`` classifies it.
     """
     partition = canonical_partition(partition)
     validate_partition(config, partition, require_proper=False)
     scale, points = config.scaled
     got = common_point(points, partition)
-    y, coeffs = got.y, got.coeffs
-    if y is None:
-        if not got.rows:
-            # every part spans R^d: any point is common
-            return Intersection("degenerate", None)
-        rk, rka, w = linalg.solve_system(got.rows, got.rhs)
-        if rk < rka:
-            return Intersection("empty", None)
-        if w is None or any(f.upper is None for f in got.factors):
-            return Intersection("degenerate", None)
-        t = lcm(*(v.denominator for v in w))
-        y = [v.numerator * (t // v.denominator) for v in w] + [t]
-        coeffs = _coefficients(got.factors, partition, y)[1]
-    t = y[-1]
+    if got.kind != "point":
+        return Intersection(got.kind, None)
+    t = got.y[-1]
     alpha = {i: Fraction(v, den * t)
-             for part, (x, den) in zip(partition, coeffs)
+             for part, (x, den) in zip(partition, got.coeffs)
              for i, v in zip(part, x)}
-    z = [Fraction(v, t * scale) for v in y[:-1]]
+    z = [Fraction(v, t * scale) for v in got.y[:-1]]
     return Intersection("point", make_certificate(z=z, alpha=alpha))
 
 
@@ -289,9 +266,8 @@ def verify_certificate(config, partition, cert, alternative=None,
         if s != 1:
             problems.append(
                 "part %s: coefficient sum %s != 1" % (list(part), format_rat(s)))
-        w = linalg.vzero(config.d)
-        for i in part:
-            w = linalg.vadd(w, linalg.vscale(cert.alpha[i], config.points[i]))
+        w = weighted_sum([cert.alpha[i] for i in part],
+                         [config.points[i] for i in part])
         if w != tuple(cert.z):
             problems.append(
                 "part %s: weighted sum %s != z %s"

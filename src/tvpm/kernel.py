@@ -2,11 +2,13 @@
 
 ``eliminate`` is the innermost loop of the package's matrix work:
 exhaustive partition scans, intersection certificates, general-position
-and rank tests all bottom out in it.  ``ff_det`` and ``ff_solve`` (and the
-callers in ``tvpm.linalg``) only set up its input and read its result.
-The pivoting solver does not call it: Wolfe's method in ``tvpm.minnorm``
-updates its bordered systems in place, and separation runs on that
-method too.
+and rank tests all bottom out in it.  ``ff_solve`` is the package's one
+exact linear solve: it classifies and solves any m x n integer system
+from one elimination, and ``back_substitute`` is the one back
+substitution, which ``tvpm.core.common_point`` also runs on each part's
+triangular factor.  The pivoting solver does not call them: Wolfe's
+method in ``tvpm.minnorm`` updates its bordered systems in place, and
+separation runs on that method too.
 
 All matrices are row-major lists of Python ints.  Elimination uses the
 one-step fraction-free scheme: every 2x2 cross-multiplication is divided by
@@ -14,6 +16,8 @@ the previous pivot, and that division is always exact (the intermediate
 entries are minors of the input), which keeps entry growth polynomial
 instead of exponential.
 """
+
+from typing import NamedTuple
 
 
 def eliminate(a, ncols, width):
@@ -73,30 +77,59 @@ def ff_det(rows):
     return sign * a[n - 1][n - 1]
 
 
-def ff_solve(rows, rhs):
-    """Solve a square integer system A x = b exactly.
+class Solution(NamedTuple):
+    """``ff_solve``'s result: x = nums / den when den != 0, and the ranks
+    of A and of [A | b]."""
 
-    Returns ``(det, nums)`` with ``x[i] = nums[i] / det`` (det is the
-    determinant of A, nonzero), or ``None`` when A is singular.
+    den: int
+    nums: list
+    rank: int
+    rank_aug: int
+
+
+def back_substitute(upper, c):
+    """Integer x with U x = den * c, U the leading n x n block of
+    ``upper`` (n = len(c)) and den = U[n-1][n-1]; x overwrites the list
+    c, which is returned.
+
+    U is upper triangular with nonzero diagonal, as fraction-free
+    elimination leaves it, so den * U^-1 c is integral (Cramer) and every
+    division here is exact.
     """
-    n = len(rows)
+    n = len(c)
+    if n > 1:
+        den = upper[n - 1][n - 1]
+        for k in range(n - 2, -1, -1):
+            uk = upper[k]
+            v = c[k] * den
+            for j in range(k + 1, n):
+                v -= uk[j] * c[j]
+            c[k] = v // uk[k]
+    return c
+
+
+def ff_solve(rows, rhs):
+    """Classify and solve an m x n integer system A x = b exactly.
+
+    One elimination over [A | b] gives both ranks.  When the system is
+    consistent with full column rank, den != 0 and x = nums / den;
+    otherwise den = 0 and nums is None.  For square A, den is det A (0
+    when A is singular).
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [list(rows[i]) + [rhs[i]] for i in range(m)]
+    pivots, sign = eliminate(a, n + 1, n + 1)
+    rank_aug = len(pivots)
+    rank = rank_aug - (1 if pivots and pivots[-1] == n else 0)
+    if rank < rank_aug or rank < n:
+        return Solution(0, None, rank, rank_aug)
     if n == 0:
-        return 1, []
-    a = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    pivots, sign = eliminate(a, n, n + 1)
-    if len(pivots) < n:
-        return None
-    den = a[n - 1][n - 1]
-    # Back substitution scaled by the last pivot: nums[i] = den * x[i] is an
-    # integer (Cramer), and the division by the diagonal entry is exact.
-    nums = [0] * n
-    nums[n - 1] = a[n - 1][n]
-    for k in range(n - 2, -1, -1):
-        ak = a[k]
-        s = ak[n] * den
-        for j in range(k + 1, n):
-            s -= ak[j] * nums[j]
-        nums[k] = s // ak[k]
+        return Solution(1, [], 0, 0)
+    # Full column rank: echelon rows 0..n-1 are upper triangular; for
+    # square A their last pivot times sign is det A.
+    den = sign * a[n - 1][n - 1]
+    nums = back_substitute(a, [a[k][n] for k in range(n)])
     if sign < 0:
-        return -den, [-v for v in nums]
-    return den, nums
+        nums = [-v for v in nums]
+    return Solution(den, nums, rank, rank_aug)

@@ -4,9 +4,12 @@ Scalars are ``fractions.Fraction`` (always lowest terms, positive
 denominator) or ints.  Vectors are tuples, matrices are lists of row lists.
 The exact core scales rational data once, at the boundary, by the lcm D of
 its denominators (``denominator_lcm``, ``to_int``) and then runs on ints
-and the fraction-free elimination of ``tvpm.kernel``; uniform scaling changes
-a determinant by a known factor and changes neither rank nor the
-affine-invariant answers, so everything stays exact.
+and the fraction-free elimination of ``tvpm.kernel``, whose ``ff_solve``
+is the one exact linear solve; uniform scaling changes a determinant by a
+known factor and changes neither rank nor the affine-invariant answers, so
+everything stays exact.  Rationals stay at the edges: parsing, formatting,
+and the exact sums of rational points (``weighted_sum``) that ``verify``
+re-checks and that witness an overlap of two hulls.
 
 Rational literal syntax used on every interface of this package: "p" or
 "p/q" with decimal integers and q > 0.  No floating point anywhere.
@@ -55,20 +58,14 @@ def format_vec(v):
     return [format_rat(x) for x in v]
 
 
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vscale(c, v):
-    return tuple(c * a for a in v)
-
-
 def vdot(u, v):
     return sum(map(mul, u, v))
 
 
-def vzero(dim):
-    return (Fraction(0),) * dim
+def weighted_sum(weights, vectors):
+    """The vector sum of weights[i] * vectors[i]; ``weights`` is a
+    sequence and there is at least one vector."""
+    return tuple(sum(map(mul, weights, col)) for col in zip(*vectors))
 
 
 def tensor(u, b):
@@ -87,31 +84,6 @@ def to_int(vectors, scale):
     multiple of every denominator (see ``denominator_lcm``)."""
     return tuple(tuple(x.numerator * (scale // x.denominator) for x in v)
                  for v in vectors)
-
-
-def solve_system(rows, rhs):
-    """Classify and solve a rectangular integer system in one pass.
-
-    One fraction-free elimination over ``[rows | rhs]`` gives
-    ``(rank_m, rank_aug, x)``: the ranks of the matrix and of the
-    augmented matrix, and x, the solution as Fractions, when the system is
-    consistent with full column rank (None otherwise).
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    pivots, _ = eliminate(a, n + 1, n + 1)
-    rank_aug = len(pivots)
-    rank_m = rank_aug - (1 if pivots and pivots[-1] == n else 0)
-    if rank_m < rank_aug or rank_m < n:
-        return rank_m, rank_aug, None
-    # Full column rank: echelon rows 0..n-1 are upper triangular.
-    x = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        ak = a[k]
-        s = ak[n] - sum(ak[j] * x[j] for j in range(k + 1, n))
-        x[k] = s / Fraction(ak[k])
-    return rank_m, rank_aug, tuple(x)
 
 
 class HullFactor(NamedTuple):

@@ -35,7 +35,7 @@ from tvpm.core import (
     is_proper,
     make_certificate,
 )
-from tvpm.linalg import tensor, vadd, vdot, vscale, vzero
+from tvpm.linalg import tensor, vdot, weighted_sum
 from tvpm.minnorm import Corral, min_norm_point
 from tvpm.search import NotSeparated, check_separation
 
@@ -247,10 +247,6 @@ def recover(ls, choice, beta):
     parts = [[] for _ in range(r)]
     for i in range(n):
         parts[choice[i]].append(i)
-    unit, points = config.scaled
-    decoded = decode_weights(
-        d, choice, beta, ls.m_set,
-        [[(i, points[i]) for i in part] for part in parts], unit)
     if any(not part for part in parts):
         # All sums vanish; inside any part carrying weight, the positive
         # and the negated points average to the same point with the same
@@ -262,20 +258,24 @@ def recover(ls, choice, beta):
                 continue
             rw = {i: beta[i] for i in part if i not in ls.m_set and beta[i] > 0}
             assert sum(rw.values()) == scale
-            pt = vzero(d)
-            for i, w in mw.items():
-                pt = vadd(pt, vscale(w / scale, config.points[i]))
-            check = vzero(d)
-            for i, w in rw.items():
-                check = vadd(check, vscale(w / scale, config.points[i]))
+            mw = {i: w / scale for i, w in mw.items()}
+            rw = {i: w / scale for i, w in rw.items()}
+            pt = weighted_sum(list(mw.values()),
+                              [config.points[i] for i in mw])
+            check = weighted_sum(list(rw.values()),
+                                 [config.points[i] for i in rw])
             assert pt == check
             return SeparationViolated(
                 common_point=pt,
                 part=tuple(part),
-                m_weights={i: w / scale for i, w in mw.items()},
-                rest_weights={i: w / scale for i, w in rw.items()},
+                m_weights=mw,
+                rest_weights=rw,
             )
         raise AssertionError("an empty part implies a weighted overlap")
+    unit, points = config.scaled
+    decoded = decode_weights(
+        d, choice, beta, ls.m_set,
+        [[(i, points[i]) for i in part] for part in parts], unit)
     if isinstance(decoded, DegenerateGamma):
         return decoded
     alpha, z, gamma = decoded

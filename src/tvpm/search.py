@@ -6,7 +6,7 @@ with part sizes capped at d+1, exactly once, in a deterministic order
 their smallest element).  Brute-force scans over this stream serve as the
 independent oracle for the constructive solver: "not found" always means
 the whole stream was checked.  The scan reads each partition's sign
-pattern from per-part hull equations and one d x d integer solve
+pattern from per-part hull equations and one exact integer solve
 (``core.common_point``), and builds a certificate (through
 ``core.intersect_affine_hulls``, which reads the same routine) only for the
 partition it returns.
@@ -31,7 +31,7 @@ from math import gcd, lcm
 
 from tvpm.core import common_point, intersect_affine_hulls
 from tvpm.kernel import ff_solve
-from tvpm.linalg import vdot, vscale, vzero, vadd
+from tvpm.linalg import vdot, weighted_sum
 
 
 def proper_partitions(n, r, d):
@@ -83,10 +83,9 @@ def _radon_weights(points):
     """
     cols = [tuple(p) + (1,) for p in points]
     rows = [[c[k] for c in cols[:-1]] for k in range(len(cols[0]))]
-    got = ff_solve(rows, [-v for v in cols[-1]])
-    if got is None:
+    den, nums = ff_solve(rows, [-v for v in cols[-1]])[:2]
+    if not den:
         return None
-    den, nums = got
     lam = nums + [den]
     return None if 0 in lam else lam
 
@@ -211,7 +210,6 @@ def check_separation(config, m_set):
     rest = sorted(frozenset(range(config.n)) - m_set)
     if not m_idx or not rest:
         raise ValueError("m_set must be a nonempty proper subset")
-    d = config.d
     _, points = config.scaled
     pairs = [(i, j) for i in m_idx for j in rest]
     w, weights = min_norm_point(
@@ -224,9 +222,8 @@ def check_separation(config, m_set):
             i, j = pairs[k]
             lam[i] += v
             mu[j] += v
-        pt = vzero(d)
-        for i, v in lam.items():
-            pt = vadd(pt, vscale(v, config.points[i]))
+        pt = weighted_sum(list(lam.values()),
+                          [config.points[i] for i in lam])
         return NotSeparated(point=pt, m_weights=lam, rest_weights=mu)
     # <w, a_i - a_j> >= |w|^2 > 0 for every pair, so w points from the
     # rest to the m side; scale it to primitive integers.

@@ -37,10 +37,9 @@ def solve_linear(rows, rhs):
     aug = [tuple(row) + (b,) for row, b in zip(rows, rhs)]
     scale = denominator_lcm(aug)
     aug = to_int(aug, scale)
-    got = ff_solve([row[:n] for row in aug], [row[n] for row in aug])
-    if got is None:
+    den, nums = ff_solve([row[:n] for row in aug], [row[n] for row in aug])[:2]
+    if not den:
         return None
-    den, nums = got
     x = tuple(Fraction(v, den) for v in nums)
     return x, Fraction(den, scale ** n)
 
@@ -111,7 +110,8 @@ def block_intersection(config, partition):
     if rank_m < cols:
         return BlockIntersection("degenerate", None, None, det)
     # Rows 0..cols-1 are upper triangular; back substitution scaled by
-    # the last pivot stays in integers (Cramer), as in ``ff_solve``.
+    # the last pivot stays in integers (Cramer), as in
+    # ``kernel.back_substitute``.
     den = a[cols - 1][cols - 1]
     nums = [0] * cols
     for k in range(cols - 1, -1, -1):

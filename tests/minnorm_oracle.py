@@ -25,10 +25,9 @@ def _affine_weights(gram, support):
     k = len(support)
     rows = [[gram[s][t] for t in support] + [1] for s in support]
     rows.append([1] * k + [0])
-    got = ff_solve(rows, [0] * k + [1])
-    if got is None:
+    den, nums = ff_solve(rows, [0] * k + [1])[:2]
+    if not den:
         return None
-    den, nums = got
     if den < 0:
         return -den, [-v for v in nums[:k]]
     return den, nums[:k]

@@ -26,7 +26,7 @@ from tvpm.colored import (
     verify_colorful,
 )
 from tvpm.gen import general_position
-from tvpm.linalg import denominator_lcm, tensor, to_int, vadd, vzero
+from tvpm.linalg import denominator_lcm, tensor, to_int, weighted_sum
 from tvpm.sarkaria import DegenerateGamma, companion_simplex, pivot_to_origin
 
 from colored_oracle import permutation_lift
@@ -109,15 +109,12 @@ def test_permutation_lift_full_sum_vanishes():
     points = ((F(1),), (F(2),), (F(5),))
     vectors, sigmas = permutation_lift(points, False, vs)
     assert len(vectors) == 6
-    total = vzero(2)
-    for v in vectors:
-        total = vadd(total, v)
-    assert total == vzero(2)
+    total = weighted_sum([1] * len(vectors), vectors)
+    assert total == (0, 0)
     # independent recomputation straight from the definition
     for v, sigma in zip(vectors, sigmas):
-        u = vzero(2)
-        for j, z in enumerate(points):
-            u = vadd(u, tensor(z, vs[sigma[j]]))
+        u = weighted_sum([1] * len(points), [tensor(z, vs[sigma[j]])
+                                             for j, z in enumerate(points)])
         assert u == v
 
 

@@ -1,9 +1,12 @@
 """Intersections checked against the block-system oracle, certificates."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tvpm.core import (
     PointConfig,
@@ -197,6 +200,77 @@ def test_round_trip_property_random():
         assert res.kind == "point"
         ok, problems = verify_certificate(cfg, partition, res.cert)
         assert ok, problems
+
+
+@st.composite
+def lattice_partitions(draw):
+    """``(config, partition)``: n points of a small lattice in R^d split
+    into r parts of 1..d+1 points, so every n from r to r(d+1) occurs.
+
+    Lattice points make collinear and coplanar parts, and parts whose
+    hulls are parallel or nested.  In half the cases every part's hull
+    is built through one lattice point z: a part's last point is chosen so
+    that z is an affine combination of the part with weights from
+    {-1, 1, 2}, and the first singleton part is z itself.  Those
+    partitions meet in z at every size, not only at (r-1)(d+1)+1.
+    """
+    d = draw(st.integers(1, 3))
+    r = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(1, d + 1), min_size=r, max_size=r))
+    n = sum(sizes)
+    vec = st.tuples(*[st.integers(-3, 3)] * d)
+    if draw(st.booleans()):
+        z = draw(vec)
+        pts = []
+        for s in sizes:
+            if s == 1:
+                pts.append(z if z not in pts else draw(vec))
+                continue
+            qs = draw(st.lists(vec, min_size=s - 1, max_size=s - 1))
+            ws = draw(st.lists(st.sampled_from((-1, 1, 2)),
+                               min_size=s - 1, max_size=s - 1))
+            total = sum(ws) + 1
+            assume(total != 0)
+            pts += qs
+            pts.append(tuple(total * zc - sum(w * q[c] for w, q in zip(ws, qs))
+                             for c, zc in enumerate(z)))
+        assume(len(set(pts)) == n)
+    else:
+        pts = draw(st.lists(vec, min_size=n, max_size=n, unique=True))
+    # the k-th drawn point gets index order[k]
+    order = draw(st.permutations(range(n)))
+    points = [None] * n
+    for k, i in enumerate(order):
+        points[i] = pts[k]
+    bounds = [sum(sizes[:j]) for j in range(r + 1)]
+    partition = tuple(tuple(order[k] for k in range(bounds[j], bounds[j + 1]))
+                      for j in range(r))
+    return PointConfig(d=d, r=r, points=tuple(points)), partition
+
+
+def test_intersection_matches_block_system_at_every_size():
+    """``intersect_affine_hulls`` gives the block-system oracle's kind,
+    alpha and z for every partition size, and the off-size partitions
+    that meet in one point are among the examples."""
+    seen = Counter()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=lattice_partitions())
+    def check(case):
+        cfg, partition = case
+        res = intersect_affine_hulls(cfg, partition)
+        block = block_intersection(cfg, partition)
+        assert res.kind == block.kind
+        if res.kind == "point":
+            assert res.cert.alpha == block.alpha
+            assert res.cert.z == block.z
+        else:
+            assert res.cert is None
+        seen[res.kind, cfg.is_full] += 1
+
+    check()
+    assert seen["point", False] >= 20, seen
+    assert seen["empty", False] and seen["degenerate", False], seen
 
 
 def test_singleton_part_coefficient_is_one():

@@ -74,27 +74,31 @@ def test_det_matches_cofactor_oracle():
 def test_solve_round_trip():
     rng = random.Random(23)
     solved = 0
+    singular = 0
     for trial in range(200):
         n = rng.randint(1, 6)
         a = random_matrix(rng, n, n)
         b = [rng.randint(-9, 9) for _ in range(n)]
-        got = ff_solve(a, b)
-        if got is None:
-            assert ff_det(a) == 0
+        den, nums, rank, rank_aug = ff_solve(a, b)
+        if nums is None:
+            assert den == 0 == ff_det(a)
+            assert rank < n
+            singular += 1
             continue
-        den, nums = got
         assert den == ff_det(a) != 0
+        assert rank == rank_aug == n
         x = [Fraction(v, den) for v in nums]
         for i in range(n):
             assert sum(a[i][j] * x[j] for j in range(n)) == b[i]
         solved += 1
-    assert solved > 150
+    assert solved > 150 and singular > 0
 
 
 def test_solve_singular():
-    assert ff_solve([[1, 2], [2, 4]], [1, 1]) is None
-    assert ff_solve([[0]], [1]) is None
-    assert ff_solve([], []) == (1, [])
+    assert ff_solve([[1, 2], [2, 4]], [1, 1]) == (0, None, 1, 2)
+    assert ff_solve([[1, 2], [2, 4]], [1, 2]) == (0, None, 1, 1)
+    assert ff_solve([[0]], [1]) == (0, None, 0, 1)
+    assert ff_solve([], []) == (1, [], 0, 0)
 
 
 def test_rank_known_and_oracle():

@@ -9,11 +9,12 @@ import pytest
 from tvpm import linalg
 from tvpm.core import PointConfig, intersect_affine_hulls
 from tvpm.linalg import (
+    ff_solve,
     format_rat,
     hull_factor,
     parse_rat,
-    solve_system,
     tensor,
+    weighted_sum,
 )
 from tvpm.search import proper_partitions
 
@@ -164,9 +165,19 @@ def test_tensor_is_bilinear_outer_product():
         for i in range(p):
             for j in range(q):
                 assert t[i * q + j] == u1[i] * b[j]
-        left = tensor(linalg.vadd(u1, u2), b)
-        right = linalg.vadd(tensor(u1, b), tensor(u2, b))
+        left = tensor(weighted_sum([1, 1], [u1, u2]), b)
+        right = weighted_sum([1, 1], [tensor(u1, b), tensor(u2, b)])
         assert left == right
+
+
+def solve_system(rows, rhs):
+    """``(rank, rank_aug, x)`` from ``ff_solve``: x = nums / den as
+    Fractions when den != 0, else None (and then den must be 0)."""
+    den, nums, rank, rank_aug = ff_solve(rows, rhs)
+    if nums is None:
+        assert den == 0
+        return rank, rank_aug, None
+    return rank, rank_aug, tuple(F(v, den) for v in nums)
 
 
 def test_solve_system_classification():

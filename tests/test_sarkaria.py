@@ -12,7 +12,7 @@ from tvpm.core import PointConfig, intersect_affine_hulls, verify_certificate
 from tvpm import kernel, linalg, minnorm, sarkaria
 from tvpm.colored import PermutationColor
 from tvpm.gen import example2, random_config, separated_subset
-from tvpm.linalg import denominator_lcm, to_int, vadd, vdot, vzero
+from tvpm.linalg import denominator_lcm, to_int, vdot, weighted_sum
 from tvpm.sarkaria import (
     DegenerateGamma,
     PMCertificate,
@@ -43,10 +43,8 @@ def test_companion_simplex_small():
 def test_companion_simplex_unique_dependence():
     for r in (2, 3, 4, 5):
         vs = companion_simplex(r)
-        total = vzero(r - 1)
-        for v in vs:
-            total = vadd(total, v)
-        assert total == vzero(r - 1)
+        total = weighted_sum([1] * r, vs)
+        assert total == (0,) * (r - 1)
         # dropping any one vector leaves a linearly independent family
         for skip in range(r):
             rest = [list(v) for i, v in enumerate(vs) if i != skip]
@@ -79,11 +77,10 @@ def test_lift_uniform_average_is_origin():
         ls = lift(cfg, separated_subset(cfg, r - 1, seed))
         for s in ls.sets:
             assert len(s) == r
-            total = vzero(cfg.n - 1)
             for v in s:
                 assert len(v) == cfg.n - 1
-                total = vadd(total, v)
-            assert total == vzero(cfg.n - 1)
+            total = weighted_sum([1] * r, s)
+            assert total == (0,) * (cfg.n - 1)
 
 
 def test_pivot_two_interval_colors():

@@ -14,7 +14,7 @@ from tvpm.core import (
     verify_certificate,
 )
 from tvpm.gen import example1, random_config
-from tvpm.linalg import vadd, vdot, vscale
+from tvpm.linalg import vdot, weighted_sum
 from tvpm.search import (
     NotSeparated,
     Separated,
@@ -218,11 +218,13 @@ def test_separation_hulls_touching_in_one_point(d, data):
     b = (a + 1) % d
     v = [0] * d
     v[a], v[b] = -n[b], n[a]
-    v = vscale(data.draw(st.integers(1, 2)), v)
+    v = weighted_sum([data.draw(st.integers(1, 2))], [v])
     offsets = data.draw(st.lists(vec, max_size=6, unique=True))
-    m_pts = [c] + [vadd(c, o) for o in offsets if vdot(n, o) > 0]
-    rest_pts = [vadd(c, v), vadd(c, vscale(-1, v))] + [
-        vadd(c, o) for o in offsets if vdot(n, o) < 0]
+    m_pts = [c] + [weighted_sum([1, 1], [c, o])
+                   for o in offsets if vdot(n, o) > 0]
+    rest_pts = [weighted_sum([1, 1], [c, v]),
+                weighted_sum([1, -1], [c, v])] + [
+        weighted_sum([1, 1], [c, o]) for o in offsets if vdot(n, o) < 0]
     pts = data.draw(st.permutations(m_pts + rest_pts))
     cfg = PointConfig(d=d, r=2, points=pts)
     m_set = {pts.index(p) for p in m_pts}
