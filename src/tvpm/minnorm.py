@@ -1,16 +1,17 @@
-"""Exact minimum-norm point in a convex hull of rational points.
+"""Exact minimum-norm point in a convex hull of integer points.
 
 Active-set (Wolfe-style) method over corrals: affinely independent
-subsets whose affine minimizer has strictly positive weights.  The input
-is scaled once to integer points; the method then runs on their integer
-Gram matrix alone.  The current point is x = sum lam[i] * p_i / q with
-integer lam and one denominator q, so every inner product <x, p_i> and
-every norm comparison is an integer operation.  The affine minimizer of
-the support is read from the integer adjugate and determinant of its
-bordered Gram matrix, which are updated in O(k^2) exact steps as the
-support gains or loses one point (Bareiss 1968) instead of being solved
-afresh.  The result is the exact closest point to the origin, together
-with its convex weights; uniform scaling leaves the weights unchanged.
+subsets whose affine minimizer has strictly positive weights.  Callers
+scale rational input once to integer points (``PointConfig.scaled``, the
+lift); the method then runs on their integer Gram matrix (``gram``)
+alone.  The current point is x = sum lam[i] * p_i / q with integer lam
+and one denominator q, so every inner product <x, p_i> and every norm
+comparison is an integer operation.  The affine minimizer of the support
+is read from the integer adjugate and determinant of its bordered Gram
+matrix, which are updated in O(k^2) exact steps as the support gains or
+loses one point (Bareiss 1968) instead of being solved afresh.  The
+result is the exact closest point to the origin, as its integer weights;
+uniform scaling leaves them unchanged.
 
 A ``Corral`` holds that state between calls: the bordered system, the
 weights lam and q, and the integers v and nsq that the last major cycle
@@ -21,14 +22,14 @@ entries, and the next call starts from the previous point instead of
 rebuilding its support one update at a time (Wolfe 1976).
 """
 
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from tvpm.linalg import denominator_lcm, to_int, vdot
+from tvpm.linalg import vdot
 
 
-def _gram(points):
+def gram(points):
+    """The Gram matrix [<p, q>] of the points, as lists."""
     return [[vdot(p, q) for q in points] for p in points]
 
 
@@ -95,20 +96,13 @@ class _Bordered:
         return self.det, nums
 
 
-def _point(lam, q, points, scale):
-    # sum lam[i] * points[i] / (q * scale) as a Fraction tuple.
-    dim = len(points[0])
-    den = q * scale
-    return tuple(
-        Fraction(sum(w * points[i][c] for i, w in lam.items()), den)
-        for c in range(dim))
-
-
 class Corral:
-    """Wolfe's method's state between calls: the support's bordered system
-    ``border`` (``_Bordered``), the current point x = sum lam[s] p_s / q
-    over it, and, after a call, v[i] = q <x, p_i> for every point and nsq
-    = q^2 |x|^2, the integers its last major cycle tested optimality with.
+    """Wolfe's method's state between calls over the integer Gram matrix
+    ``gram`` (``gram(points)``): the support's bordered system ``border``
+    (``_Bordered``), the current point x = sum lam[s] p_s / q over it, and,
+    after a ``min_norm_point`` call, v[i] = q <x, p_i> for every point and
+    nsq = q^2 |x|^2, the integers its last major cycle tested optimality
+    with.  A fresh corral starts at the point of least norm.
 
     The bordered system reads only the Gram entries of the support, so a
     caller may replace any point off the support, row and column of
@@ -117,43 +111,21 @@ class Corral:
     """
 
     def __init__(self, gram):
+        if not gram:
+            raise ValueError("need at least one point")
         start = min(range(len(gram)), key=lambda i: (gram[i][i], i))
         self.border = _Bordered(gram, start)
         self.lam = {start: 1}
         self.q = 1
         self.v = self.nsq = None
 
-    def weights(self):
-        """The convex weights {point index: positive Fraction} of x."""
-        return {s: Fraction(x, self.q) for s, x in self.lam.items()}
 
-
-def min_norm_point(points, corral=None):
-    """Exact minimum-norm point of conv(points).
-
-    Without ``corral``, returns ``(w, weights)`` where weights is a dict
-    {point index: positive Fraction} over an affinely independent support
-    with sum(weights) = 1 and w = sum weights[i] * points[i].  With
-    ``corral``, a ``Corral`` over the Gram matrix of ``points`` (integer
-    vectors), left by an earlier call or fresh, the run starts from it,
-    leaves its final state there and returns nothing: a caller that reads
-    the integers lam, q, v and nsq builds no Fraction point.
+def min_norm_point(corral):
+    """Run Wolfe's method from the corral's state to the exact minimum-norm
+    point of the integer points of its Gram matrix, and leave it there:
+    x = sum lam[s] p_s / q, v and nsq.  Returns None; the caller reads
+    the integers lam, q, v and nsq and builds no rational point.
     """
-    if not points:
-        raise ValueError("need at least one point")
-    if corral is not None:
-        _wolfe(corral)
-        return None
-    scale = denominator_lcm(points)
-    points = to_int(points, scale)
-    corral = Corral(_gram(points))
-    _wolfe(corral)
-    return _point(corral.lam, corral.q, points, scale), corral.weights()
-
-
-def _wolfe(corral):
-    # Wolfe's major and minor cycles from the corral's state to the
-    # minimum-norm point of the points of its Gram matrix.
     border = corral.border
     gram = border.gram
     support = border.support  # grown and shrunk by border's updates

@@ -9,8 +9,9 @@ R^{n-1} whose convex hull contains the origin:
   2. ``lift``: each point a_i becomes the colour {v_j (x) b_i} where
      b_i = (D a_i, D), negated exactly on the prescribed index set, so the
      origin is the uniform average of every colour.  D, the lcm of the
-     coordinate denominators, makes every lifted vector integral; it
-     scales all of them alike, so pivot choices and weights do not change.
+     coordinate denominators (``config.scaled``), makes every lifted
+     vector integral; it scales all of them alike, so pivot choices and
+     weights do not change, and the trace divides it out.
   3. ``pivot_to_origin``, from the start j(i) = i mod r: pivoting on the
      exact minimum-norm point w of the current transversal.  While w is
      nonzero, every current point has <w, p> >= |w|^2; the smallest color
@@ -18,15 +19,17 @@ R^{n-1} whose convex hull contains the origin:
      weight zero) is swapped to its most-opposed element, which strictly
      shrinks the norm (Barany-Onn 1997).  The rule reads only w, which is
      unique.  The swapped color is off the support, so Wolfe's method
-     resumes from the previous pivot's corral instead of restarting.
-  4. ``recover``: reading the partition off the chosen tensor factors and
+     (``minnorm.min_norm_point``) resumes from the previous pivot's corral
+     instead of restarting, and w = y / q is read from its integers.
+  4. ``recover``, from the configuration, the prescribed set and the
+     transversal: reading the partition off the chosen tensor factors and
      unscaling the weights by the common per-part coefficient sum gamma;
      the sign of gamma selects which of the two sign alternatives was
      realized, and an empty part yields an exact witness that the
      prescribed set was not separated.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
@@ -36,7 +39,7 @@ from tvpm.core import (
     make_certificate,
 )
 from tvpm.linalg import tensor, vdot, weighted_sum
-from tvpm.minnorm import Corral, min_norm_point
+from tvpm.minnorm import Corral, gram, min_norm_point
 from tvpm.search import NotSeparated, check_separation
 
 
@@ -50,14 +53,6 @@ def companion_simplex(r):
         vecs.append(tuple(1 if t == j else 0 for t in range(r - 1)))
     vecs.append((-1,) * (r - 1))
     return tuple(vecs)
-
-
-@dataclass(frozen=True)
-class LiftedSystem:
-    sets: tuple  # n LiftColors, each r int vectors in Z^{n-1}
-    m_set: frozenset
-    config: object
-    scale: int = 1  # the sets are scale times the lift of (a_i, 1)
 
 
 class LiftColor(tuple):
@@ -77,7 +72,9 @@ class LiftColor(tuple):
 
 
 def lift(config, m_set):
-    """Tensor lift of a full-size configuration with signs on m_set."""
+    """Tensor lift of a full-size configuration with signs on m_set: n
+    ``LiftColor``s, each r int vectors in Z^{n-1}, scale times the lift
+    of (a_i, 1) with ``scale, _ = config.scaled``."""
     if not config.is_full:
         raise ValueError("lift needs n = (r-1)(d+1)+1 points")
     m_set = frozenset(m_set)
@@ -92,8 +89,7 @@ def lift(config, m_set):
             b = tuple(-x for x in b)
         sets.append(LiftColor(tensor(v, b) for v in vs))
     assert all(len(s[0]) == config.n - 1 for s in sets)
-    return LiftedSystem(sets=tuple(sets), m_set=m_set, config=config,
-                        scale=scale)
+    return tuple(sets)
 
 
 def pivot_to_origin(sets, init_choice, trace=None, scale=1):
@@ -109,10 +105,12 @@ def pivot_to_origin(sets, init_choice, trace=None, scale=1):
     A set is a colour: an integral indexable set with
     ``most_opposed(y)``, which returns ``(index, vector, <y, vector>)``
     for its first vector of least inner product with y (``LiftColor``,
-    ``colored.PermutationColor``).  The Gram matrix of the transversal is
-    kept across pivots, one row and column per swap, and so is one
-    ``minnorm.Corral`` over it: each pivot calls ``min_norm_point`` once,
-    starting from the previous pivot's support and weights.  The swapped
+    ``colored.PermutationColor``).  The Gram matrix of the transversal
+    (``minnorm.gram``) is kept across pivots, one row and column per swap,
+    and so is one ``minnorm.Corral`` over it: each pivot calls
+    ``min_norm_point`` once, starting from the previous pivot's support
+    and weights, and reads w = y / q with y = sum lam[i] p_i from the
+    corral's integer weights lam and denominator q.  The swapped
     color is the smallest one whose point has <w, p> > |w|^2, read from
     the integers the corral already holds, and only when no color lies
     off that hyperplane the smallest one of weight zero.  Either way it is
@@ -123,17 +121,15 @@ def pivot_to_origin(sets, init_choice, trace=None, scale=1):
     ncolors = len(sets)
     choice = list(init_choice)
     current = [sets[i][choice[i]] for i in range(ncolors)]
-    gram = [[vdot(p, q) for q in current] for p in current]
-    corral = Corral(gram)
+    matrix = gram(current)
+    corral = Corral(matrix)
     prev = None  # (q^2 |w|^2, q^2) of the previous pivot
     step = 0
     while True:
-        min_norm_point(current, corral)
+        min_norm_point(corral)
         # w = y / q with integer y; v[i] = <y, p_i> and nsq = |y|^2.
         lam, q, v, nsq = corral.lam, corral.q, corral.v, corral.nsq
-        y = [0] * len(current[0])
-        for i, c in lam.items():
-            y = [a + c * b for a, b in zip(y, current[i])]
+        y = weighted_sum(list(lam.values()), [current[i] for i in lam])
         if trace is not None:
             den = q * scale
             trace(step, tuple(choice), tuple(Fraction(c, den) for c in y),
@@ -168,9 +164,9 @@ def pivot_to_origin(sets, init_choice, trace=None, scale=1):
         choice[i0] = best_j
         current[i0] = p
         row = [vdot(p, q) for q in current]
-        gram[i0] = row
+        matrix[i0] = row
         for k in range(ncolors):
-            gram[k][i0] = row[k]
+            matrix[k][i0] = row[k]
         step += 1
 
 
@@ -232,9 +228,9 @@ def decode_weights(d, choice, beta, m_set, parts, scale):
     return alpha, z, Fraction(top, q * scale)
 
 
-def recover(ls, choice, beta):
+def recover(config, m_set, choice, beta):
     """Decode a zero transversal, ``pivot_to_origin``'s ``(choice,
-    beta)``, into a partition certificate.
+    beta)`` on ``lift(config, m_set)``, into a partition certificate.
 
     The per-part sums sum_{i in part} eps_i beta_i (a_i, 1) agree across
     parts; their last coordinate is gamma (``decode_weights``).  gamma > 0
@@ -242,7 +238,6 @@ def recover(ls, choice, beta):
     surfaced as degenerate.  An empty part forces all sums to vanish and
     yields an exact common point of the two hulls instead.
     """
-    config = ls.config
     n, d, r = config.n, config.d, config.r
     parts = [[] for _ in range(r)]
     for i in range(n):
@@ -252,11 +247,11 @@ def recover(ls, choice, beta):
         # and the negated points average to the same point with the same
         # total weight, exhibiting a common point of the two hulls.
         for part in parts:
-            mw = {i: beta[i] for i in part if i in ls.m_set and beta[i] > 0}
+            mw = {i: beta[i] for i in part if i in m_set and beta[i] > 0}
             scale = sum(mw.values())
             if scale == 0:
                 continue
-            rw = {i: beta[i] for i in part if i not in ls.m_set and beta[i] > 0}
+            rw = {i: beta[i] for i in part if i not in m_set and beta[i] > 0}
             assert sum(rw.values()) == scale
             mw = {i: w / scale for i, w in mw.items()}
             rw = {i: w / scale for i, w in rw.items()}
@@ -274,7 +269,7 @@ def recover(ls, choice, beta):
         raise AssertionError("an empty part implies a weighted overlap")
     unit, points = config.scaled
     decoded = decode_weights(
-        d, choice, beta, ls.m_set,
+        d, choice, beta, m_set,
         [[(i, points[i]) for i in part] for part in parts], unit)
     if isinstance(decoded, DegenerateGamma):
         return decoded
@@ -302,17 +297,10 @@ def tverberg_pm(config, m_set, check_sep=True, trace=None):
     if check_sep and m_set and m_set < frozenset(range(config.n)):
         sep = check_separation(config, m_set)
         warning = isinstance(sep, NotSeparated)
-    ls = lift(config, m_set)
     choice, weights = pivot_to_origin(
-        ls.sets, [i % config.r for i in range(config.n)], trace=trace,
-        scale=ls.scale)
-    result = recover(ls, choice, weights)
+        lift(config, m_set), [i % config.r for i in range(config.n)],
+        trace=trace, scale=config.scaled[0])
+    result = recover(config, m_set, choice, weights)
     if isinstance(result, PMCertificate):
-        return PMCertificate(
-            partition=result.partition,
-            cert=result.cert,
-            alternative=result.alternative,
-            proper=result.proper,
-            separation_warning=warning,
-        )
+        return replace(result, separation_warning=warning)
     return result

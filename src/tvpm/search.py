@@ -27,7 +27,7 @@ separating hyperplane.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from tvpm.core import common_point, intersect_affine_hulls
 from tvpm.kernel import ff_solve
@@ -193,15 +193,16 @@ def check_separation(config, m_set):
     """Decide whether conv(m_set points) and conv(the rest) are disjoint.
 
     The two hulls meet exactly when the origin lies in the hull of the
-    differences a_i - a_j (i in m_set, j not), so one exact nearest-point
-    computation (``minnorm.min_norm_point``) over those differences
-    decides it.  Separated: the nearest point w is nonzero, and w scaled to
-    primitive integers is the max-margin normal, with <normal, x> > offset
-    strictly on the m side and < offset strictly on the other side.
-    NotSeparated: w = 0, and summing the pair weights per side gives an
-    exact common point with convex weights for both hulls.
+    differences a_i - a_j (i in m_set, j not) of the scaled points, so one
+    exact nearest-point computation (``minnorm.min_norm_point``) decides
+    it; it leaves the nearest point as y / q, y = sum lam[k] diffs[k].
+    Separated: y is nonzero, and y over the gcd of its entries is the
+    max-margin normal, with <normal, x> > offset strictly on the m side
+    and < offset strictly on the other side.  NotSeparated: y = 0, and
+    summing the pair weights lam[k] / q per side gives an exact common
+    point with convex weights for both hulls.
     """
-    from tvpm.minnorm import min_norm_point
+    from tvpm.minnorm import Corral, gram, min_norm_point
 
     m_set = frozenset(m_set)
     if not m_set <= frozenset(range(config.n)):
@@ -212,25 +213,25 @@ def check_separation(config, m_set):
         raise ValueError("m_set must be a nonempty proper subset")
     _, points = config.scaled
     pairs = [(i, j) for i in m_idx for j in rest]
-    w, weights = min_norm_point(
-        [tuple(a - b for a, b in zip(points[i], points[j]))
-         for i, j in pairs])
-    if not any(w):
-        lam = {i: Fraction(0) for i in m_idx}
-        mu = {j: Fraction(0) for j in rest}
-        for k, v in weights.items():
+    diffs = [tuple(a - b for a, b in zip(points[i], points[j]))
+             for i, j in pairs]
+    corral = Corral(gram(diffs))
+    min_norm_point(corral)
+    lam, q = corral.lam, corral.q
+    if corral.nsq == 0:
+        mw = {i: Fraction(0) for i in m_idx}
+        rw = {j: Fraction(0) for j in rest}
+        for k, c in lam.items():
             i, j = pairs[k]
-            lam[i] += v
-            mu[j] += v
-        pt = weighted_sum(list(lam.values()),
-                          [config.points[i] for i in lam])
-        return NotSeparated(point=pt, m_weights=lam, rest_weights=mu)
-    # <w, a_i - a_j> >= |w|^2 > 0 for every pair, so w points from the
+            mw[i] += Fraction(c, q)
+            rw[j] += Fraction(c, q)
+        pt = weighted_sum(list(mw.values()), [config.points[i] for i in mw])
+        return NotSeparated(point=pt, m_weights=mw, rest_weights=rw)
+    # <y, a_i - a_j> >= |y|^2 / q > 0 for every pair, so y points from the
     # rest to the m side; scale it to primitive integers.
-    mult = lcm(*(x.denominator for x in w))
-    ints = [int(x * mult) for x in w]
-    g = gcd(*ints)
-    normal = tuple(Fraction(v, g) for v in ints)
+    y = weighted_sum(list(lam.values()), [diffs[k] for k in lam])
+    g = gcd(*y)
+    normal = tuple(Fraction(v, g) for v in y)
     lo = min(vdot(normal, config.points[i]) for i in m_idx)
     hi = max(vdot(normal, config.points[j]) for j in rest)
     if not hi < lo:

@@ -3,17 +3,18 @@
 ``min_norm_point_naive`` projects onto every affinely independent subset
 (``affine_minimizer``) and keeps the best hull-feasible candidate; it is
 exponential and exists only as the independent check of
-``tvpm.minnorm.min_norm_point``.  ``_affine_weights`` solves each bordered
-Gram system afresh, the reference for the incremental adjugate updates
-inside ``min_norm_point``.
+``tvpm.minnorm.min_norm_point``, which ``min_norm_point_scaled`` runs on
+rational points.  ``_affine_weights`` solves each bordered Gram system
+afresh, the reference for the incremental adjugate updates inside
+``min_norm_point``.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from tvpm.kernel import ff_solve
-from tvpm.linalg import denominator_lcm, to_int, vdot
-from tvpm.minnorm import _gram, _point
+from tvpm.linalg import denominator_lcm, to_int, vdot, weighted_sum
+from tvpm.minnorm import Corral, gram, min_norm_point
 
 
 def _affine_weights(gram, support):
@@ -39,14 +40,28 @@ def affine_minimizer(points):
     Returns ``(x, weights)`` with weights summing to 1 (signs free), or
     None when the points are affinely dependent.
     """
-    scale = denominator_lcm(points)
-    ints = to_int(points, scale)
-    got = _affine_weights(_gram(ints), range(len(ints)))
+    ints = to_int(points, denominator_lcm(points))
+    got = _affine_weights(gram(ints), range(len(ints)))
     if got is None:
         return None
     den, nums = got
-    x = _point(dict(enumerate(nums)), den, ints, scale)
-    return x, tuple(Fraction(v, den) for v in nums)
+    weights = tuple(Fraction(v, den) for v in nums)
+    return weighted_sum(weights, points), weights
+
+
+def min_norm_point_scaled(points):
+    """The library's ``min_norm_point`` on rational points: run on the
+    points times D, the lcm of their denominators, and read back as ``(w,
+    weights)``, with w = y / (q D) for y = sum lam[i] * D points[i], and
+    weights {point index: lam[i] / q}, positive and summing to 1."""
+    scale = denominator_lcm(points)
+    ints = to_int(points, scale)
+    corral = Corral(gram(ints))
+    min_norm_point(corral)
+    lam, q = corral.lam, corral.q
+    y = weighted_sum(list(lam.values()), [ints[i] for i in lam])
+    return (tuple(Fraction(c, q * scale) for c in y),
+            {i: Fraction(c, q) for i, c in lam.items()})
 
 
 def min_norm_point_naive(points):

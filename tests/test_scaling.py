@@ -7,9 +7,9 @@
 - Scaling a configuration by an integer leaves the solver's partition,
   alpha and negatives unchanged; translating it as well leaves alpha and
   the negatives of that partition unchanged.
-- ``min_norm_point`` on non-integer rational input, and ``pivot_to_origin``
-  on its integer scaling by D with the trace unscaled by D, agree with the
-  subset oracle on the rational points.
+- ``min_norm_point`` and ``pivot_to_origin`` on the integer scaling by D of
+  non-integer rational input, with w and the trace unscaled by D, agree
+  with the subset oracle on the rational points.
 """
 
 import random
@@ -27,7 +27,7 @@ from tvpm.linalg import denominator_lcm, to_int, vdot
 from tvpm.minnorm import Corral, min_norm_point
 from tvpm.sarkaria import PMCertificate, pivot_to_origin, tverberg_pm
 
-from minnorm_oracle import min_norm_point_naive
+from minnorm_oracle import min_norm_point_naive, min_norm_point_scaled
 from pivot_oracle import VectorColor
 
 F = Fraction
@@ -108,18 +108,19 @@ def test_min_norm_point_rational_input_matches_oracle():
     rng = random.Random(41)
     for _ in range(80):
         pts = rational_points(rng, rng.randint(1, 6), rng.randint(1, 4))
-        w, wts = min_norm_point(pts)
+        # w = y / (q D), read from the run on the points times D
+        w, wts = min_norm_point_scaled(pts)
         assert w == min_norm_point_naive(pts)[0]
         assert sum(wts.values()) == 1 and all(v > 0 for v in wts.values())
         assert w == tuple(sum(v * pts[i][c] for i, v in wts.items())
                           for c in range(len(w)))
-        # the integer path from a corral over a given Gram matrix: same
+        # the integer run from a corral over a given Gram matrix: same
         # weights, and w * D = y / q with y = sum lam[i] * ints[i]
         scale = denominator_lcm(pts)
         ints = to_int(pts, scale)
         corral = Corral([[vdot(p, q) for q in ints] for p in ints])
-        assert min_norm_point(ints, corral) is None
-        assert corral.weights() == wts
+        assert min_norm_point(corral) is None
+        assert {i: F(x, corral.q) for i, x in corral.lam.items()} == wts
         y = [sum(x * ints[i][c] for i, x in corral.lam.items())
              for c in range(len(w))]
         assert [F(a, corral.q) for a in y] == [scale * x for x in w]

@@ -1,6 +1,7 @@
 """Partition enumeration, brute-force search, spectrum, separation."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from tvpm.search import (
 )
 
 from linalg_oracle import block_intersection
+from minnorm_oracle import min_norm_point_naive
 from radon_oracle import radon_top
 
 F = Fraction
@@ -169,6 +171,18 @@ def _assert_separation_sound(cfg, m_set, res):
             assert vdot(res.normal, cfg.points[i]) > res.offset
         for j in rest:
             assert vdot(res.normal, cfg.points[j]) < res.offset
+        # primitive integers, along the nearest point of the hull of the
+        # differences (the subset oracle, on small pair counts)
+        assert all(x.denominator == 1 for x in res.normal)
+        assert gcd(*(x.numerator for x in res.normal)) == 1
+        if len(m_set) * len(rest) <= 8:
+            w = min_norm_point_naive(
+                [tuple(a - b for a, b in zip(cfg.points[i], cfg.points[j]))
+                 for i in sorted(m_set) for j in sorted(rest)])[0]
+            t = next(t for t, x in enumerate(w) if x)
+            c = res.normal[t] / w[t]
+            assert c > 0
+            assert res.normal == tuple(c * x for x in w)
     else:
         for weights, side in ((res.m_weights, m_set),
                               (res.rest_weights, rest)):
