@@ -12,6 +12,7 @@ traceback.  A stdout whose reader has gone also exits 3, with an
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -218,6 +219,23 @@ def cmd_colored(args):
     return EXIT_OK
 
 
+def _separation_problems(config, m_set, warning):
+    """Problems with a solve certificate's ``separation_warning`` claim,
+    which is true exactly when conv(m) and conv(rest) meet
+    (``search.check_separation``)."""
+    if not isinstance(warning, bool):
+        raise ValueError("'separation_warning' must be true or false")
+    if not m_set or not m_set < frozenset(range(config.n)):
+        return ["separation_warning needs m to be a nonempty proper subset"
+                " of the indices"]
+    meet = isinstance(search.check_separation(config, m_set),
+                      search.NotSeparated)
+    if meet != warning:
+        return ["separation_warning is %s but the hulls of m and the rest %s"
+                % (str(warning).lower(), "meet" if meet else "are disjoint")]
+    return []
+
+
 def cmd_verify(args):
     cert_obj = _read_json(args.cert)
     input_obj = _read_json(args.input)
@@ -242,6 +260,10 @@ def cmd_verify(args):
             cert, partition, alternative = core.certificate_from_json(cert_obj)
             ok, problems = core.verify_certificate(
                 config, partition, cert, alternative, m_set, proper)
+            if "separation_warning" in cert_obj:
+                problems += _separation_problems(
+                    config, m_set, cert_obj["separation_warning"])
+                ok = not problems
     except ValueError as e:
         raise UsageError(str(e))
     if ok:
@@ -305,7 +327,11 @@ def cmd_batch(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and then reused (a
+    build costs more than twenty parses).  It holds no command function:
+    ``main`` looks up ``cmd_<subcommand>`` on every call."""
     p = argparse.ArgumentParser(
         prog="tvpm",
         description="Exact Tverberg partitions with prescribed signs.")
@@ -316,7 +342,6 @@ def build_parser():
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_gen)
 
     sp = sub.add_parser("example", help="cluster-built instances")
     sp.add_argument("--kind", type=int, choices=(1, 2), required=True)
@@ -325,7 +350,6 @@ def build_parser():
     sp.add_argument("--eps", default="1/100")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_example)
 
     sp = sub.add_parser("solve", help="constructive solver")
     sp.add_argument("--input", default="-")
@@ -334,35 +358,29 @@ def build_parser():
     sp.add_argument("--no-separation-check", action="store_true")
     sp.add_argument("--trace", action="store_true",
                     help="per-pivot JSON lines on stderr")
-    sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("search", help="exhaustive scan")
     sp.add_argument("--input", default="-")
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--prescribe", default=None)
-    sp.set_defaults(func=cmd_search)
 
     sp = sub.add_parser("spectrum", help="achievable negative counts, r=2")
     sp.add_argument("--input", default="-")
-    sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("separation", help="hull disjointness test")
     sp.add_argument("--input", default="-")
     sp.add_argument("--m", default=None)
-    sp.set_defaults(func=cmd_separation)
 
     sp = sub.add_parser("colored", help="per-class solver")
     sp.add_argument("--input", default="-")
     sp.add_argument("--m", default=None,
                     help="class indices; default: input's m")
     sp.add_argument("--trace", action="store_true")
-    sp.set_defaults(func=cmd_colored)
 
     sp = sub.add_parser("verify", help="re-check a certificate")
     sp.add_argument("--input", default="-",
                     help="configuration (or classes) JSON")
     sp.add_argument("--cert", required=True)
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("batch", help="seeded experiment driver, CSV out")
     sp.add_argument("--mode", choices=("search-k", "solve"), required=True)
@@ -373,7 +391,6 @@ def build_parser():
     sp.add_argument("--m-size", type=int, default=None)
     sp.add_argument("--seed-base", type=int, default=0)
     sp.add_argument("--jobs", type=int, default=1)
-    sp.set_defaults(func=cmd_batch)
     return p
 
 
@@ -408,7 +425,7 @@ def main(argv=None):
             # where a closed stdout is still caught
             sys.stdout.flush()
             raise
-        code = args.func(args)
+        code = globals()["cmd_" + args.command](args)
         sys.stdout.flush()
         return code
     except (UsageError, ValueError) as e:

@@ -4,11 +4,13 @@ For a partition of n points in R^d into r parts, each part's affine hull
 is the solution set of d+1-k integer equations, k the part's affine rank
 (``linalg.hull_factor``).  Stacking every part's equations gives one
 system for the common point w of all the hulls, whatever the partition's
-size; one exact solve (``kernel.ff_solve``) classifies it, and when w is
-unique and every part is affinely independent each part's affine
-coefficients follow from its triangular factor (``common_point``).  With
-n = (r-1)(d+1)+1 and affinely independent parts the codimensions add up
-to exactly d, so the stack is d x d.
+size; one exact solve (``kernel.ff_solve``) classifies it
+(``common_point``).  When w is unique and every part is affinely
+independent, each part's affine coefficients are one integer mat-vec with
+the part's cached coefficient matrix, read part by part and only as far
+as the caller needs (``read_parts``).  With n = (r-1)(d+1)+1 and affinely
+independent parts the codimensions add up to exactly d, so the stack is
+d x d.
 
 Classification drives everything downstream: a unique point comes with
 exact coefficients; inconsistent equations certify empty intersection;
@@ -23,7 +25,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from tvpm import linalg
-from tvpm.kernel import back_substitute, ff_solve
+from tvpm.kernel import ff_solve
 from tvpm.linalg import (
     format_rat,
     format_vec,
@@ -124,19 +126,17 @@ def make_certificate(z, alpha, gamma=Fraction(1)):
 
 
 class CommonPoint(NamedTuple):
-    """A partition's intersection class and, for a point, its integers.
+    """A partition's intersection class and, for a point, its parts.
 
     ``kind`` is "point", "empty" or "degenerate", as for
     ``intersect_affine_hulls``.  For a point, y = t (w, 1) is integral (w
-    the common point of the scaled parts, t != 0), ``negatives`` lists the
-    indices with negative coefficients, and ``coeffs`` holds per part
-    (x, den) with alpha_i = x_i / (den t); otherwise all three are None.
+    the common point of the scaled parts, t != 0) and ``parts`` reads the
+    parts lazily, in order (``read_parts``); otherwise both are None.
     """
 
     kind: str
     y: list = None
-    negatives: list = None
-    coeffs: list = None
+    parts: object = None
 
 
 def common_point(points, partition, memo=None):
@@ -146,9 +146,9 @@ def common_point(points, partition, memo=None):
     to their ``linalg.hull_factor`` across calls (None: factor every part
     afresh).  One ``ff_solve`` of the stacked hull equations gives the
     kind: inconsistent is "empty"; a point that is not unique, or a part
-    that is affinely dependent, is "degenerate".  Otherwise each part's
-    factor gives upper (t alpha) = left y, and ``back_substitute`` reads
-    x = den * t * alpha in integers, den the factor's last pivot.
+    that is affinely dependent, is "degenerate".  Otherwise the parts'
+    coefficients are read one part at a time, and only as far as the
+    caller iterates.
     """
     factors = []
     rows = []
@@ -169,21 +169,28 @@ def common_point(points, partition, memo=None):
     # so its rank is compared with d, not with its width.
     if got.rank < len(points[0]):
         return CommonPoint("degenerate")
-    t = got.den
-    y = got.nums + [t]
-    negatives = []
-    coeffs = []
-    for part, f in zip(partition, factors):
-        upper = f.upper
-        if upper is None:  # affinely dependent: coefficients not unique
+    for f in factors:
+        if f.coef is None:  # affinely dependent: coefficients not unique
             return CommonPoint("degenerate")
-        x = back_substitute(upper, [vdot(row, y) for row in f.left])
-        den = upper[-1][-1]
-        flip = (den < 0) != (t < 0)
-        negatives += [i for i, v in zip(part, x)
-                      if (v > 0 if flip else v < 0)]
-        coeffs.append((x, den))
-    return CommonPoint("point", y, negatives, coeffs)
+    y = got.nums + [got.den]
+    return CommonPoint("point", y, read_parts(partition, factors, y))
+
+
+def read_parts(partition, factors, y):
+    """Yield ``(part, negatives, x)`` per part of a point partition.
+
+    x = f.coef y = f.den t alpha on the part, in integers (f its hull
+    factor, y = t (w, 1)), and ``negatives`` lists the part's indices
+    with negative coefficients, in part order.
+    """
+    negative_t = y[-1] < 0
+    for part, f in zip(partition, factors):
+        x = [vdot(row, y) for row in f.coef]
+        # x has alpha's signs when den t > 0, and the opposite ones else
+        if (f.den < 0) != negative_t:
+            yield part, [i for i, v in zip(part, x) if v > 0], x
+        else:
+            yield part, [i for i, v in zip(part, x) if v < 0], x
 
 
 @dataclass(frozen=True)
@@ -207,10 +214,11 @@ def intersect_affine_hulls(config, partition):
     got = common_point(points, partition)
     if got.kind != "point":
         return Intersection(got.kind, None)
+    alpha = {}
+    for part, _, x in got.parts:
+        total = sum(x)  # the coefficients sum to 1, so x sums to den t
+        alpha.update((i, Fraction(v, total)) for i, v in zip(part, x))
     t = got.y[-1]
-    alpha = {i: Fraction(v, den * t)
-             for part, (x, den) in zip(partition, got.coeffs)
-             for i, v in zip(part, x)}
     z = [Fraction(v, t * scale) for v in got.y[:-1]]
     return Intersection("point", make_certificate(z=z, alpha=alpha))
 

@@ -5,8 +5,9 @@ exhaustive partition scans, intersection certificates, general-position
 and rank tests all bottom out in it.  ``ff_solve`` is the package's one
 exact linear solve: it classifies and solves any m x n integer system
 from one elimination, and ``back_substitute`` is the one back
-substitution, which ``tvpm.core.common_point`` also runs on each part's
-triangular factor.  The pivoting solver does not call them: Wolfe's
+substitution, which ``tvpm.linalg.hull_factor`` also runs, once per part,
+to build the integer coefficient matrix that every partition reads the
+part's signs from.  The pivoting solver does not call them: Wolfe's
 method in ``tvpm.minnorm`` updates its bordered systems in place, and
 separation runs on that method too.
 

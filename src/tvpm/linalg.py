@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 # ff_solve is re-exported: linalg is the package's linear-algebra namespace,
 # and perfbench records linalg.ff_solve's module as the kernel's.
-from tvpm.kernel import eliminate, ff_solve
+from tvpm.kernel import back_substitute, eliminate, ff_solve
 
 _RAT_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
@@ -91,15 +91,17 @@ class HullFactor(NamedTuple):
 
     The hull is {x : rows x = rhs} (d+1-k equations).  When the points
     are affinely independent (k = s), with P the (d+1) x s matrix of
-    lifted columns (p, 1), ``left`` P = ``upper``: ``upper`` is s x s
-    upper triangular with nonzero diagonal and ``left`` is s x (d+1),
-    both integer.  Both are None for dependent points.
+    lifted columns (p, 1), ``coef`` P = ``den`` I: ``coef`` is the s x
+    (d+1) integer matrix den U^-1 L and ``den`` != 0 the last pivot of U,
+    for the factor L P = U that ``hull_factor`` computes.  So a point
+    y = t (w, 1) of the hull has affine coefficients coef y / (den t).
+    Both are None for dependent points.
     """
 
     rows: list
     rhs: list
-    upper: list
-    left: list
+    coef: list
+    den: int
 
 
 def hull_factor(points):
@@ -108,7 +110,9 @@ def hull_factor(points):
     One fraction-free pass over [P | I], P the lifted columns (p, 1),
     turns it into [L P | L].  The rows past the rank k have L P = 0, so
     each is an integer equation e with e . (x, 1) = 0 on the hull; when
-    k = s the first s rows give ``upper`` and ``left``.
+    k = s the first s rows hold U = L P, upper triangular with nonzero
+    diagonal, and their L, and ``back_substitute`` on each column of L
+    gives ``coef`` in integers.
     """
     s = len(points)
     dim = len(points[0]) + 1
@@ -117,10 +121,15 @@ def hull_factor(points):
          for c in range(dim - 1)]
     a.append([1] * s + [0] * (dim - 1) + [1])
     rank = len(eliminate(a, s, width)[0])
-    independent = rank == s
+    coef = den = None
+    if rank == s:
+        cols = [back_substitute(a, [a[k][j] for k in range(s)])
+                for j in range(s, width)]
+        coef = list(zip(*cols))
+        den = a[s - 1][s - 1]
     return HullFactor(
         rows=[row[s:width - 1] for row in a[rank:]],
         rhs=[-row[-1] for row in a[rank:]],
-        upper=[row[:s] for row in a[:s]] if independent else None,
-        left=[row[s:] for row in a[:s]] if independent else None,
+        coef=coef,
+        den=den,
     )

@@ -5,9 +5,11 @@ with part sizes capped at d+1, exactly once, in a deterministic order
 (indices are placed in restricted-growth fashion, so parts are ordered by
 their smallest element).  Brute-force scans over this stream serve as the
 independent oracle for the constructive solver: "not found" always means
-the whole stream was checked.  The scan reads each partition's sign
-pattern from per-part hull equations and one exact integer solve
-(``core.common_point``), and builds a certificate (through
+the whole stream was checked.  The scan classifies each partition from
+per-part hull equations and one exact integer solve
+(``core.common_point``), then reads its signs part by part and stops at
+the first part that rules the partition out; a partition stopped early
+still counts as scanned.  It builds a certificate (through
 ``core.intersect_affine_hulls``, which reads the same routine) only for the
 partition it returns.
 
@@ -91,27 +93,32 @@ def _radon_weights(points):
 
 
 def _radon_signs(lam, partition):
-    """Negative indices of a bipartition's unique intersection point, read
-    from the Radon dependence (``_radon_weights``), or None when
-    lambda(T) = 0, T the first part: then T is affinely dependent."""
+    """``(part, negatives, None)`` for both parts of a bipartition at its
+    unique intersection point, read from the Radon dependence
+    (``_radon_weights``), or None when lambda(T) = 0, T the first part:
+    then T is affinely dependent."""
     first, second = partition
     total = sum(lam[i] for i in first)
     if total == 0:
         return None
     pos = total > 0
-    return ([i for i in first if (lam[i] > 0) != pos]
-            + [j for j in second if (lam[j] > 0) == pos])
+    return ((first, [i for i in first if (lam[i] > 0) != pos], None),
+            (second, [j for j in second if (lam[j] > 0) == pos], None))
 
 
 def _scan(config, accept):
-    """Scan the proper partitions until ``accept(negatives)`` is true for
-    one with a unique intersection point; only that one gets a
-    certificate (from ``intersect_affine_hulls``).
+    """Scan the proper partitions until ``accept(parts)`` is true for one
+    with a unique intersection point; only that one gets a certificate
+    (from ``intersect_affine_hulls``).
 
-    The signs come from the part hulls (``core.common_point``, with
-    ``memo`` its per-part factor cache).  For r = 2 (n = d+2, as every
-    caller requires) they come from the Radon dependence instead when it
-    has no zero entry; the input decides which.
+    ``parts`` yields ``(part, negatives, x)`` lazily, in part order
+    (``core.read_parts``), so ``accept`` may return as soon as one part
+    rules the partition out; the partition still counts as scanned, never
+    as skipped.  The signs come from the part hulls
+    (``core.common_point``, with ``memo`` its per-part factor cache).  For
+    r = 2 (n = d+2, as every caller requires) they come from
+    the Radon dependence instead when it has no zero entry, with x None;
+    the input decides which.
     """
     _, points = config.scaled
     lam = _radon_weights(points) if config.r == 2 else None
@@ -122,35 +129,53 @@ def _scan(config, accept):
     for partition in proper_partitions(config.n, config.r, config.d):
         scanned += 1
         if lam is not None:
-            negatives = _radon_signs(lam, partition)
+            parts = _radon_signs(lam, partition)
         else:
-            negatives = common_point(points, partition, memo).negatives
-        if negatives is None:
+            parts = common_point(points, partition, memo).parts
+        if parts is None:
             skipped += 1
-        elif accept(negatives):
+        elif accept(parts):
             cert = intersect_affine_hulls(config, partition).cert
             return SearchResult(True, partition, cert, scanned, skipped)
     return SearchResult(False, None, None, scanned, skipped)
 
 
 def search_exact_k(config, k):
-    """First proper partition whose certificate has exactly k negatives."""
+    """First proper partition whose certificate has exactly k negatives;
+    each partition is dropped once its parts so far hold more than k."""
     if not config.is_full:
         raise ValueError("search needs n = (r-1)(d+1)+1 points")
     if not 0 <= k <= config.n:
         raise ValueError("k out of range")
-    return _scan(config, lambda negatives: len(negatives) == k)
+
+    def accept(parts):
+        count = 0
+        for _, negatives, _ in parts:
+            count += len(negatives)
+            if count > k:
+                return False
+        return count == k
+
+    return _scan(config, accept)
 
 
 def search_prescribed(config, m_set):
-    """First proper partition whose negatives are exactly m_set."""
+    """First proper partition whose negatives are exactly m_set; each
+    partition is dropped at its first part whose negatives are not
+    m_set's indices in that part."""
     if not config.is_full:
         raise ValueError("search needs n = (r-1)(d+1)+1 points")
     target = frozenset(m_set)
     if not target <= frozenset(range(config.n)):
         raise ValueError("m_set out of range")
-    return _scan(config,
-                 lambda negatives: frozenset(negatives) == target)
+
+    def accept(parts):
+        for part, negatives, _ in parts:
+            if negatives != [i for i in part if i in target]:
+                return False
+        return True
+
+    return _scan(config, accept)
 
 
 @dataclass(frozen=True)
@@ -168,8 +193,9 @@ def radon_spectrum(config):
         raise ValueError("spectrum needs n = d+2")
     ks = set()
 
-    def collect(negatives):
-        ks.add(len(negatives))
+    def collect(parts):
+        (_, first, _), (_, second, _) = parts
+        ks.add(len(first) + len(second))
         return False
 
     res = _scan(config, collect)
@@ -195,7 +221,8 @@ def check_separation(config, m_set):
     The two hulls meet exactly when the origin lies in the hull of the
     differences a_i - a_j (i in m_set, j not) of the scaled points, so one
     exact nearest-point computation (``minnorm.min_norm_point``) decides
-    it; it leaves the nearest point as y / q, y = sum lam[k] diffs[k].
+    it, on a Gram matrix read off the n points' own Gram matrix; it
+    leaves the nearest point as y / q, y = sum lam[k] diffs[k].
     Separated: y is nonzero, and y over the gcd of its entries is the
     max-margin normal, with <normal, x> > offset strictly on the m side
     and < offset strictly on the other side.  NotSeparated: y = 0, and
@@ -213,9 +240,12 @@ def check_separation(config, m_set):
         raise ValueError("m_set must be a nonempty proper subset")
     _, points = config.scaled
     pairs = [(i, j) for i in m_idx for j in rest]
-    diffs = [tuple(a - b for a, b in zip(points[i], points[j]))
-             for i, j in pairs]
-    corral = Corral(gram(diffs))
+    # <a_i - a_j, a_k - a_l> from the Gram matrix of the n points: row
+    # (i, j) holds <a_i - a_j, a_k> for every k.
+    point_gram = gram(points)
+    rows = [[a - b for a, b in zip(point_gram[i], point_gram[j])]
+            for i, j in pairs]
+    corral = Corral([[row[k] - row[l] for k, l in pairs] for row in rows])
     min_norm_point(corral)
     lam, q = corral.lam, corral.q
     if corral.nsq == 0:
@@ -229,7 +259,11 @@ def check_separation(config, m_set):
         return NotSeparated(point=pt, m_weights=mw, rest_weights=rw)
     # <y, a_i - a_j> >= |y|^2 / q > 0 for every pair, so y points from the
     # rest to the m side; scale it to primitive integers.
-    y = weighted_sum(list(lam.values()), [diffs[k] for k in lam])
+    diffs = []
+    for k in lam:
+        i, j = pairs[k]
+        diffs.append([a - b for a, b in zip(points[i], points[j])])
+    y = weighted_sum(list(lam.values()), diffs)
     g = gcd(*y)
     normal = tuple(Fraction(v, g) for v in y)
     lo = min(vdot(normal, config.points[i]) for i in m_idx)

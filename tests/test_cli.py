@@ -79,8 +79,12 @@ def _verify_edited(tmp_path, input_text, cert_text, key, value):
 @pytest.mark.parametrize("key, value, problem", [
     ("proper", False, "proper is false but the partition is proper"),
     ("alternative", "complement", "alternative complement for m [0, 1]"),
-    ("m", [2], "alternative in_m for m [2]"),
-], ids=["proper", "alternative", "m"])
+    # {3} is separated from the rest, so the certificate's
+    # separation_warning (false) stays true of the edited m
+    ("m", [3], "alternative in_m for m [3]"),
+    ("separation_warning", True, "separation_warning is true but the hulls"
+     " of m and the rest are disjoint"),
+], ids=["proper", "alternative", "m", "separation_warning"])
 def test_verify_rejects_false_claims(tmp_path, key, value, problem):
     _, cfg_text, _ = run_cli(["gen", "--d", "2", "--r", "3", "--seed", "5"])
     code, cert_text, _ = run_cli(["solve", "--m", "0,1"], stdin=cfg_text)
@@ -93,6 +97,33 @@ def test_verify_rejects_false_claims(tmp_path, key, value, problem):
     assert obj["result"] == "invalid"
     assert len(obj["problems"]) == 1
     assert problem in obj["problems"][0]
+
+
+def test_verify_rechecks_a_true_separation_warning(tmp_path):
+    # conv{0, 4} meets the hull of the rest for this seed, so solve
+    # warns; verify accepts the warning, and rejects it flipped to false,
+    # with an empty or a full m, or as a non-boolean
+    _, cfg_text, _ = run_cli(["gen", "--d", "2", "--r", "3", "--seed", "5"])
+    code, cert_text, _ = run_cli(["solve", "--m", "0,4"], stdin=cfg_text)
+    assert code == 0
+    assert json.loads(cert_text)["separation_warning"] is True
+    code, verdict, _ = _verify_edited(tmp_path, cfg_text, cert_text,
+                                      "separation_warning", True)
+    assert code == 0 and json.loads(verdict)["result"] == "valid"
+    code, verdict, _ = _verify_edited(tmp_path, cfg_text, cert_text,
+                                      "separation_warning", False)
+    assert code == 1
+    assert json.loads(verdict)["problems"] == [
+        "separation_warning is false but the hulls of m and the rest meet"]
+    for m in ([], [0, 1, 2, 3, 4, 5, 6]):
+        code, verdict, _ = _verify_edited(tmp_path, cfg_text, cert_text,
+                                          "m", m)
+        assert code == 1
+        assert "separation_warning needs m" in verdict
+    code, _, err = _verify_edited(tmp_path, cfg_text, cert_text,
+                                  "separation_warning", "yes")
+    assert code == 2
+    assert "'separation_warning' must be true or false" in err
 
 
 @pytest.mark.parametrize("key, value, problem", [
@@ -351,6 +382,52 @@ def test_usage_errors_exit_two():
     code, _, err = run_cli(["batch", "--mode", "solve", "--d", "1",
                             "--r", "2", "--trials", "1"])
     assert code == 2
+
+
+_MAIN_CALLS = """
+import contextlib, io, json, sys
+from tvpm import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _main_calls(argvs):
+    """(exit code, stdout, stderr) of each ``cli.main(argv)``, in order,
+    all in one fresh process."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAIN_CALLS, json.dumps(argvs)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return [tuple(r) for r in json.loads(proc.stdout)]
+
+
+def test_consecutive_main_calls_match_first_calls(tmp_path):
+    # The parser is built on the first call and reused: each later call
+    # must give what it gives when it runs first in its own process.
+    cfg = tmp_path / "cfg.json"
+    _, cfg_text, _ = run_cli(["gen", "--d", "2", "--r", "3", "--seed", "5"])
+    cfg.write_text(cfg_text)
+    src = ["--input", str(cfg)]
+    argvs = [["solve", "--m", "0,1", "--trace"] + src,
+             ["solve", "--m", "0,1"] + src,
+             ["search", "--k"] + src,
+             ["search", "--k", "0"] + src,
+             ["search", "--prescribe", "0"] + src,
+             ["search"] + src]
+    together = _main_calls(argvs)
+    assert together == [_main_calls([argv])[0] for argv in argvs]
+    codes = [code for code, _, _ in together]
+    assert codes == [0, 0, 2, 0, 0, 2]
+    assert together[0][2] and not together[1][2]  # the trace lines
 
 
 def test_gen_out_file(tmp_path):

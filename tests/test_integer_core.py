@@ -21,7 +21,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "tvpm"
 INTEGER_CORE = {
     "kernel.py": None,
     "linalg.py": ("hull_factor",),
-    "core.py": ("common_point",),
+    "core.py": ("common_point", "read_parts"),
     "search.py": ("_scan", "_radon_weights", "_radon_signs"),
     "minnorm.py": None,
 }

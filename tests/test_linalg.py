@@ -236,13 +236,13 @@ def test_hull_factor_equations_and_triangular_factor():
             for row, b in zip(f.rows, f.rhs):
                 assert sum(e * x for e, x in zip(row, p)) == b
         if rk < s:
-            assert f.upper is None and f.left is None
+            assert f.coef is None and f.den is None
             dependent += 1
             continue
         factored += 1
-        # left P = upper, upper triangular with nonzero diagonal
-        for k, (lrow, urow) in enumerate(zip(f.left, f.upper)):
-            assert [sum(l * prow[i] for l, prow in zip(lrow, prows))
-                    for i in range(s)] == urow
-            assert urow[k] != 0 and all(v == 0 for v in urow[:k])
+        # coef P = den I, with den != 0
+        assert f.den != 0 and len(f.coef) == s
+        for k, crow in enumerate(f.coef):
+            assert [sum(c * prow[i] for c, prow in zip(crow, prows))
+                    for i in range(s)] == [f.den * (i == k) for i in range(s)]
     assert factored > 100 and dependent > 40

@@ -1,5 +1,7 @@
 """Partition enumeration, brute-force search, spectrum, separation."""
 
+import functools
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -295,16 +297,26 @@ def _collinear_config():
         (F(0), F(0)), (F(1), F(1)), (F(2), F(2)), (F(1, 2), F(3))))
 
 
+@functools.cache
+def _block_scan(cfg):
+    """Per proper partition, in scan order: (partition, block system's
+    intersection, its negatives or None)."""
+    out = []
+    for partition in proper_partitions(cfg.n, cfg.r, cfg.d):
+        block = block_intersection(cfg, partition)
+        negatives = (None if block.kind != "point" else frozenset(
+            i for i, a in block.alpha.items() if a < 0))
+        out.append((partition, block, negatives))
+    return out
+
+
 def test_part_factored_scan_matches_block_system():
     skips = 0
     for cfg in _parity_configs():
         _, points = cfg.scaled
         memo = {}
         want = []  # per partition: the block system's negatives, or None
-        for partition in proper_partitions(cfg.n, cfg.r, cfg.d):
-            block = block_intersection(cfg, partition)
-            negatives = (None if block.kind != "point" else frozenset(
-                i for i, a in block.alpha.items() if a < 0))
+        for partition, block, negatives in _block_scan(cfg):
             want.append(negatives)
             res = intersect_affine_hulls(cfg, partition)
             assert res.kind == block.kind, partition
@@ -312,14 +324,16 @@ def test_part_factored_scan_matches_block_system():
                 assert res.cert.alpha == block.alpha, partition
                 assert res.cert.z == block.z, partition
             for m in (None, memo):
-                got = common_point(points, partition, m).negatives
-                assert (got is None) == (negatives is None), partition
-                if got is not None:
+                parts = common_point(points, partition, m).parts
+                assert (parts is None) == (negatives is None), partition
+                if parts is not None:
+                    got = [i for _, neg, _ in parts for i in neg]
                     assert frozenset(got) == negatives, partition
         skips += want.count(None)
 
         seen = []
-        res = search._scan(cfg, lambda negatives: seen.append(negatives))
+        res = search._scan(cfg, lambda parts: seen.append(
+            [i for _, negatives, _ in parts for i in negatives]))
         points_only = [w for w in want if w is not None]
         assert [frozenset(s) for s in seen] == points_only
         assert res.scanned == len(want) and res.skipped == want.count(None)
@@ -342,6 +356,36 @@ def test_part_factored_scan_matches_block_system():
                 ok, problems = verify_certificate(cfg, res.partition, res.cert)
                 assert ok, problems
     assert skips > 0
+
+
+def test_prescribed_scan_stops_at_the_block_systems_first_match():
+    # search_prescribed rejects most partitions at their first part; it
+    # must still return the first partition whose negatives are M, with
+    # the same scanned and skipped counts as a loop over the block systems.
+    rng = random.Random(17)
+    for cfg in _parity_configs():
+        rows = _block_scan(cfg)
+        want = [negatives for _, _, negatives in rows]
+        seen = sorted({tuple(sorted(w)) for w in want if w is not None})
+        if len(seen) > 200:  # the two largest scans: a seeded sample
+            seen = rng.sample(seen, 24)
+        targets = ([frozenset(m) for m in seen] + [frozenset({0})]
+                   + [frozenset(i for i in range(cfg.n) if rng.random() < 0.4)
+                      for _ in range(3)])
+        for m in targets:
+            res = search_prescribed(cfg, m)
+            hit = next((pos for pos, w in enumerate(want) if w == m), None)
+            if hit is None:
+                assert not res.found, m
+                assert res.scanned == len(want)
+                assert res.skipped == want.count(None)
+                continue
+            assert res.found and res.partition == rows[hit][0], m
+            assert res.scanned == hit + 1
+            assert res.skipped == want[:hit].count(None)
+            assert res.cert.negatives == m
+            ok, problems = verify_certificate(cfg, res.partition, res.cert)
+            assert ok, problems
 
 
 def test_r2_scan_reads_signs_from_the_radon_dependence(monkeypatch):
