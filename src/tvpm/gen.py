@@ -2,20 +2,21 @@
 
 Random configurations draw coordinates numerator/1000 with numerators in
 [-10^6, 10^6] from a seeded PRNG and resample until exact general
-position holds (no d+1 points affinely dependent).  The two cluster
-builders realize the classical impossibility instances: a centroid that
-cannot be the lone negative because it is surrounded, and an r-point
-cluster that is separated yet only admits the complementary sign
-alternative.
+position holds (no d+1 points affinely dependent), which
+``general_position`` decides with one fraction-free reduction per pivot
+prefix (``kernel.every_subset_independent``), not one determinant per
+(d+1)-subset.  The two cluster builders realize the classical
+impossibility instances: a centroid that cannot be the lone negative
+because it is surrounded, and an r-point cluster that is separated yet
+only admits the complementary sign alternative.
 """
 
 import random
 from fractions import Fraction
-from itertools import combinations
 
 from tvpm import linalg
 from tvpm.core import PointConfig
-from tvpm.kernel import ff_det
+from tvpm.kernel import every_subset_independent
 
 MAX_ATTEMPTS = 1000
 _NUM_RANGE = 10 ** 6
@@ -25,16 +26,16 @@ _DEN = 10 ** 3
 def general_position(points, d):
     """No d+1 of the points affinely dependent, checked exactly.
 
-    The points are scaled once to integers; scaling multiplies every
-    determinant by the same nonzero factor."""
+    The points (each of length d) are scaled once to integers and lifted
+    to (a, 1); they are in general position exactly when they are
+    distinct and every d+1 of the lifted vectors are linearly
+    independent, which ``kernel.every_subset_independent`` decides
+    without one determinant per subset."""
     if len(set(points)) != len(points):
         return False
     lifted = [p + (1,) for p in linalg.to_int(points,
                                                linalg.denominator_lcm(points))]
-    for subset in combinations(lifted, d + 1):
-        if ff_det(subset) == 0:
-            return False
-    return True
+    return every_subset_independent(lifted)
 
 
 def _rand_coord(rng):

@@ -1,13 +1,15 @@
 """Fraction-free elimination on integer matrices.
 
 ``eliminate`` is the innermost loop of the package's matrix work:
-exhaustive partition scans, intersection certificates, general-position
-and rank tests all bottom out in it.  ``ff_solve`` is the package's one
-exact linear solve: it classifies and solves any m x n integer system
-from one elimination, and ``back_substitute`` is the one back
-substitution, which ``tvpm.linalg.hull_factor`` also runs, once per part,
-to build the integer coefficient matrix that every partition reads the
-part's signs from.  The pivoting solver does not call them: Wolfe's
+exhaustive partition scans, intersection certificates and rank tests all
+bottom out in it.  ``every_subset_independent`` is the general-position
+test (``tvpm.gen.general_position``): the same fraction-free step, run
+once per pivot prefix instead of once per subset.  ``ff_solve`` is the
+package's one exact linear solve: it classifies and solves any m x n
+integer system from one elimination, and ``back_substitute`` is the one
+back substitution, which ``tvpm.linalg.hull_factor`` also runs, once per
+part, to build the integer coefficient matrix that every partition reads
+the part's signs from.  The pivoting solver does not call them: Wolfe's
 method in ``tvpm.minnorm`` updates its bordered systems in place, and
 separation runs on that method too.
 
@@ -18,6 +20,7 @@ entries are minors of the input), which keeps entry growth polynomial
 instead of exponential.
 """
 
+from math import gcd
 from typing import NamedTuple
 
 
@@ -66,16 +69,65 @@ def eliminate(a, ncols, width):
     return pivots, sign
 
 
-def ff_det(rows):
-    """Determinant of a square integer matrix."""
+def every_subset_independent(rows):
+    """Whether every m of the n integer vectors ``rows`` (a list of
+    sequences) in Z^m are linearly independent (vacuously True when
+    n < m or m = 0).
+
+    Each vector, in index order, is a pivot for the vectors after it: one
+    fraction-free step (``_independent``) reduces them to Z^(m-1), where
+    the same question is asked of the subsets that the pivot starts.  So
+    the work is one short row reduction per (vector, prefix of pivots),
+    not one determinant per m-subset.
+    """
+    m = len(rows[0]) if rows else 0
+    return _independent(rows, m, 1)
+
+
+def _independent(rows, m, prev):
+    """``every_subset_independent`` on rows with m live columns, each row
+    already reduced by a prefix of pivots whose last pivot was ``prev``.
+
+    A pivot row v with first nonzero column c turns each later row w into
+    (v[c] w - w[c] v) / prev without column c; Sylvester's identity makes
+    the division exact, as in ``eliminate``.  A zero pivot row is a
+    dependent subset.  With two columns left, every row must be nonzero
+    and no two parallel: one set of primitive, sign-normalised pairs.
+    """
     n = len(rows)
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    pivots, sign = eliminate(a, n, n)
-    if len(pivots) < n:
-        return 0
-    return sign * a[n - 1][n - 1]
+    if n < m or m == 0:
+        return True
+    if m == 1:
+        return all(row[0] for row in rows)
+    if m == 2:
+        seen = set()
+        for x, y in rows:
+            g = gcd(x, y)
+            if g == 0:
+                return False
+            if x < 0 or (x == 0 and y < 0):
+                g = -g
+            key = (x // g, y // g)
+            if key in seen:
+                return False
+            seen.add(key)
+        return True
+    for i in range(n - m + 1):
+        v = rows[i]
+        c = 0
+        while c < m and v[c] == 0:
+            c += 1
+        if c == m:
+            return False
+        p = v[c]
+        cols = [j for j in range(m) if j != c]
+        reduced = []
+        for w in rows[i + 1:]:
+            f = w[c]
+            reduced.append([(p * w[j] - f * v[j]) // prev for j in cols])
+        if not _independent(reduced, m - 1, p):
+            return False
+    return True
 
 
 class Solution(NamedTuple):

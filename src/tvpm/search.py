@@ -225,9 +225,10 @@ def check_separation(config, m_set):
     leaves the nearest point as y / q, y = sum lam[k] diffs[k].
     Separated: y is nonzero, and y over the gcd of its entries is the
     max-margin normal, with <normal, x> > offset strictly on the m side
-    and < offset strictly on the other side.  NotSeparated: y = 0, and
-    summing the pair weights lam[k] / q per side gives an exact common
-    point with convex weights for both hulls.
+    and < offset strictly on the other side; the margin is read in
+    integers on the scaled points, <normal, a> = <normal, D a> / D.
+    NotSeparated: y = 0, and summing the pair weights lam[k] / q per side
+    gives an exact common point with convex weights for both hulls.
     """
     from tvpm.minnorm import Corral, gram, min_norm_point
 
@@ -238,7 +239,7 @@ def check_separation(config, m_set):
     rest = sorted(frozenset(range(config.n)) - m_set)
     if not m_idx or not rest:
         raise ValueError("m_set must be a nonempty proper subset")
-    _, points = config.scaled
+    scale, points = config.scaled
     pairs = [(i, j) for i in m_idx for j in rest]
     # <a_i - a_j, a_k - a_l> from the Gram matrix of the n points: row
     # (i, j) holds <a_i - a_j, a_k> for every k.
@@ -265,9 +266,10 @@ def check_separation(config, m_set):
         diffs.append([a - b for a, b in zip(points[i], points[j])])
     y = weighted_sum(list(lam.values()), diffs)
     g = gcd(*y)
-    normal = tuple(Fraction(v, g) for v in y)
-    lo = min(vdot(normal, config.points[i]) for i in m_idx)
-    hi = max(vdot(normal, config.points[j]) for j in rest)
+    normal = [v // g for v in y]
+    lo = min(vdot(normal, points[i]) for i in m_idx)
+    hi = max(vdot(normal, points[j]) for j in rest)
     if not hi < lo:
         raise AssertionError("nearest point does not separate")
-    return Separated(normal=normal, offset=(lo + hi) / 2)
+    return Separated(normal=tuple(Fraction(v) for v in normal),
+                     offset=Fraction(lo + hi, 2 * scale))

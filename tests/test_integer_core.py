@@ -1,11 +1,12 @@
 """The exact integer core computes without ``Fraction``.
 
-The kernel, the per-partition path of the scan, and Wolfe's method (all
-of ``minnorm``, the pivoting solver's inner loop and the separation
-test) run on Python ints only; rationals stay at the edges (parsing,
-certificates, ``verify``).  Each named module, function or class below
-is parsed, not imported, and searched for any use of the name
-``Fraction``, whether called, bound or read off ``fractions``.
+The kernel, the per-partition path of the scan, the general-position
+check, and Wolfe's method (all of ``minnorm``, the pivoting solver's
+inner loop and the separation test) run on Python ints only; rationals
+stay at the edges (parsing, certificates, ``verify``).  Each named
+module, function or class below is parsed, not imported, and searched
+for any use of the name ``Fraction``, whether called, bound or read off
+``fractions``.
 Docstrings and comments do not count.
 """
 
@@ -20,6 +21,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "tvpm"
 # (None: the whole module)
 INTEGER_CORE = {
     "kernel.py": None,
+    "gen.py": ("general_position",),
     "linalg.py": ("hull_factor",),
     "core.py": ("common_point", "read_parts"),
     "search.py": ("_scan", "_radon_weights", "_radon_signs"),

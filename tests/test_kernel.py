@@ -2,8 +2,9 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
-from tvpm.kernel import eliminate, ff_det, ff_solve
+from tvpm.kernel import eliminate, every_subset_independent, ff_solve
 
 
 def cofactor_det(rows):
@@ -55,12 +56,13 @@ def random_matrix(rng, m, n, lo=-9, hi=9):
 
 
 def test_det_known_values():
-    assert ff_det([]) == 1
-    assert ff_det([[5]]) == 5
-    assert ff_det([[1, 2], [3, 4]]) == -2
-    assert ff_det([[1, 2], [2, 4]]) == 0
-    assert ff_det([[0, 1], [1, 0]]) == -1  # needs a row swap
-    assert ff_det([[2, 0, 0], [0, 3, 0], [0, 0, 4]]) == 24
+    # den of a square solve is det A, and 0 when A is singular
+    for a, det in (([], 1), ([[5]], 5), ([[1, 2], [3, 4]], -2),
+                   ([[1, 2], [2, 4]], 0),
+                   ([[0, 1], [1, 0]], -1),  # needs a row swap
+                   ([[2, 0, 0], [0, 3, 0], [0, 0, 4]], 24)):
+        assert cofactor_det(a) == det
+        assert ff_solve(a, [1] * len(a)).den == det
 
 
 def test_det_matches_cofactor_oracle():
@@ -68,7 +70,8 @@ def test_det_matches_cofactor_oracle():
     for trial in range(200):
         n = rng.randint(1, 5)
         a = random_matrix(rng, n, n)
-        assert ff_det(a) == cofactor_det(a)
+        b = [rng.randint(-9, 9) for _ in range(n)]
+        assert ff_solve(a, b).den == cofactor_det(a)
 
 
 def test_solve_round_trip():
@@ -81,11 +84,11 @@ def test_solve_round_trip():
         b = [rng.randint(-9, 9) for _ in range(n)]
         den, nums, rank, rank_aug = ff_solve(a, b)
         if nums is None:
-            assert den == 0 == ff_det(a)
+            assert den == 0 == cofactor_det(a)
             assert rank < n
             singular += 1
             continue
-        assert den == ff_det(a) != 0
+        assert den == cofactor_det(a) != 0
         assert rank == rank_aug == n
         x = [Fraction(v, den) for v in nums]
         for i in range(n):
@@ -156,3 +159,22 @@ def test_eliminate_width_and_column_skip():
     b = [[0, 1], [1, 0]]
     assert eliminate(b, 2, 2) == ([0, 1], -1)
     assert eliminate([], 3, 3) == ([], 1)
+
+
+def test_every_subset_independent_matches_cofactor_oracle():
+    # m = 0..5 columns, n = 0..m+4 rows of small entries: zero rows,
+    # repeated and parallel rows and dependent subsets all occur
+    rng = random.Random(47)
+    seen = set()
+    for trial in range(1500):
+        m = rng.randint(0, 5)
+        n = rng.randint(0, m + 4)
+        a = random_matrix(rng, n, m, -2, 2)
+        want = all(cofactor_det(list(s)) != 0 for s in combinations(a, m))
+        assert every_subset_independent(a) == want, a
+        seen.add((m, n >= m, want))
+    assert {(m, True, w) for m in range(1, 6) for w in (True, False)} <= seen
+    assert every_subset_independent([]) is True
+    assert every_subset_independent([[0], [3]]) is False
+    assert every_subset_independent([[1, 2], [-2, -4]]) is False
+    assert every_subset_independent([[0, 1], [0, -1], [1, 0]]) is False
