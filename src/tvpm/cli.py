@@ -1,13 +1,13 @@
 """Command-line front end.
 
-JSON in, JSON out, everything seeded.  Exit codes: 0 when the requested
-object was found/validated, 1 when a search was exhaustively negative, a
-claim failed to verify, or separation does not hold, 2 on usage errors,
-malformed input, or degenerate (non-general-position) outcomes, 3 on an
-internal error (an exception the program did not expect), reported as an
-``error: internal:`` line and an ``internal_error`` result, never a
-traceback.  A stdout whose reader has gone also exits 3, with an
-``error:`` line on stderr and nothing more written to stdout.
+JSON in, JSON out, everything seeded.  A command writes a configuration
+or certificate (exit 0) or a result document, whose name ``RESULTS``
+maps to its exit code.  Usage errors and malformed input exit 2 with an
+error message on stderr and nothing on stdout.  An internal error (an
+exception the program did not expect) is reported as an ``error:
+internal:`` line and an ``internal_error`` result, never a traceback.  A
+stdout whose reader has gone also exits 3, with an ``error:`` line on
+stderr and nothing more written to stdout.
 """
 
 import argparse
@@ -24,6 +24,19 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+
+# Every result document's name and its exit code.
+RESULTS = {
+    "valid": EXIT_OK,
+    "spectrum": EXIT_OK,
+    "separated": EXIT_OK,
+    "invalid": EXIT_NEGATIVE,
+    "not_found": EXIT_NEGATIVE,
+    "not_separated": EXIT_NEGATIVE,
+    "separation_violated": EXIT_NEGATIVE,
+    "degenerate_gamma": EXIT_USAGE,
+    "internal_error": EXIT_INTERNAL,
+}
 
 
 class UsageError(Exception):
@@ -47,6 +60,19 @@ def _emit(obj, out=None):
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _result(name, **fields):
+    """Write the result document ``name`` and return its exit code."""
+    _emit({"schema": core.SCHEMA, "result": name, **fields})
+    return RESULTS[name]
+
+
+def _weights(witness):
+    """The ``m_weights`` and ``rest_weights`` fields of an overlap."""
+    return {key: {str(i): format_rat(w)
+                  for i, w in sorted(getattr(witness, key).items())}
+            for key in ("m_weights", "rest_weights")}
 
 
 def _parse_m(text):
@@ -96,9 +122,9 @@ def _trace_writer(step, choice, w, normsq):
 
 
 def cmd_solve(args):
-    # The solver modules (sarkaria, colored, and minnorm under them) are
-    # imported by the commands that run them: gen, search, spectrum,
-    # separation and most verify calls start up without them.
+    # The solver modules (sarkaria, and minnorm under it) are imported by
+    # the commands that run them: gen, search, spectrum, separation and
+    # verify start up without them.
     from tvpm.sarkaria import (
         DegenerateGamma,
         PMCertificate,
@@ -122,20 +148,11 @@ def cmd_solve(args):
         _emit(out)
         return EXIT_OK
     if isinstance(result, SeparationViolated):
-        _emit({
-            "schema": core.SCHEMA,
-            "result": "separation_violated",
-            "common_point": format_vec(result.common_point),
-            "part": list(result.part),
-            "m_weights": {str(i): format_rat(w)
-                          for i, w in sorted(result.m_weights.items())},
-            "rest_weights": {str(i): format_rat(w)
-                             for i, w in sorted(result.rest_weights.items())},
-        })
-        return EXIT_NEGATIVE
+        return _result("separation_violated",
+                       common_point=format_vec(result.common_point),
+                       part=list(result.part), **_weights(result))
     assert isinstance(result, DegenerateGamma)
-    _emit({"schema": core.SCHEMA, "result": "degenerate_gamma"})
-    return EXIT_USAGE
+    return _result("degenerate_gamma")
 
 
 def cmd_search(args):
@@ -153,28 +170,17 @@ def cmd_search(args):
         out["degenerate_skipped"] = res.skipped
         _emit(out)
         return EXIT_OK
-    _emit({
-        "schema": core.SCHEMA,
-        "result": "not_found",
-        "partitions_scanned": res.scanned,
-        "degenerate_skipped": res.skipped,
-    })
-    return EXIT_NEGATIVE
+    return _result("not_found", partitions_scanned=res.scanned,
+                   degenerate_skipped=res.skipped)
 
 
 def cmd_spectrum(args):
     obj = _read_json(args.input)
     config = core.config_from_json(obj)
     res = search.radon_spectrum(config)
-    _emit({
-        "schema": core.SCHEMA,
-        "result": "spectrum",
-        "achievable": sorted(res.achievable),
-        "bound": (config.d + 2) // 2,
-        "partitions_scanned": res.scanned,
-        "degenerate_skipped": res.skipped,
-    })
-    return EXIT_OK
+    return _result("spectrum", achievable=sorted(res.achievable),
+                   bound=(config.d + 2) // 2, partitions_scanned=res.scanned,
+                   degenerate_skipped=res.skipped)
 
 
 def cmd_separation(args):
@@ -183,23 +189,10 @@ def cmd_separation(args):
     m_set = _m_from_args_or_input(args, obj)
     res = search.check_separation(config, m_set)
     if isinstance(res, search.Separated):
-        _emit({
-            "schema": core.SCHEMA,
-            "result": "separated",
-            "normal": format_vec(res.normal),
-            "offset": format_rat(res.offset),
-        })
-        return EXIT_OK
-    _emit({
-        "schema": core.SCHEMA,
-        "result": "not_separated",
-        "point": format_vec(res.point),
-        "m_weights": {str(i): format_rat(w)
-                      for i, w in sorted(res.m_weights.items())},
-        "rest_weights": {str(i): format_rat(w)
-                         for i, w in sorted(res.rest_weights.items())},
-    })
-    return EXIT_NEGATIVE
+        return _result("separated", normal=format_vec(res.normal),
+                       offset=format_rat(res.offset))
+    return _result("not_separated", point=format_vec(res.point),
+                   **_weights(res))
 
 
 def cmd_colored(args):
@@ -211,8 +204,7 @@ def cmd_colored(args):
     trace = _trace_writer if args.trace else None
     result = colored_mod.colored_tverberg_pm(cc, m_set, trace=trace)
     if isinstance(result, DegenerateGamma):
-        _emit({"schema": core.SCHEMA, "result": "degenerate_gamma"})
-        return EXIT_USAGE
+        return _result("degenerate_gamma")
     out = colored_mod.colorful_to_json(result)
     out["m"] = sorted(m_set)
     _emit(out)
@@ -267,10 +259,8 @@ def cmd_verify(args):
     except ValueError as e:
         raise UsageError(str(e))
     if ok:
-        _emit({"schema": core.SCHEMA, "result": "valid"})
-        return EXIT_OK
-    _emit({"schema": core.SCHEMA, "result": "invalid", "problems": problems})
-    return EXIT_NEGATIVE
+        return _result("valid")
+    return _result("invalid", problems=problems)
 
 
 def _batch_trial(task):
@@ -443,8 +433,7 @@ def main(argv=None):
 
 def _internal_error(e):
     print("error: internal: %s: %s" % (type(e).__name__, e), file=sys.stderr)
-    _emit({"schema": core.SCHEMA, "result": "internal_error"})
-    return EXIT_INTERNAL
+    return _result("internal_error")
 
 
 if __name__ == "__main__":

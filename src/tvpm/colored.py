@@ -20,6 +20,7 @@ from tvpm.core import (
     index_list,
     int_field,
     json_list,
+    json_object,
 )
 from tvpm.linalg import (
     denominator_lcm,
@@ -31,12 +32,6 @@ from tvpm.linalg import (
     to_int,
     vdot,
     weighted_sum,
-)
-from tvpm.sarkaria import (
-    DegenerateGamma,
-    companion_simplex,
-    decode_weights,
-    pivot_to_origin,
 )
 
 
@@ -215,6 +210,14 @@ def colored_tverberg_pm(cc, m_set, trace=None):
     negative coefficients sit exactly on m_set, "m_positive" when they
     sit on its complement.
     """
+    # The pivot engine is imported here, so that reading and verifying a
+    # colored certificate loads no solver module.
+    from tvpm.sarkaria import (
+        DegenerateGamma,
+        companion_simplex,
+        decode_weights,
+        pivot_to_origin,
+    )
     m_set = frozenset(m_set)
     if not m_set <= frozenset(range(cc.n)):
         raise ValueError("m_set out of range")
@@ -306,11 +309,7 @@ def classes_to_json(cc, m_set=None):
 
 
 def classes_from_json(obj):
-    if not isinstance(obj, dict):
-        raise ValueError("classes JSON must be an object")
-    for key in ("d", "r", "classes"):
-        if key not in obj:
-            raise ValueError("classes JSON missing %r" % key)
+    json_object(obj, "classes", ("d", "r", "classes"))
     d, r = int_field(obj, "d"), int_field(obj, "r")
     classes = tuple(
         tuple(parse_vec(p) for p in json_list(group, "each class"))
@@ -336,11 +335,8 @@ def colorful_to_json(cp):
 
 
 def colorful_from_json(obj):
-    if not isinstance(obj, dict):
-        raise ValueError("colored certificate JSON must be an object")
-    for key in ("assignment", "alpha", "z", "gamma", "negatives"):
-        if key not in obj:
-            raise ValueError("colored certificate JSON missing %r" % key)
+    json_object(obj, "colored certificate",
+                ("assignment", "alpha", "z", "gamma", "negatives"))
     rows = json_list(obj["assignment"], "'assignment'")
     return ColorfulPartition(
         assignment=tuple(tuple(index_list(row, "each assignment row"))

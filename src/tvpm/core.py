@@ -85,8 +85,8 @@ def canonical_partition(parts):
     return tuple(sorted(tuple(sorted(p)) for p in parts))
 
 
-def validate_partition(config, parts, require_proper=True):
-    """Check disjointness, coverage, nonemptiness, and optionally sizes."""
+def validate_partition(config, parts):
+    """Check the part count, disjointness, coverage and nonemptiness."""
     seen = []
     for p in parts:
         if len(p) == 0:
@@ -96,10 +96,6 @@ def validate_partition(config, parts, require_proper=True):
         raise ValueError("partition must have exactly r parts")
     if sorted(seen) != list(range(config.n)):
         raise ValueError("parts must partition the index set")
-    if require_proper:
-        for p in parts:
-            if len(p) > config.d + 1:
-                raise ValueError("part larger than d+1")
 
 
 def is_proper(config, parts):
@@ -209,7 +205,7 @@ def intersect_affine_hulls(config, partition):
     position), as ``common_point`` classifies it.
     """
     partition = canonical_partition(partition)
-    validate_partition(config, partition, require_proper=False)
+    validate_partition(config, partition)
     scale, points = config.scaled
     got = common_point(points, partition)
     if got.kind != "point":
@@ -260,7 +256,7 @@ def verify_certificate(config, partition, cert, alternative=None,
     """
     problems = []
     try:
-        validate_partition(config, partition, require_proper=False)
+        validate_partition(config, partition)
     except ValueError as e:
         return False, ["partition: %s" % e]
     if sorted(cert.alpha) != list(range(config.n)):
@@ -312,14 +308,20 @@ def config_to_json(config, m_set=None):
 
 
 def config_from_json(obj):
-    if not isinstance(obj, dict):
-        raise ValueError("config JSON must be an object")
-    for key in ("d", "r", "points"):
-        if key not in obj:
-            raise ValueError("config JSON missing %r" % key)
+    json_object(obj, "config", ("d", "r", "points"))
     d, r = int_field(obj, "d"), int_field(obj, "r")
     points = tuple(parse_vec(p) for p in json_list(obj["points"], "'points'"))
     return PointConfig(d=d, r=r, points=points)
+
+
+def json_object(obj, what, keys):
+    """ValueError naming ``what`` unless obj is a JSON object holding
+    every key."""
+    if not isinstance(obj, dict):
+        raise ValueError("%s JSON must be an object" % what)
+    for key in keys:
+        if key not in obj:
+            raise ValueError("%s JSON missing %r" % (what, key))
 
 
 def _is_int(v):
@@ -368,11 +370,8 @@ def certificate_to_json(cert, partition, alternative=None, proper=None):
 
 
 def certificate_from_json(obj):
-    if not isinstance(obj, dict):
-        raise ValueError("certificate JSON must be an object")
-    for key in ("z", "alpha", "negatives", "gamma", "partition"):
-        if key not in obj:
-            raise ValueError("certificate JSON missing %r" % key)
+    json_object(obj, "certificate",
+                ("z", "alpha", "negatives", "gamma", "partition"))
     z = parse_vec(obj["z"])
     if not isinstance(obj["alpha"], dict):
         raise ValueError("'alpha' must be an object")

@@ -42,18 +42,24 @@ def _rand_coord(rng):
     return Fraction(rng.randint(-_NUM_RANGE, _NUM_RANGE), _DEN)
 
 
+def _general_config(d, r, draw):
+    """The configuration of the first ``draw()`` in general position."""
+    for _ in range(MAX_ATTEMPTS):
+        pts = draw()
+        if general_position(pts, d):
+            return PointConfig(d=d, r=r, points=tuple(pts))
+    raise RuntimeError("could not reach general position in %d attempts"
+                       % MAX_ATTEMPTS)
+
+
 def random_config(d, r, seed):
     """Seeded general-position configuration of full size."""
     if d < 1 or r < 2:
         raise ValueError("need d >= 1 and r >= 2")
     n = (r - 1) * (d + 1) + 1
     rng = random.Random(seed)
-    for _ in range(MAX_ATTEMPTS):
-        pts = [tuple(_rand_coord(rng) for _ in range(d)) for _ in range(n)]
-        if general_position(pts, d):
-            return PointConfig(d=d, r=r, points=tuple(pts))
-    raise RuntimeError("could not reach general position in %d attempts"
-                       % MAX_ATTEMPTS)
+    return _general_config(d, r, lambda: [
+        tuple(_rand_coord(rng) for _ in range(d)) for _ in range(n)])
 
 
 def _simplex_vertices(d):
@@ -85,15 +91,9 @@ def example1(d, r, eps=Fraction(1, 100), seed=0):
         sum(v[t] for v in verts) / (d + 1) for t in range(d)
     )
     rng = random.Random(seed)
-    for _ in range(MAX_ATTEMPTS):
-        pts = [centroid]
-        for v in verts:
-            for _ in range(r - 1):
-                pts.append(_cluster_point(rng, v, eps))
-        if general_position(pts, d):
-            return PointConfig(d=d, r=r, points=tuple(pts)), frozenset({0})
-    raise RuntimeError("could not reach general position in %d attempts"
-                       % MAX_ATTEMPTS)
+    config = _general_config(d, r, lambda: [centroid] + [
+        _cluster_point(rng, v, eps) for v in verts for _ in range(r - 1)])
+    return config, frozenset({0})
 
 
 def example2(d, r, eps=Fraction(1, 100), seed=0):
@@ -107,16 +107,10 @@ def example2(d, r, eps=Fraction(1, 100), seed=0):
         raise ValueError("need d >= 1, r >= 2, eps > 0")
     verts = _simplex_vertices(d)
     rng = random.Random(seed)
-    for _ in range(MAX_ATTEMPTS):
-        pts = [_cluster_point(rng, verts[0], eps) for _ in range(r)]
-        for v in verts[1:]:
-            for _ in range(r - 1):
-                pts.append(_cluster_point(rng, v, eps))
-        if general_position(pts, d):
-            return (PointConfig(d=d, r=r, points=tuple(pts)),
-                    frozenset(range(r)))
-    raise RuntimeError("could not reach general position in %d attempts"
-                       % MAX_ATTEMPTS)
+    config = _general_config(d, r, lambda: [
+        _cluster_point(rng, v, eps)
+        for v, size in zip(verts, [r] + [r - 1] * d) for _ in range(size)])
+    return config, frozenset(range(r))
 
 
 def separated_subset(config, k, seed):

@@ -543,11 +543,76 @@ def test_separation_out_of_range_indices_are_usage_errors(argv, doc):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_cli_import_leaves_the_solver_modules_unloaded():
-    probe = ("import sys, tvpm.cli; print(sorted(m for m in ("
-             "'tvpm.sarkaria', 'tvpm.colored', 'tvpm.minnorm') "
-             "if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", probe],
-                          capture_output=True, text=True)
+_SOLVERS_LOADED = """
+import contextlib, io, sys
+import tvpm.cli
+
+def loaded():
+    print(sorted(m for m in ('tvpm.sarkaria', 'tvpm.colored', 'tvpm.minnorm')
+                 if m in sys.modules))
+
+loaded()
+import tvpm.colored
+loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = tvpm.cli.main(["verify", "--input", sys.argv[1],
+                          "--cert", sys.argv[2]])
+print(code)
+loaded()
+"""
+
+
+def test_cli_import_leaves_the_solver_modules_unloaded(tmp_path):
+    # neither the CLI nor the colored module, nor a colored verify, loads
+    # the pivot engine
+    classes_path = tmp_path / "classes.json"
+    classes_path.write_text(json.dumps(LINE_CLASSES))
+    cert_path = tmp_path / "colored_cert.json"
+    cert_path.write_text(json.dumps(LINE_COLORED_CERT))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SOLVERS_LOADED, str(classes_path),
+         str(cert_path)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == [
+        "[]", "['tvpm.colored']", "0", "['tvpm.colored']"]
+
+
+# (result, a command whose --out file is the input "{gen}", the command)
+_OUTCOMES = [
+    ("valid", None, ["verify", "--input", "{line}", "--cert", "{cert}"]),
+    ("invalid", None,
+     ["verify", "--input", "{line}", "--cert", "{edited_cert}"]),
+    ("not_found", ["example", "--kind", "1", "--d", "2", "--r", "3"],
+     ["search", "--prescribe", "0", "--input", "{gen}"]),
+    ("spectrum", ["gen", "--d", "2", "--r", "2", "--seed", "1"],
+     ["spectrum", "--input", "{gen}"]),
+    ("separated", ["example", "--kind", "2", "--d", "2", "--r", "3"],
+     ["separation", "--input", "{gen}"]),
+    ("not_separated", ["example", "--kind", "1", "--d", "2", "--r", "3"],
+     ["separation", "--m", "0", "--input", "{gen}"]),
+    ("separation_violated", None, ["solve", "--m", "1", "--input", "{line}"]),
+    ("degenerate_gamma", ["gen", "--d", "2", "--r", "3", "--seed", "5"],
+     ["solve", "--m", "0,3", "--input", "{gen}"]),
+    ("internal_error", None, ["gen", "--d", "2", "--r", "3"]),
+]
+
+
+@pytest.mark.parametrize("name, setup, argv", _OUTCOMES,
+                         ids=[case[0] for case in _OUTCOMES])
+def test_every_result_exits_with_its_table_code(tmp_path, monkeypatch, capsys,
+                                                name, setup, argv):
+    assert {case[0] for case in _OUTCOMES} == set(cli.RESULTS)
+    paths = {key: tmp_path / (key + ".json")
+             for key in ("line", "cert", "edited_cert", "gen")}
+    paths["line"].write_text(json.dumps(LINE_CFG))
+    paths["cert"].write_text(json.dumps(LINE_CERT))
+    edited = dict(LINE_CERT, alpha=dict(LINE_CERT["alpha"], **{"0": "1/3"}))
+    paths["edited_cert"].write_text(json.dumps(edited))
+    if setup is not None:
+        assert cli.main(setup + ["--out", str(paths["gen"])]) == 0
+    if name == "internal_error":
+        monkeypatch.setattr(gen, "MAX_ATTEMPTS", 0)
+    code = cli.main([arg.format(**paths) for arg in argv])
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["result"] == name
+    assert code == cli.RESULTS[obj["result"]]

@@ -60,11 +60,6 @@ def test_validate_partition_errors():
         validate_partition(cfg, ((0,), (1,)))  # missing index
     with pytest.raises(ValueError):
         validate_partition(cfg, ((0, 1, 2), ()))  # empty part
-    # size cap only applies when properness is required
-    cfg2 = PointConfig(d=1, r=2, points=((F(0),), (F(1),), (F(2),), (F(5),)))
-    with pytest.raises(ValueError):
-        validate_partition(cfg2, ((0, 1, 2), (3,)))
-    validate_partition(cfg2, ((0, 1, 2), (3,)), require_proper=False)
 
 
 def test_build_system_small_line():
