@@ -13,6 +13,7 @@ that are constant across parts by construction.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from tvpm.core import (
     SCHEMA,
@@ -26,12 +27,12 @@ from tvpm.linalg import (
     denominator_lcm,
     format_rat,
     format_vec,
+    int_weighted_sum,
     parse_rat,
     parse_vec,
     tensor,
     to_int,
     vdot,
-    weighted_sum,
 )
 
 
@@ -47,26 +48,32 @@ class ColorClasses:
         if self.r < 2:
             raise ValueError("r must be >= 2")
         cls = tuple(
-            tuple(tuple(Fraction(x) for x in p) for p in group)
+            tuple(tuple(x if isinstance(x, Fraction) else Fraction(x)
+                        for x in p) for p in group)
             for group in self.classes
         )
         object.__setattr__(self, "classes", cls)
         if len(cls) != (self.r - 1) * self.d + 1:
             raise ValueError("need (r-1)d+1 classes")
-        everything = []
         for group in cls:
             if len(group) != self.r:
                 raise ValueError("every class needs exactly r points")
             for p in group:
                 if len(p) != self.d:
                     raise ValueError("point dimension mismatch")
-                everything.append(p)
+        everything = [p for group in self.scaled[1] for p in group]
         if len(set(everything)) != len(everything):
             raise ValueError("points must be distinct across classes")
 
     @property
     def n(self):
         return len(self.classes)
+
+    @cached_property
+    def scaled(self):
+        """``(D, classes)`` as ``core.PointConfig.scaled``, class by class."""
+        scale = denominator_lcm([p for group in self.classes for p in group])
+        return scale, tuple(to_int(group, scale) for group in self.classes)
 
 
 def lex_first_assignment(cost):
@@ -222,10 +229,7 @@ def colored_tverberg_pm(cc, m_set, trace=None):
     if not m_set <= frozenset(range(cc.n)):
         raise ValueError("m_set out of range")
     vs = companion_simplex(cc.r)
-    # The lift runs on the classes times the lcm D of their denominators;
-    # pivot choices and weights do not change under the uniform scaling.
-    scale = denominator_lcm([p for group in cc.classes for p in group])
-    ints = [to_int(group, scale) for group in cc.classes]
+    scale, ints = cc.scaled
     sets = [PermutationColor(group, i in m_set, vs)
             for i, group in enumerate(ints)]
     choice, beta = pivot_to_origin(sets, [0] * cc.n, trace=trace, scale=scale)
@@ -266,21 +270,28 @@ def verify_colorful(cc, cp, m_set=None):
     problems = []
     if len(cp.assignment) != cc.n or len(cp.alpha) != cc.n:
         return False, ["shape mismatch"]
+    if len(cp.z) != cc.d:
+        return False, ["z has wrong dimension"]
     for i, row in enumerate(cp.assignment):
         if sorted(row) != list(range(cc.r)):
             problems.append("class %d: assignment is not a bijection" % i)
     if problems:
         return False, problems
-    total = sum(cp.alpha, Fraction(0))
-    if total != 1:
-        problems.append("coefficient sum %s != 1" % format_rat(total))
-    for l in range(cc.r):
-        u = weighted_sum(cp.alpha, [cc.classes[i][cp.assignment[i][l]]
-                                    for i in range(cc.n)])
-        if u != tuple(cp.z):
+    scale, ints = cc.scaled
+    picked = [[g[j] for j in row] for g, row in zip(ints, cp.assignment)]
+    sums = [int_weighted_sum(cp.alpha, part) for part in zip(*picked)]
+    den, total, _ = sums[0]  # alpha is the same in every part
+    if total != den:
+        problems.append("coefficient sum %s != 1"
+                        % format_rat(Fraction(total, den)))
+    unit = den * scale  # the rational weighted sum is u / unit
+    for l, (_, _, u) in enumerate(sums):
+        if any(v * x.denominator != x.numerator * unit
+               for v, x in zip(u, cp.z)):
             problems.append(
                 "part %d: weighted sum %s != z %s"
-                % (l, format_vec(u), format_vec(cp.z)))
+                % (l, format_vec(Fraction(v, unit) for v in u),
+                   format_vec(cp.z)))
     neg = frozenset(i for i, a in enumerate(cp.alpha) if a < 0)
     if neg != cp.negatives:
         problems.append("negatives set does not match coefficient signs")

@@ -29,10 +29,10 @@ from tvpm.kernel import ff_solve
 from tvpm.linalg import (
     format_rat,
     format_vec,
+    int_weighted_sum,
     parse_rat,
     parse_vec,
     vdot,
-    weighted_sum,
 )
 
 SCHEMA = "tvpm/1"
@@ -49,14 +49,16 @@ class PointConfig:
             raise ValueError("d must be >= 1")
         if self.r < 2:
             raise ValueError("r must be >= 2")
-        pts = tuple(tuple(Fraction(x) for x in p) for p in self.points)
+        pts = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x)
+                          for x in p) for p in self.points)
         object.__setattr__(self, "points", pts)
         if not pts:
             raise ValueError("need at least one point")
         for p in pts:
             if len(p) != self.d:
                 raise ValueError("point dimension mismatch")
-        if len(set(pts)) != len(pts):
+        _, ints = self.scaled
+        if len(set(ints)) != len(ints):
             raise ValueError("points must be distinct")
 
     @property
@@ -260,22 +262,23 @@ def verify_certificate(config, partition, cert, alternative=None,
     except ValueError as e:
         return False, ["partition: %s" % e]
     if sorted(cert.alpha) != list(range(config.n)):
-        problems.append("alpha does not cover indices 0..n-1")
-        return False, problems
+        return False, ["alpha does not cover indices 0..n-1"]
     if len(cert.z) != config.d:
-        problems.append("z has wrong dimension")
-        return False, problems
+        return False, ["z has wrong dimension"]
+    scale, points = config.scaled
     for part in partition:
-        s = sum(cert.alpha[i] for i in part)
-        if s != 1:
-            problems.append(
-                "part %s: coefficient sum %s != 1" % (list(part), format_rat(s)))
-        w = weighted_sum([cert.alpha[i] for i in part],
-                         [config.points[i] for i in part])
-        if w != tuple(cert.z):
+        den, total, sums = int_weighted_sum([cert.alpha[i] for i in part],
+                                            [points[i] for i in part])
+        if total != den:
+            problems.append("part %s: coefficient sum %s != 1"
+                            % (list(part), format_rat(Fraction(total, den))))
+        unit = den * scale  # the rational weighted sum is sums / unit
+        if any(v * x.denominator != x.numerator * unit
+               for v, x in zip(sums, cert.z)):
             problems.append(
                 "part %s: weighted sum %s != z %s"
-                % (list(part), format_vec(w), format_vec(cert.z)))
+                % (list(part), format_vec(Fraction(v, unit) for v in sums),
+                   format_vec(cert.z)))
     neg = frozenset(i for i, a in cert.alpha.items() if a < 0)
     if neg != cert.negatives:
         problems.append("negatives set does not match strict negatives of alpha")
@@ -376,6 +379,9 @@ def certificate_from_json(obj):
     if not isinstance(obj["alpha"], dict):
         raise ValueError("'alpha' must be an object")
     alpha = {int(i): parse_rat(a) for i, a in obj["alpha"].items()}
+    # int() also reads " 1", "01" and "1_0"; only str(i) names index i
+    if list(map(str, alpha)) != list(obj["alpha"]):
+        raise ValueError("'alpha' keys must be indices in decimal form")
     cert = AffineCertificate(
         z=z,
         alpha=alpha,

@@ -7,9 +7,10 @@ its denominators (``denominator_lcm``, ``to_int``) and then runs on ints
 and the fraction-free elimination of ``tvpm.kernel``, whose ``ff_solve``
 is the one exact linear solve; uniform scaling changes a determinant by a
 known factor and changes neither rank nor the affine-invariant answers, so
-everything stays exact.  Rationals stay at the edges: parsing, formatting,
-and the exact sums of rational points (``weighted_sum``) that ``verify``
-re-checks and that witness an overlap of two hulls.
+everything stays exact; ``verify`` re-checks rational weights on the
+scaled points (``int_weighted_sum``).  Rationals stay at the edges:
+parsing, formatting, and the exact sums of rational points
+(``weighted_sum``) that witness an overlap of two hulls.
 
 Rational literal syntax used on every interface of this package: "p" or
 "p/q" with decimal integers and q > 0.  No floating point anywhere.
@@ -34,9 +35,10 @@ def parse_rat(s):
         raise ValueError("not a rational literal: %r" % (s,))
     if "/" in s:
         num, den = s.split("/")
-        if int(den) == 0:
+        den = int(den)
+        if den == 0:
             raise ValueError("zero denominator: %r" % (s,))
-        return Fraction(int(num), int(den))
+        return Fraction(int(num), den)
     return Fraction(int(s))
 
 
@@ -84,6 +86,15 @@ def to_int(vectors, scale):
     multiple of every denominator (see ``denominator_lcm``)."""
     return tuple(tuple(x.numerator * (scale // x.denominator) for x in v)
                  for v in vectors)
+
+
+def int_weighted_sum(weights, points):
+    """``(den, total, sums)``, ints: den the lcm of the rational weights'
+    denominators, total = den * sum(weights) and sums = den * sum
+    weights[i] points[i] over integer points."""
+    den = lcm(*(w.denominator for w in weights))
+    ints = [w.numerator * (den // w.denominator) for w in weights]
+    return den, sum(ints), weighted_sum(ints, points)
 
 
 class HullFactor(NamedTuple):

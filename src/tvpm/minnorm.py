@@ -29,8 +29,10 @@ from tvpm.linalg import vdot
 
 
 def gram(points):
-    """The Gram matrix [<p, q>] of the points, as lists."""
-    return [[vdot(p, q) for q in points] for p in points]
+    """The Gram matrix [<p, q>] of the points, as lists, by symmetry."""
+    g = [[vdot(p, q) for q in points[:i + 1]] for i, p in enumerate(points)]
+    return [row + [g[l][i] for l in range(i + 1, len(g))]
+            for i, row in enumerate(g)]
 
 
 class _Bordered:
@@ -113,7 +115,8 @@ class Corral:
     def __init__(self, gram):
         if not gram:
             raise ValueError("need at least one point")
-        start = min(range(len(gram)), key=lambda i: (gram[i][i], i))
+        diag = [row[i] for i, row in enumerate(gram)]
+        start = diag.index(min(diag))
         self.border = _Bordered(gram, start)
         self.lam = {start: 1}
         self.q = 1
@@ -130,7 +133,6 @@ def min_norm_point(corral):
     gram = border.gram
     support = border.support  # grown and shrunk by border's updates
     lam, q = corral.lam, corral.q
-    n = len(gram)
     prev = None  # (q^2 |x|^2, q^2) of the previous iterate
     while True:
         # v[i] = q <x, p_i>, and nsq = q^2 |x|^2
@@ -143,7 +145,7 @@ def min_norm_point(corral):
         prev = (nsq, q * q)
         if nsq == 0:
             break
-        enter = min(range(n), key=lambda i: (v[i], i))
+        enter = v.index(min(v))
         if v[enter] * q >= nsq:
             break
         # points[enter] is outside the affine hull of the support (inner

@@ -241,12 +241,14 @@ def check_separation(config, m_set):
         raise ValueError("m_set must be a nonempty proper subset")
     scale, points = config.scaled
     pairs = [(i, j) for i in m_idx for j in rest]
-    # <a_i - a_j, a_k - a_l> from the Gram matrix of the n points: row
-    # (i, j) holds <a_i - a_j, a_k> for every k.
-    point_gram = gram(points)
-    rows = [[a - b for a, b in zip(point_gram[i], point_gram[j])]
-            for i, j in pairs]
-    corral = Corral([[row[k] - row[l] for k, l in pairs] for row in rows])
+    # <a_i - a_j, a_k - a_l> from the Gram matrix g of the n points, in
+    # the order m, rest: row (i, j) holds <a_i - a_j, a_k> for every k.
+    h = len(m_idx)
+    g = gram([points[k] for k in m_idx + rest])
+    rows = [[a - b for a, b in zip(g[i], g[j])]
+            for i in range(h) for j in range(h, config.n)]
+    corral = Corral([[a - b for a in row[:h] for b in row[h:]]
+                     for row in rows])
     min_norm_point(corral)
     lam, q = corral.lam, corral.q
     if corral.nsq == 0:

@@ -531,6 +531,26 @@ def test_malformed_json_shapes_are_usage_errors(tmp_path, doc, key, value):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("alpha", [
+    {"0": "1/2", " 1": "1", "2": "1/2"},
+    {"0": "1/2", "01": "1", "2": "1/2"},
+    {"0": "1/2", "+1": "1", "2": "1/2"},
+    {"0": "1/2", "1_0": "1", "2": "1/2"},
+    {"0": "1/2", "1": "1", "01": "7", "2": "1/2"},
+], ids=["space", "leading-zero", "plus", "underscore", "two-keys-one-index"])
+def test_verify_rejects_non_canonical_alpha_keys(tmp_path, alpha):
+    # int() reads each of these keys, but only "1" names index 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(LINE_CFG))
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(dict(LINE_CERT, alpha=alpha)))
+    code, out, err = run_cli(
+        ["verify", "--input", str(cfg_path), "--cert", str(cert_path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, doc", [
     (["separation", "--m", "0,99"], LINE_CFG),
     (["separation", "--m", "-1"], LINE_CFG),

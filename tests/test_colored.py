@@ -3,13 +3,14 @@
 import random
 import re
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tvpm import colored
@@ -29,6 +30,7 @@ from tvpm.gen import general_position
 from tvpm.linalg import denominator_lcm, tensor, to_int, weighted_sum
 from tvpm.sarkaria import DegenerateGamma, companion_simplex, pivot_to_origin
 
+import verify_oracle
 from colored_oracle import permutation_lift
 from linalg_oracle import solve_linear
 from pivot_oracle import VectorColor
@@ -83,6 +85,14 @@ def test_class_validation():
     with pytest.raises(ValueError):
         ColorClasses(d=1, r=2, classes=(((F(0),), (F(1),)),
                                         ((F(0),), (F(2),))))  # duplicate 0
+    # equal values written differently are still duplicates
+    msg = "points must be distinct across classes"
+    with pytest.raises(ValueError, match=msg):
+        ColorClasses(d=1, r=2, classes=(((F(1, 2),), (F(1),)),
+                                        (("2/4",), (F(2),))))
+    with pytest.raises(ValueError, match=msg):
+        classes_from_json({"d": 1, "r": 2, "classes": [[["1/2"], ["1"]],
+                                                       [["2/4"], ["2"]]]})
 
 
 def test_permutation_lift_pair():
@@ -337,6 +347,39 @@ def test_verifier_flags_corruption():
     ok, problems = verify_colorful(cc, bad)
     assert not ok
     assert any("weighted sum" in p for p in problems)
+
+    for z in (cp.z + (cp.z[0],), ()):
+        ok, problems = verify_colorful(cc, replace(cp, z=z))
+        assert (ok, problems) == (False, ["z has wrong dimension"])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(d=st.integers(1, 2), r=st.integers(2, 4), seed=st.integers(0, 10**6),
+       den=st.sampled_from([1, 2, 6]),
+       edit=st.sampled_from(["none", "alpha", "z"]),
+       delta=st.builds(F, st.integers(1, 3) | st.integers(-3, -1),
+                       st.integers(1, 6)),
+       data=st.data())
+def test_verifier_matches_the_fraction_oracle(d, r, seed, den, edit, delta,
+                                              data):
+    # a colored certificate as written, or with one alpha or one z
+    # coordinate moved: the integer re-check gives the oracle's verdict
+    # and problems
+    cc = distinct_classes(d, r, seed, num=10, den=den)
+    m = data.draw(st.frozensets(st.integers(0, cc.n - 1)))
+    res = colored_tverberg_pm(cc, m)
+    assume(not isinstance(res, DegenerateGamma))
+    cp = colorful_from_json(colorful_to_json(res))
+    if edit == "alpha":
+        i = data.draw(st.integers(0, cc.n - 1))
+        cp = replace(cp, alpha=cp.alpha[:i] + (cp.alpha[i] + delta,)
+                     + cp.alpha[i + 1:])
+    elif edit == "z":
+        k = data.draw(st.integers(0, d - 1))
+        cp = replace(cp, z=cp.z[:k] + (cp.z[k] + delta,) + cp.z[k + 1:])
+    got = verify_colorful(cc, cp, m)
+    assert got == verify_oracle.verify_colorful(cc, cp, m)
+    assert got[0] == (edit == "none")
 
 
 def test_json_round_trips():

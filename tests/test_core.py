@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,8 +22,10 @@ from tvpm.core import (
     verify_certificate,
 )
 from tvpm.gen import random_config
+from tvpm.sarkaria import PMCertificate, tverberg_pm
 from tvpm.search import proper_partitions
 
+import verify_oracle
 from linalg_oracle import block_intersection, block_system
 
 F = Fraction
@@ -39,6 +42,13 @@ def test_config_validation():
         PointConfig(d=1, r=1, points=((F(1),),))
     with pytest.raises(ValueError):
         PointConfig(d=1, r=2, points=((F(1),), (F(1),)))  # duplicates
+    # equal values written differently are still duplicates
+    for points in (((F(1, 2),), ("2/4",), (F(1),)), ((1,), (F(1),), (2,))):
+        with pytest.raises(ValueError, match="points must be distinct"):
+            PointConfig(d=1, r=2, points=points)
+    with pytest.raises(ValueError, match="points must be distinct"):
+        config_from_json({"d": 1, "r": 2,
+                          "points": [["1/2"], ["1"], ["2/4"]]})
     with pytest.raises(ValueError):
         PointConfig(d=2, r=2, points=((F(1),),))  # wrong dim
     cfg = line_config()
@@ -305,6 +315,34 @@ def test_verify_catches_corruption():
     ok, problems = verify_certificate(cfg, ((0, 2), (1,)), bad2)
     assert not ok
     assert any("weighted sum" in p for p in problems)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(d=st.integers(1, 3), r=st.integers(2, 3), seed=st.integers(0, 10**6),
+       edit=st.sampled_from(["none", "alpha", "z"]),
+       delta=st.builds(F, st.integers(1, 3) | st.integers(-3, -1),
+                       st.integers(1, 6)),
+       data=st.data())
+def test_verify_matches_the_fraction_oracle(d, r, seed, edit, delta, data):
+    # a solve certificate as written, or with one alpha or one z coordinate
+    # moved: the integer re-check gives the oracle's verdict and problems
+    cfg = random_config(d, r, seed)
+    m = data.draw(st.frozensets(st.integers(0, cfg.n - 1)))
+    res = tverberg_pm(cfg, m, check_sep=False)
+    assume(isinstance(res, PMCertificate))
+    cert, partition, alternative = certificate_from_json(certificate_to_json(
+        res.cert, res.partition, res.alternative, res.proper))
+    if edit == "alpha":
+        i = data.draw(st.integers(0, cfg.n - 1))
+        cert = replace(cert, alpha={**cert.alpha, i: cert.alpha[i] + delta})
+    elif edit == "z":
+        k = data.draw(st.integers(0, d - 1))
+        cert = replace(cert, z=cert.z[:k] + (cert.z[k] + delta,)
+                       + cert.z[k + 1:])
+    args = (cfg, partition, cert, alternative, m, res.proper)
+    got = verify_certificate(*args)
+    assert got == verify_oracle.verify_certificate(*args)
+    assert got[0] == (edit == "none")
 
 
 def test_json_round_trips():

@@ -1,9 +1,10 @@
 """The exact integer core computes without ``Fraction``.
 
 The kernel, the per-partition path of the scan, the general-position
-check, and Wolfe's method (all of ``minnorm``, the pivoting solver's
-inner loop and the separation test) run on Python ints only; rationals
-stay at the edges (parsing, certificates, ``verify``).  Each named
+check, Wolfe's method (all of ``minnorm``, the pivoting solver's inner
+loop and the separation test) and the sums that ``verify`` re-checks
+(``linalg.int_weighted_sum``) run on Python ints only; rationals stay at
+the edges (parsing, certificates, the problem texts of ``verify``).  Each named
 module, function or class below is parsed, not imported, and searched
 for any use of the name ``Fraction``, whether called, bound or read off
 ``fractions``.
@@ -22,7 +23,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "tvpm"
 INTEGER_CORE = {
     "kernel.py": None,
     "gen.py": ("general_position",),
-    "linalg.py": ("hull_factor",),
+    "linalg.py": ("hull_factor", "int_weighted_sum"),
     "core.py": ("common_point", "read_parts"),
     "search.py": ("_scan", "_radon_weights", "_radon_signs"),
     "minnorm.py": None,
