@@ -8,16 +8,21 @@ exception the program did not expect) is reported as an ``error:
 internal:`` line and an ``internal_error`` result, never a traceback.  A
 stdout whose reader has gone also exits 3, with an ``error:`` line on
 stderr and nothing more written to stdout.
+
+A command imports what it runs: this module loads only the reading,
+writing and generating code (``core``, ``gen``, ``linalg``), and each
+command imports its solver modules (``search``, ``sarkaria``,
+``colored``) and ``csv`` itself, so that a process pays start-up time
+for no module its command never calls.
 """
 
 import argparse
-import csv
 import functools
 import json
 import os
 import sys
 
-from tvpm import core, gen, search
+from tvpm import core, gen
 from tvpm.linalg import format_rat, format_vec, parse_rat
 
 EXIT_OK = 0
@@ -122,9 +127,6 @@ def _trace_writer(step, choice, w, normsq):
 
 
 def cmd_solve(args):
-    # The solver modules (sarkaria, and minnorm under it) are imported by
-    # the commands that run them: gen, search, spectrum, separation and
-    # verify start up without them.
     from tvpm.sarkaria import (
         DegenerateGamma,
         PMCertificate,
@@ -156,6 +158,7 @@ def cmd_solve(args):
 
 
 def cmd_search(args):
+    from tvpm import search
     obj = _read_json(args.input)
     config = core.config_from_json(obj)
     if (args.k is None) == (args.prescribe is None):
@@ -175,6 +178,7 @@ def cmd_search(args):
 
 
 def cmd_spectrum(args):
+    from tvpm import search
     obj = _read_json(args.input)
     config = core.config_from_json(obj)
     res = search.radon_spectrum(config)
@@ -184,6 +188,7 @@ def cmd_spectrum(args):
 
 
 def cmd_separation(args):
+    from tvpm import search
     obj = _read_json(args.input)
     config = core.config_from_json(obj)
     m_set = _m_from_args_or_input(args, obj)
@@ -215,6 +220,7 @@ def _separation_problems(config, m_set, warning):
     """Problems with a solve certificate's ``separation_warning`` claim,
     which is true exactly when conv(m) and conv(rest) meet
     (``search.check_separation``)."""
+    from tvpm import search
     if not isinstance(warning, bool):
         raise ValueError("'separation_warning' must be true or false")
     if not m_set or not m_set < frozenset(range(config.n)):
@@ -267,6 +273,7 @@ def _batch_trial(task):
     mode, d, r, param, seed = task
     config = gen.random_config(d, r, seed)
     if mode == "search-k":
+        from tvpm import search
         res = search.search_exact_k(config, param)
         if res.found:
             return ("found", "negatives=%d" % len(res.cert.negatives))
@@ -284,6 +291,7 @@ def _batch_trial(task):
 
 
 def cmd_batch(args):
+    import csv
     if args.mode == "search-k":
         if args.k is None:
             raise UsageError("batch --mode search-k needs --k")
@@ -297,8 +305,6 @@ def cmd_batch(args):
         for trial in range(args.trials)
     ]
     if args.jobs > 1:
-        # Imported here: the process pool costs every other subcommand
-        # start-up time it never uses.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_batch_trial, tasks))

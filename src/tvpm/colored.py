@@ -11,9 +11,9 @@ to every part, and the class weights unscale by gamma into coefficients
 that are constant across parts by construction.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from tvpm.core import (
     SCHEMA,
@@ -36,34 +36,48 @@ from tvpm.linalg import (
 )
 
 
-@dataclass(frozen=True)
-class ColorClasses:
+class _ClassFields(NamedTuple):
     d: int
     r: int
     classes: tuple
 
-    def __post_init__(self):
-        if self.d < 1:
+
+class ColorClasses(_ClassFields):
+    """(r-1)d+1 classes of r points in R^d (tuples of Fractions).
+
+    Immutable like ``core.PointConfig``: the constructor coerces the
+    coordinates to Fractions and rejects malformed classes with a
+    ValueError.
+    """
+
+    def __new__(cls, d, r, classes):
+        if d < 1:
             raise ValueError("d must be >= 1")
-        if self.r < 2:
+        if r < 2:
             raise ValueError("r must be >= 2")
-        cls = tuple(
+        groups = tuple(
             tuple(tuple(x if isinstance(x, Fraction) else Fraction(x)
                         for x in p) for p in group)
-            for group in self.classes
+            for group in classes
         )
-        object.__setattr__(self, "classes", cls)
-        if len(cls) != (self.r - 1) * self.d + 1:
+        if len(groups) != (r - 1) * d + 1:
             raise ValueError("need (r-1)d+1 classes")
-        for group in cls:
-            if len(group) != self.r:
+        for group in groups:
+            if len(group) != r:
                 raise ValueError("every class needs exactly r points")
             for p in group:
-                if len(p) != self.d:
+                if len(p) != d:
                     raise ValueError("point dimension mismatch")
+        self = super().__new__(cls, d, r, groups)
         everything = [p for group in self.scaled[1] for p in group]
         if len(set(everything)) != len(everything):
             raise ValueError("points must be distinct across classes")
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds through _make: validate as the constructor does
+        return cls(*fields)
 
     @property
     def n(self):
@@ -198,8 +212,7 @@ class PermutationColor:
         return lehmer_rank(sigma), self._element(sigma), value
 
 
-@dataclass(frozen=True)
-class ColorfulPartition:
+class ColorfulPartition(NamedTuple):
     assignment: tuple  # assignment[i][l] = point index of class i in part l
     alpha: tuple  # one coefficient per class
     z: tuple

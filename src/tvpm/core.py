@@ -19,7 +19,6 @@ as degenerate (a general-position failure), never silently repaired.
 """
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -38,28 +37,42 @@ from tvpm.linalg import (
 SCHEMA = "tvpm/1"
 
 
-@dataclass(frozen=True)
-class PointConfig:
+class _PointFields(NamedTuple):
     d: int
     r: int
     points: tuple
 
-    def __post_init__(self):
-        if self.d < 1:
+
+class PointConfig(_PointFields):
+    """n points in R^d (tuples of Fractions) and a part count r.
+
+    A tuple of its three fields, immutable; the constructor coerces the
+    coordinates to Fractions and rejects a malformed configuration with a
+    ValueError.
+    """
+
+    def __new__(cls, d, r, points):
+        if d < 1:
             raise ValueError("d must be >= 1")
-        if self.r < 2:
+        if r < 2:
             raise ValueError("r must be >= 2")
         pts = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x)
-                          for x in p) for p in self.points)
-        object.__setattr__(self, "points", pts)
+                          for x in p) for p in points)
         if not pts:
             raise ValueError("need at least one point")
         for p in pts:
-            if len(p) != self.d:
+            if len(p) != d:
                 raise ValueError("point dimension mismatch")
+        self = super().__new__(cls, d, r, pts)
         _, ints = self.scaled
         if len(set(ints)) != len(ints):
             raise ValueError("points must be distinct")
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds through _make: validate as the constructor does
+        return cls(*fields)
 
     @property
     def n(self):
@@ -104,8 +117,7 @@ def is_proper(config, parts):
     return all(1 <= len(p) <= config.d + 1 for p in parts)
 
 
-@dataclass(frozen=True)
-class AffineCertificate:
+class AffineCertificate(NamedTuple):
     z: tuple
     alpha: dict
     negatives: frozenset
@@ -191,8 +203,7 @@ def read_parts(partition, factors, y):
             yield part, [i for i, v in zip(part, x) if v < 0], x
 
 
-@dataclass(frozen=True)
-class Intersection:
+class Intersection(NamedTuple):
     kind: str  # "point" | "empty" | "degenerate"
     cert: object  # AffineCertificate for "point", else None
 

@@ -28,14 +28,14 @@ def general_position(points, d):
 
     The points (each of length d) are scaled once to integers and lifted
     to (a, 1); they are in general position exactly when they are
-    distinct and every d+1 of the lifted vectors are linearly
-    independent, which ``kernel.every_subset_independent`` decides
-    without one determinant per subset."""
-    if len(set(points)) != len(points):
+    distinct (as integers: scaling is one-to-one) and every d+1 of the
+    lifted vectors are linearly independent, which
+    ``kernel.every_subset_independent`` decides without one determinant
+    per subset."""
+    ints = linalg.to_int(points, linalg.denominator_lcm(points))
+    if len(set(ints)) != len(ints):
         return False
-    lifted = [p + (1,) for p in linalg.to_int(points,
-                                               linalg.denominator_lcm(points))]
-    return every_subset_independent(lifted)
+    return every_subset_independent([p + (1,) for p in ints])
 
 
 def _rand_coord(rng):
@@ -117,16 +117,20 @@ def separated_subset(config, k, seed):
     """k indices extreme along a random functional; always separated.
 
     Draws seeded functionals until all n inner products are distinct,
-    then returns the top k indices.
+    then returns the top k indices.  The products are read in integers,
+    with the functional's numerators (``_rand_coord`` times its
+    denominator) on the scaled points: a positive rescaling keeps their
+    order and their ties.
     """
     if not 0 <= k <= config.n:
         raise ValueError("k out of range")
     if k == 0:
         return frozenset()
     rng = random.Random(seed)
+    _, points = config.scaled
     for _ in range(MAX_ATTEMPTS):
-        u = tuple(_rand_coord(rng) for _ in range(config.d))
-        values = [linalg.vdot(u, p) for p in config.points]
+        u = [rng.randint(-_NUM_RANGE, _NUM_RANGE) for _ in range(config.d)]
+        values = [linalg.vdot(u, p) for p in points]
         if len(set(values)) != config.n:
             continue
         order = sorted(range(config.n), key=lambda i: values[i], reverse=True)

@@ -29,9 +29,9 @@ R^{n-1} whose convex hull contains the origin:
      prescribed set was not separated.
 """
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from tvpm.core import (
     canonical_partition,
@@ -170,8 +170,7 @@ def pivot_to_origin(sets, init_choice, trace=None, scale=1):
         step += 1
 
 
-@dataclass(frozen=True)
-class PMCertificate:
+class PMCertificate(NamedTuple):
     partition: tuple
     cert: object  # AffineCertificate; gamma carries the raw scale factor
     alternative: str  # "in_m" | "complement"
@@ -179,16 +178,14 @@ class PMCertificate:
     separation_warning: object  # None when unchecked, else bool
 
 
-@dataclass(frozen=True)
-class SeparationViolated:
+class SeparationViolated(NamedTuple):
     common_point: tuple
     part: tuple  # the point indices whose split witnesses the overlap
     m_weights: dict
     rest_weights: dict
 
 
-@dataclass(frozen=True)
-class DegenerateGamma:
+class DegenerateGamma(NamedTuple):
     choice: tuple
     weights: tuple
 
@@ -302,5 +299,5 @@ def tverberg_pm(config, m_set, check_sep=True, trace=None):
         trace=trace, scale=config.scaled[0])
     result = recover(config, m_set, choice, weights)
     if isinstance(result, PMCertificate):
-        return replace(result, separation_warning=warning)
+        return result._replace(separation_warning=warning)
     return result

@@ -27,9 +27,9 @@ gives a common point of the two hulls, anything else the max-margin
 separating hyperplane.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from tvpm.core import common_point, intersect_affine_hulls
 from tvpm.kernel import ff_solve
@@ -66,8 +66,7 @@ def proper_partitions(n, r, d):
     yield from rec(0)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     found: bool
     partition: object
     cert: object
@@ -178,8 +177,7 @@ def search_prescribed(config, m_set):
     return _scan(config, accept)
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
+class SpectrumResult(NamedTuple):
     achievable: frozenset
     scanned: int
     skipped: int
@@ -202,14 +200,12 @@ def radon_spectrum(config):
     return SpectrumResult(frozenset(ks), res.scanned, res.skipped)
 
 
-@dataclass(frozen=True)
-class Separated:
+class Separated(NamedTuple):
     normal: tuple  # primitive integer entries, as Fractions
     offset: Fraction
 
 
-@dataclass(frozen=True)
-class NotSeparated:
+class NotSeparated(NamedTuple):
     point: tuple
     m_weights: dict
     rest_weights: dict

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from tvpm.colored import ColorClasses, classes_to_json
 from tvpm.core import dump_json
 
 CMD = [sys.executable, "-m", "tvpm.cli"]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(args, stdin=None):
@@ -563,38 +565,57 @@ def test_separation_out_of_range_indices_are_usage_errors(argv, doc):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-_SOLVERS_LOADED = """
-import contextlib, io, sys
-import tvpm.cli
+_LOADED = """
+import contextlib, io, json, sys
+
+WATCH = ('csv', 'dataclasses', 'tvpm.colored', 'tvpm.minnorm',
+         'tvpm.sarkaria', 'tvpm.search')
 
 def loaded():
-    print(sorted(m for m in ('tvpm.sarkaria', 'tvpm.colored', 'tvpm.minnorm')
-                 if m in sys.modules))
+    return [m for m in WATCH if m in sys.modules]
 
-loaded()
-import tvpm.colored
-loaded()
+import tvpm.cli
+before = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
-    code = tvpm.cli.main(["verify", "--input", sys.argv[1],
-                          "--cert", sys.argv[2]])
-print(code)
-loaded()
+    code = tvpm.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([before, code, loaded()]))
 """
 
 
 def test_cli_import_leaves_the_solver_modules_unloaded(tmp_path):
-    # neither the CLI nor the colored module, nor a colored verify, loads
-    # the pivot engine
-    classes_path = tmp_path / "classes.json"
-    classes_path.write_text(json.dumps(LINE_CLASSES))
-    cert_path = tmp_path / "colored_cert.json"
-    cert_path.write_text(json.dumps(LINE_COLORED_CERT))
-    proc = subprocess.run(
-        [sys.executable, "-c", _SOLVERS_LOADED, str(classes_path),
-         str(cert_path)], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "[]", "['tvpm.colored']", "0", "['tvpm.colored']"]
+    # Each command loads only what it runs: gen and a point or colored
+    # verify load no dataclasses, csv or search, and only the re-check of
+    # a separation_warning loads search (with minnorm), not the solver.
+    # ``-S`` keeps site and its .pth files out of the module set.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    paths = {key: tmp_path / (key + ".json") for key in
+             ("line", "cert", "classes", "colored_cert", "cfg", "solved")}
+    for key, doc in (("line", LINE_CFG), ("cert", LINE_CERT),
+                     ("classes", LINE_CLASSES),
+                     ("colored_cert", LINE_COLORED_CERT)):
+        paths[key].write_text(json.dumps(doc))
+    _, out, _ = run_cli(["gen", "--d", "2", "--r", "3", "--seed", "5"])
+    paths["cfg"].write_text(out)
+    code, out, _ = run_cli(["solve", "--m", "0,1"], stdin=out)
+    assert code == 0 and "separation_warning" in json.loads(out)
+    paths["solved"].write_text(out)
+
+    def modules_after(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", _LOADED,
+             json.dumps([str(paths.get(a, a)) for a in argv])],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    assert modules_after("gen", "--d", "2", "--r", "3") == [[], 0, []]
+    assert modules_after("verify", "--input", "line", "--cert", "cert") == [
+        [], 0, []]
+    assert modules_after("verify", "--input", "classes",
+                         "--cert", "colored_cert") == [
+        [], 0, ["tvpm.colored"]]
+    assert modules_after("verify", "--input", "cfg", "--cert", "solved") == [
+        [], 0, ["tvpm.minnorm", "tvpm.search"]]
 
 
 # (result, a command whose --out file is the input "{gen}", the command)

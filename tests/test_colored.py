@@ -3,7 +3,6 @@
 import random
 import re
 import time
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
@@ -349,7 +348,7 @@ def test_verifier_flags_corruption():
     assert any("weighted sum" in p for p in problems)
 
     for z in (cp.z + (cp.z[0],), ()):
-        ok, problems = verify_colorful(cc, replace(cp, z=z))
+        ok, problems = verify_colorful(cc, cp._replace(z=z))
         assert (ok, problems) == (False, ["z has wrong dimension"])
 
 
@@ -372,11 +371,11 @@ def test_verifier_matches_the_fraction_oracle(d, r, seed, den, edit, delta,
     cp = colorful_from_json(colorful_to_json(res))
     if edit == "alpha":
         i = data.draw(st.integers(0, cc.n - 1))
-        cp = replace(cp, alpha=cp.alpha[:i] + (cp.alpha[i] + delta,)
-                     + cp.alpha[i + 1:])
+        cp = cp._replace(alpha=cp.alpha[:i] + (cp.alpha[i] + delta,)
+                         + cp.alpha[i + 1:])
     elif edit == "z":
         k = data.draw(st.integers(0, d - 1))
-        cp = replace(cp, z=cp.z[:k] + (cp.z[k] + delta,) + cp.z[k + 1:])
+        cp = cp._replace(z=cp.z[:k] + (cp.z[k] + delta,) + cp.z[k + 1:])
     got = verify_colorful(cc, cp, m)
     assert got == verify_oracle.verify_colorful(cc, cp, m)
     assert got[0] == (edit == "none")

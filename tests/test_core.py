@@ -2,7 +2,6 @@
 
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -334,11 +333,11 @@ def test_verify_matches_the_fraction_oracle(d, r, seed, edit, delta, data):
         res.cert, res.partition, res.alternative, res.proper))
     if edit == "alpha":
         i = data.draw(st.integers(0, cfg.n - 1))
-        cert = replace(cert, alpha={**cert.alpha, i: cert.alpha[i] + delta})
+        cert = cert._replace(alpha={**cert.alpha, i: cert.alpha[i] + delta})
     elif edit == "z":
         k = data.draw(st.integers(0, d - 1))
-        cert = replace(cert, z=cert.z[:k] + (cert.z[k] + delta,)
-                       + cert.z[k + 1:])
+        cert = cert._replace(z=cert.z[:k] + (cert.z[k] + delta,)
+                             + cert.z[k + 1:])
     args = (cfg, partition, cert, alternative, m, res.proper)
     got = verify_certificate(*args)
     assert got == verify_oracle.verify_certificate(*args)
