@@ -83,10 +83,11 @@ def _weights(witness):
 def _parse_m(text):
     if text is None or text.strip() == "":
         return frozenset()
-    try:
-        return frozenset(int(tok) for tok in text.split(","))
-    except ValueError:
+    tokens = [tok.strip() for tok in text.split(",")]
+    # int() also reads "1_0", "+1" and non-ASCII digits such as "\u0663"
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
         raise UsageError("--m expects a comma-separated index list")
+    return frozenset(map(int, tokens))
 
 
 def _m_from_args_or_input(args, obj):

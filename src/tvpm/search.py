@@ -24,7 +24,10 @@ or some lambda_i = 0) it reads them from the part hulls as for r > 2.
 Separation of conv(M) from conv(A \\ M) is decided by the exact
 minimum-norm point of the differences a_i - a_j, i in M, j not in M: zero
 gives a common point of the two hulls, anything else the max-margin
-separating hyperplane.
+separating hyperplane.  Wolfe's method runs on the points themselves:
+each major cycle reads the entering difference from one inner product per
+point, and only the differences in its support are ever built, never the
+Gram matrix of all |M| (n - |M|) of them.
 """
 
 from fractions import Fraction
@@ -217,8 +220,9 @@ def check_separation(config, m_set):
     The two hulls meet exactly when the origin lies in the hull of the
     differences a_i - a_j (i in m_set, j not) of the scaled points, so one
     exact nearest-point computation (``minnorm.min_norm_point``) decides
-    it, on a Gram matrix read off the n points' own Gram matrix; it
-    leaves the nearest point as y / q, y = sum lam[k] diffs[k].
+    it.  It runs on a ``minnorm.PairCorral`` of the two sides' points,
+    which builds no difference beyond its support and no Gram matrix, and
+    leaves the nearest point as y / q, y = sum lam[k] (a_i - a_j).
     Separated: y is nonzero, and y over the gcd of its entries is the
     max-margin normal, with <normal, x> > offset strictly on the m side
     and < offset strictly on the other side; the margin is read in
@@ -226,7 +230,7 @@ def check_separation(config, m_set):
     NotSeparated: y = 0, and summing the pair weights lam[k] / q per side
     gives an exact common point with convex weights for both hulls.
     """
-    from tvpm.minnorm import Corral, gram, min_norm_point
+    from tvpm.minnorm import PairCorral, min_norm_point
 
     m_set = frozenset(m_set)
     if not m_set <= frozenset(range(config.n)):
@@ -236,33 +240,22 @@ def check_separation(config, m_set):
     if not m_idx or not rest:
         raise ValueError("m_set must be a nonempty proper subset")
     scale, points = config.scaled
-    pairs = [(i, j) for i in m_idx for j in rest]
-    # <a_i - a_j, a_k - a_l> from the Gram matrix g of the n points, in
-    # the order m, rest: row (i, j) holds <a_i - a_j, a_k> for every k.
-    h = len(m_idx)
-    g = gram([points[k] for k in m_idx + rest])
-    rows = [[a - b for a, b in zip(g[i], g[j])]
-            for i in range(h) for j in range(h, config.n)]
-    corral = Corral([[a - b for a in row[:h] for b in row[h:]]
-                     for row in rows])
+    corral = PairCorral([points[i] for i in m_idx],
+                        [points[j] for j in rest])
     min_norm_point(corral)
     lam, q = corral.lam, corral.q
     if corral.nsq == 0:
         mw = {i: Fraction(0) for i in m_idx}
         rw = {j: Fraction(0) for j in rest}
         for k, c in lam.items():
-            i, j = pairs[k]
-            mw[i] += Fraction(c, q)
-            rw[j] += Fraction(c, q)
+            a, b = divmod(k, len(rest))
+            mw[m_idx[a]] += Fraction(c, q)
+            rw[rest[b]] += Fraction(c, q)
         pt = weighted_sum(list(mw.values()), [config.points[i] for i in mw])
         return NotSeparated(point=pt, m_weights=mw, rest_weights=rw)
     # <y, a_i - a_j> >= |y|^2 / q > 0 for every pair, so y points from the
     # rest to the m side; scale it to primitive integers.
-    diffs = []
-    for k in lam:
-        i, j = pairs[k]
-        diffs.append([a - b for a, b in zip(points[i], points[j])])
-    y = weighted_sum(list(lam.values()), diffs)
+    y = corral.y
     g = gcd(*y)
     normal = [v // g for v in y]
     lo = min(vdot(normal, points[i]) for i in m_idx)

@@ -565,6 +565,34 @@ def test_separation_out_of_range_indices_are_usage_errors(argv, doc):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def cfg_13_text():
+    # 13 points, so "1_0", read by int() as 10, would name a point
+    return run_cli(["gen", "--d", "3", "--r", "4", "--seed", "0"])[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--m", "1_0"],
+    ["solve", "--m", "+1,3"],
+    ["solve", "--m", "1,\u0663"],
+    ["separation", "--m", "0,\uff13"],
+    ["search", "--prescribe", "\u0663"],
+], ids=["underscore", "plus", "arabic-indic-digit", "fullwidth-digit",
+        "prescribe-arabic-indic-digit"])
+def test_index_lists_take_only_ascii_decimal_tokens(cfg_13_text, argv):
+    code, out, err = run_cli(argv, stdin=cfg_13_text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_index_list_tokens_may_carry_spaces(cfg_13_text):
+    want = run_cli(["separation", "--m", "0,3"], stdin=cfg_13_text)
+    assert want[0] in (0, 1) and want[1]
+    assert run_cli(["separation", "--m", " 0 , 3 "],
+                   stdin=cfg_13_text) == want
+
+
 _LOADED = """
 import contextlib, io, json, sys
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvpm.linalg import vdot
-from tvpm.minnorm import _Bordered, gram
+from tvpm.minnorm import PairCorral, _Bordered, gram
 
 from minnorm_oracle import (
     _affine_weights,
@@ -16,6 +16,7 @@ from minnorm_oracle import (
     min_norm_point_naive,
     min_norm_point_scaled,
 )
+from separation_oracle import assert_pair_corral_matches_gram
 
 F = Fraction
 
@@ -107,7 +108,8 @@ def test_bordered_updates_match_fresh_solves(data):
     pts = data.draw(st.lists(st.tuples(*[coord] * dim),
                              min_size=2, max_size=7))
     matrix = gram(pts)
-    border = _Bordered(matrix, data.draw(st.integers(0, len(pts) - 1)))
+    border = _Bordered(lambda e, idx: [matrix[e][s] for s in idx],
+                       data.draw(st.integers(0, len(pts) - 1)))
     assert border.weights() == _affine_weights(matrix, border.support)
     for _ in range(data.draw(st.integers(1, 12))):
         outside = [i for i in range(len(pts)) if i not in border.support]
@@ -132,3 +134,23 @@ def test_bordered_updates_match_fresh_solves(data):
         else:
             continue
         assert border.weights() == _affine_weights(matrix, border.support)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pair_corral_matches_the_gram_corral_on_ties(data):
+    # Coordinates in {-1, 0, 1}, repeats allowed within and across the
+    # sides: many pairs tie for the least v, so the entering pair must be
+    # the first argmin over a times the first argmax over b.
+    dim = data.draw(st.integers(1, 3))
+    pt = st.tuples(*[st.integers(-1, 1)] * dim)
+    left = data.draw(st.lists(pt, min_size=1, max_size=6))
+    right = data.draw(st.lists(pt, min_size=1, max_size=6))
+    assert_pair_corral_matches_gram(left, right)
+
+
+def test_pair_corral_needs_both_sides():
+    with pytest.raises(ValueError):
+        PairCorral([], [(1,)])
+    with pytest.raises(ValueError):
+        PairCorral([(1,)], [])

@@ -16,7 +16,7 @@ from tvpm.core import (
     intersect_affine_hulls,
     verify_certificate,
 )
-from tvpm.gen import example1, random_config
+from tvpm.gen import example1, random_config, separated_subset
 from tvpm.linalg import vdot, weighted_sum
 from tvpm.search import (
     NotSeparated,
@@ -31,6 +31,10 @@ from tvpm.search import (
 from linalg_oracle import block_intersection
 from minnorm_oracle import min_norm_point_naive
 from radon_oracle import radon_top
+from separation_oracle import (
+    assert_pair_corral_matches_gram,
+    check_separation_gram,
+)
 
 F = Fraction
 
@@ -166,6 +170,23 @@ def test_separation_normal_is_max_margin():
     assert res == Separated(normal=(F(0), F(-1)), offset=F(-1, 2))
 
 
+def _separation_checked(cfg, m_set):
+    """check_separation's result, after checking that its Wolfe run takes
+    the steps of the explicit pair-Gram oracle's and that both results
+    are equal, weight-dict key order included."""
+    _, pts = cfg.scaled
+    assert_pair_corral_matches_gram(
+        [pts[i] for i in sorted(m_set)],
+        [pts[j] for j in range(cfg.n) if j not in m_set])
+    res = check_separation(cfg, m_set)
+    want = check_separation_gram(cfg, m_set)
+    assert res == want
+    if isinstance(res, NotSeparated):
+        assert list(res.m_weights) == list(want.m_weights)
+        assert list(res.rest_weights) == list(want.rest_weights)
+    return res
+
+
 def _assert_separation_sound(cfg, m_set, res):
     rest = frozenset(range(cfg.n)) - frozenset(m_set)
     if isinstance(res, Separated):
@@ -206,7 +227,7 @@ def test_separation_soundness_random(d, r, seed, data):
     cfg = random_config(d, r, seed=seed)
     m_set = data.draw(st.sets(st.integers(0, cfg.n - 1), min_size=1,
                               max_size=cfg.n - 1))
-    _assert_separation_sound(cfg, m_set, check_separation(cfg, m_set))
+    _assert_separation_sound(cfg, m_set, _separation_checked(cfg, m_set))
 
 
 @settings(max_examples=80, deadline=None)
@@ -218,7 +239,7 @@ def test_separation_sound_on_lattice_points(d, data):
     cfg = PointConfig(d=d, r=2, points=pts)
     m_set = data.draw(st.sets(st.integers(0, cfg.n - 1), min_size=1,
                               max_size=cfg.n - 1))
-    _assert_separation_sound(cfg, m_set, check_separation(cfg, m_set))
+    _assert_separation_sound(cfg, m_set, _separation_checked(cfg, m_set))
 
 
 @settings(max_examples=80, deadline=None)
@@ -244,10 +265,22 @@ def test_separation_hulls_touching_in_one_point(d, data):
     pts = data.draw(st.permutations(m_pts + rest_pts))
     cfg = PointConfig(d=d, r=2, points=pts)
     m_set = {pts.index(p) for p in m_pts}
-    res = check_separation(cfg, m_set)
+    res = _separation_checked(cfg, m_set)
     assert isinstance(res, NotSeparated)
     assert res.point == tuple(F(x) for x in c)
     _assert_separation_sound(cfg, m_set, res)
+
+
+def test_separation_at_n45_matches_the_gram_oracle():
+    # (3, 12), |M| = 22: 506 pairs, whose 506 x 506 Gram matrix only the
+    # oracle builds; one separated M and one that is not.
+    cfg = random_config(3, 12, seed=0)
+    assert cfg.n == 45
+    m_set = separated_subset(cfg, 22, 0)
+    assert isinstance(_separation_checked(cfg, m_set), Separated)
+    res = _separation_checked(cfg, set(range(22)))
+    assert isinstance(res, NotSeparated)
+    _assert_separation_sound(cfg, set(range(22)), res)
 
 
 def test_radon_spectrum_line():
