@@ -44,10 +44,6 @@ RESULTS = {
 }
 
 
-class UsageError(Exception):
-    pass
-
-
 def _read_json(path):
     try:
         if path == "-":
@@ -55,7 +51,7 @@ def _read_json(path):
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
-        raise UsageError("cannot read JSON from %s: %s" % (path, e))
+        raise ValueError("cannot read JSON from %s: %s" % (path, e))
 
 
 def _emit(obj, out=None):
@@ -80,13 +76,13 @@ def _weights(witness):
             for key in ("m_weights", "rest_weights")}
 
 
-def _parse_m(text):
-    if text is None or text.strip() == "":
+def _parse_m(text, option="--m"):
+    if text.strip() == "":
         return frozenset()
     tokens = [tok.strip() for tok in text.split(",")]
     # int() also reads "1_0", "+1" and non-ASCII digits such as "\u0663"
     if not all(tok.isascii() and tok.isdigit() for tok in tokens):
-        raise UsageError("--m expects a comma-separated index list")
+        raise ValueError("%s expects a comma-separated index list" % option)
     return frozenset(map(int, tokens))
 
 
@@ -138,9 +134,7 @@ def cmd_solve(args):
     config = core.config_from_json(obj)
     m_set = _m_from_args_or_input(args, obj)
     trace = _trace_writer if args.trace else None
-    result = tverberg_pm(config, m_set,
-                         check_sep=not args.no_separation_check,
-                         trace=trace)
+    result = tverberg_pm(config, m_set, trace=trace)
     if isinstance(result, PMCertificate):
         out = core.certificate_to_json(
             result.cert, result.partition,
@@ -163,11 +157,12 @@ def cmd_search(args):
     obj = _read_json(args.input)
     config = core.config_from_json(obj)
     if (args.k is None) == (args.prescribe is None):
-        raise UsageError("search needs exactly one of --k and --prescribe")
+        raise ValueError("search needs exactly one of --k and --prescribe")
     if args.k is not None:
         res = search.search_exact_k(config, args.k)
     else:
-        res = search.search_prescribed(config, _parse_m(args.prescribe))
+        res = search.search_prescribed(config,
+                                       _parse_m(args.prescribe, "--prescribe"))
     if res.found:
         out = core.certificate_to_json(res.cert, res.partition)
         out["partitions_scanned"] = res.scanned
@@ -241,30 +236,27 @@ def cmd_verify(args):
     # A non-object certificate falls through to certificate_from_json,
     # which rejects it.
     kind = cert_obj.get("kind") if isinstance(cert_obj, dict) else None
-    try:
-        m_set = proper = None
-        if isinstance(cert_obj, dict):
-            if "m" in cert_obj:
-                m_set = frozenset(core.index_list(cert_obj["m"], "'m'"))
-            proper = cert_obj.get("proper")
-            if proper is not None and not isinstance(proper, bool):
-                raise ValueError("'proper' must be true or false")
-        if kind == "colored_certificate":
-            from tvpm import colored as colored_mod
-            cc = colored_mod.classes_from_json(input_obj)
-            cp = colored_mod.colorful_from_json(cert_obj)
-            ok, problems = colored_mod.verify_colorful(cc, cp, m_set)
-        else:
-            config = core.config_from_json(input_obj)
-            cert, partition, alternative = core.certificate_from_json(cert_obj)
-            ok, problems = core.verify_certificate(
-                config, partition, cert, alternative, m_set, proper)
-            if "separation_warning" in cert_obj:
-                problems += _separation_problems(
-                    config, m_set, cert_obj["separation_warning"])
-                ok = not problems
-    except ValueError as e:
-        raise UsageError(str(e))
+    m_set = proper = None
+    if isinstance(cert_obj, dict):
+        if "m" in cert_obj:
+            m_set = frozenset(core.index_list(cert_obj["m"], "'m'"))
+        proper = cert_obj.get("proper")
+        if proper is not None and not isinstance(proper, bool):
+            raise ValueError("'proper' must be true or false")
+    if kind == "colored_certificate":
+        from tvpm import colored as colored_mod
+        cc = colored_mod.classes_from_json(input_obj)
+        cp = colored_mod.colorful_from_json(cert_obj)
+        ok, problems = colored_mod.verify_colorful(cc, cp, m_set)
+    else:
+        config = core.config_from_json(input_obj)
+        cert, partition, alternative = core.certificate_from_json(cert_obj)
+        ok, problems = core.verify_certificate(
+            config, partition, cert, alternative, m_set, proper)
+        if "separation_warning" in cert_obj:
+            problems += _separation_problems(
+                config, m_set, cert_obj["separation_warning"])
+            ok = not problems
     if ok:
         return _result("valid")
     return _result("invalid", problems=problems)
@@ -295,11 +287,11 @@ def cmd_batch(args):
     import csv
     if args.mode == "search-k":
         if args.k is None:
-            raise UsageError("batch --mode search-k needs --k")
+            raise ValueError("batch --mode search-k needs --k")
         param = args.k
     else:
         if args.m_size is None:
-            raise UsageError("batch --mode solve needs --m-size")
+            raise ValueError("batch --mode solve needs --m-size")
         param = args.m_size
     tasks = [
         (args.mode, args.d, args.r, param, args.seed_base + trial)
@@ -352,7 +344,6 @@ def build_parser():
     sp.add_argument("--input", default="-")
     sp.add_argument("--m", default=None,
                     help="comma-separated indices; default: input's m")
-    sp.add_argument("--no-separation-check", action="store_true")
     sp.add_argument("--trace", action="store_true",
                     help="per-pivot JSON lines on stderr")
 
@@ -425,7 +416,7 @@ def main(argv=None):
         code = globals()["cmd_" + args.command](args)
         sys.stdout.flush()
         return code
-    except (UsageError, ValueError) as e:
+    except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError as e:

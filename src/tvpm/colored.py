@@ -7,8 +7,9 @@ negated on the prescribed classes.  The set stays implicit
 to the current point, an assignment problem solved exactly in O(r^3), so
 no r! set is ever built and any r runs.  The same pivoting engine finds a
 zero transversal; each chosen permutation assigns one point of its class
-to every part, and the class weights unscale by gamma into coefficients
-that are constant across parts by construction.
+to every part, and ``sarkaria.decode_weights``, the point solver's
+recovery routine, unscales the class weights by gamma into coefficients,
+constant across parts by construction, and their sign sets.
 """
 
 from fractions import Fraction
@@ -253,24 +254,20 @@ def colored_tverberg_pm(cc, m_set, trace=None):
         for j, l in enumerate(color.permutation(rank)):
             inv[l] = j
         assignment.append(tuple(inv))
-    decoded = decode_weights(
-        cc.d, choice, beta, m_set,
-        [[(i, ints[i][assignment[i][l]]) for i in range(cc.n)]
+    cert = decode_weights(
+        choice, beta, m_set,
+        [(range(cc.n), [ints[i][assignment[i][l]] for i in range(cc.n)])
          for l in range(cc.r)], scale)
-    if isinstance(decoded, DegenerateGamma):
-        return decoded
-    alpha, z, gamma = decoded
-    negatives = frozenset(i for i, a in enumerate(alpha) if a < 0)
-    zero_set = frozenset(i for i, a in enumerate(alpha) if a == 0)
-    alternative = "m_negative" if gamma > 0 else "m_positive"
+    if isinstance(cert, DegenerateGamma):
+        return cert
     return ColorfulPartition(
         assignment=tuple(assignment),
-        alpha=alpha,
-        z=z,
-        gamma=gamma,
-        negatives=negatives,
-        zero_set=zero_set,
-        alternative=alternative,
+        alpha=tuple(cert.alpha.values()),
+        z=cert.z,
+        gamma=cert.gamma,
+        negatives=cert.negatives,
+        zero_set=cert.zero_set,
+        alternative="m_negative" if cert.gamma > 0 else "m_positive",
     )
 
 

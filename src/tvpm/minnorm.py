@@ -45,22 +45,25 @@ def gram(points):
 
 
 class _Bordered:
-    """The support S of Wolfe's method with the adjugate ``adj`` and the
-    determinant ``det`` of its bordered Gram matrix B = [0 1^T; 1 G_S].
+    """The support S of Wolfe's method with the negated adjugate ``adj``
+    and the negated determinant ``det`` of its bordered Gram matrix B =
+    [0 1^T; 1 G_S].
 
     Stationarity of |sum w_i p_i|^2 under sum w_i = 1 is B (mu, w) = e_0,
     so the affine minimizer's weights are column 0 of adj over det.  B is
-    nonsingular exactly when S is affinely independent.  Both updates
-    divide by the old det, and those divisions are exact: every result is
-    a minor of B (Sylvester's identity, Jacobi's theorem on the adjugate).
-    adj is symmetric; each update computes one triangle and mirrors it.
+    nonsingular exactly when S is affinely independent, and then its
+    determinant is negative, so det > 0.  Negating both adj and det leaves
+    the updates unchanged.  Both divide by the old det, and those
+    divisions are exact: every result is a minor of B (Sylvester's
+    identity, Jacobi's theorem on the adjugate).  adj is symmetric; each
+    update computes one triangle and mirrors it.
     """
 
     def __init__(self, inner, start):
         self.inner = inner  # inner(e, idx): [<p_e, p_s> for s in idx]
         self.support = [start]
-        self.det = -1
-        self.adj = [[inner(start, [start])[0], -1], [-1, 0]]
+        self.det = 1
+        self.adj = [[-inner(start, [start])[0], 1], [1, 0]]
 
     def add(self, e):
         """Append point e: det' = g_ee det - c.u and adj' = [(det' adj +
@@ -101,10 +104,7 @@ class _Bordered:
     def weights(self):
         """``(den, nums)`` with w_i = nums[i] / den and den > 0: the
         affine minimizer of the support, in support order."""
-        nums = [row[0] for row in self.adj[1:]]
-        if self.det < 0:
-            return -self.det, [-v for v in nums]
-        return self.det, nums
+        return self.det, [row[0] for row in self.adj[1:]]
 
 
 class Corral:

@@ -22,11 +22,14 @@ R^{n-1} whose convex hull contains the origin:
      (``minnorm.min_norm_point``) resumes from the previous pivot's corral
      instead of restarting, and w = y / q is read from its integers.
   4. ``recover``, from the configuration, the prescribed set and the
-     transversal: reading the partition off the chosen tensor factors and
-     unscaling the weights by the common per-part coefficient sum gamma;
-     the sign of gamma selects which of the two sign alternatives was
-     realized, and an empty part yields an exact witness that the
-     prescribed set was not separated.
+     transversal: reading the partition off the chosen tensor factors,
+     then ``decode_weights``, the one routine that turns a zero
+     transversal into a certificate (``colored`` calls it too): it
+     unscales the weights by the common per-part coefficient sum gamma
+     into the affine coefficients and their sign sets, and the sign of
+     gamma selects which of the two sign alternatives was realized.  An
+     empty part yields an exact witness that the prescribed set was not
+     separated instead.
 """
 
 from fractions import Fraction
@@ -190,39 +193,37 @@ class DegenerateGamma(NamedTuple):
     weights: tuple
 
 
-def decode_weights(d, choice, beta, m_set, parts, scale):
-    """Unscale a zero transversal's weights into affine coefficients.
+def decode_weights(choice, beta, m_set, parts, scale):
+    """Turn a zero transversal's weights into a certificate.
 
-    ``parts`` lists, per part, the ``(index, point)`` pairs it holds, the
-    points integer vectors in Z^d equal to ``scale`` times the input
+    ``parts`` lists, per part, ``(indices, points)``: the indices it holds
+    and their points, integer vectors equal to ``scale`` times the input
     points; index i carries the weight beta[i], negated when i is in
     m_set.  The per-part sums of signed weight times (point, 1) must
     agree; their last coordinate is gamma.  The sums run on ints, over the
-    weights' common denominator q and the point scale.  Returns ``(alpha,
-    z, gamma)`` with alpha[i] = signed[i] / gamma and z the common sum of
-    the points over gamma, or DegenerateGamma when gamma = 0.
+    weights' common denominator q and the point scale.  Returns the
+    ``core.AffineCertificate`` with alpha[i] = signed[i] / gamma, z the
+    common sum of the points over gamma and the sign sets of alpha
+    (``make_certificate``), or DegenerateGamma, which keeps the
+    transversal, when gamma = 0.
     """
     q = lcm(*(b.denominator for b in beta))
     signed = [b.numerator * (q // b.denominator) * (-1 if i in m_set else 1)
               for i, b in enumerate(beta)]
     # q * scale times each part's sum of signed[i] / q * (a_i, 1)
     sums = []
-    for part in parts:
-        u = [0] * d
-        for i, p in part:
-            c = signed[i]
-            if c:
-                u = [x + c * y for x, y in zip(u, p)]
-        u.append(scale * sum(signed[i] for i, _ in part))
-        sums.append(u)
+    for indices, points in parts:
+        weights = [signed[i] for i in indices]
+        sums.append(weighted_sum(weights, points) + (scale * sum(weights),))
     if any(u != sums[0] for u in sums[1:]):
         raise AssertionError("per-part sums must agree")
-    top = sums[0][d]
+    *u, top = sums[0]
     if top == 0:
         return DegenerateGamma(choice=tuple(choice), weights=beta)
-    alpha = tuple(Fraction(c * scale, top) for c in signed)
-    z = tuple(Fraction(x, top) for x in sums[0][:d])
-    return alpha, z, Fraction(top, q * scale)
+    return make_certificate(
+        z=(Fraction(x, top) for x in u),
+        alpha={i: Fraction(c * scale, top) for i, c in enumerate(signed)},
+        gamma=Fraction(top, q * scale))
 
 
 def recover(config, m_set, choice, beta):
@@ -235,9 +236,8 @@ def recover(config, m_set, choice, beta):
     surfaced as degenerate.  An empty part forces all sums to vanish and
     yields an exact common point of the two hulls instead.
     """
-    n, d, r = config.n, config.d, config.r
-    parts = [[] for _ in range(r)]
-    for i in range(n):
+    parts = [[] for _ in range(config.r)]
+    for i in range(config.n):
         parts[choice[i]].append(i)
     if any(not part for part in parts):
         # All sums vanish; inside any part carrying weight, the positive
@@ -265,18 +265,16 @@ def recover(config, m_set, choice, beta):
             )
         raise AssertionError("an empty part implies a weighted overlap")
     unit, points = config.scaled
-    decoded = decode_weights(
-        d, choice, beta, m_set,
-        [[(i, points[i]) for i in part] for part in parts], unit)
-    if isinstance(decoded, DegenerateGamma):
-        return decoded
-    alpha, z, gamma = decoded
-    cert = make_certificate(z=z, alpha=dict(enumerate(alpha)), gamma=gamma)
+    cert = decode_weights(
+        choice, beta, m_set,
+        [(part, [points[i] for i in part]) for part in parts], unit)
+    if isinstance(cert, DegenerateGamma):
+        return cert
     partition = canonical_partition(parts)
     return PMCertificate(
         partition=partition,
         cert=cert,
-        alternative="in_m" if gamma > 0 else "complement",
+        alternative="in_m" if cert.gamma > 0 else "complement",
         proper=is_proper(config, partition),
         separation_warning=None,
     )

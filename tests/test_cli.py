@@ -586,6 +586,17 @@ def test_index_lists_take_only_ascii_decimal_tokens(cfg_13_text, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["search", "--prescribe", "+0"], "--prescribe"),
+    (["solve", "--m", "+0"], "--m"),
+], ids=["prescribe", "m"])
+def test_index_list_errors_name_the_option_given(cfg_13_text, argv, option):
+    code, out, err = run_cli(argv, stdin=cfg_13_text)
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s expects a comma-separated index list\n" % option
+
+
 def test_index_list_tokens_may_carry_spaces(cfg_13_text):
     want = run_cli(["separation", "--m", "0,3"], stdin=cfg_13_text)
     assert want[0] in (0, 1) and want[1]

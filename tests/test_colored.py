@@ -314,6 +314,20 @@ def test_degenerate_gamma_symmetric_classes():
     assert isinstance(res, DegenerateGamma)
 
 
+def test_degenerate_gamma_carries_its_zero_transversal():
+    cc = ColorClasses(d=1, r=2, classes=(((F(-1),), (F(3),)),
+                                         ((F(1),), (F(5),))))
+    m = {0}
+    res = colored_tverberg_pm(cc, m)
+    assert isinstance(res, DegenerateGamma)
+    vs = companion_simplex(cc.r)
+    sets = [PermutationColor(group, i in m, vs)
+            for i, group in enumerate(cc.scaled[1])]
+    picked = [sets[i][j] for i, j in enumerate(res.choice)]
+    assert weighted_sum(res.weights, picked) == (0,) * len(picked[0])
+    assert sum(res.weights) == 1
+
+
 def test_verifier_flags_corruption():
     cc = line_classes()
     cp = colored_tverberg_pm(cc, frozenset({0}))

@@ -173,6 +173,18 @@ def test_recover_gamma_zero_is_surfaced():
     assert isinstance(res, DegenerateGamma)
 
 
+def test_solver_degenerate_gamma_carries_its_zero_transversal():
+    # solve --m 0,3 on gen --d 2 --r 3 --seed 5 exits degenerate_gamma
+    cfg = random_config(2, 3, seed=5)
+    m = {0, 3}
+    res = tverberg_pm(cfg, m)
+    assert isinstance(res, DegenerateGamma)
+    sets = lift(cfg, m)
+    picked = [sets[i][j] for i, j in enumerate(res.choice)]
+    assert weighted_sum(res.weights, picked) == (0,) * (cfg.n - 1)
+    assert sum(res.weights) == 1
+
+
 def test_prescribed_small_sets_match_search():
     rng = random.Random(55)
     for trial in range(12):
