@@ -57,7 +57,11 @@ def _read_json(path):
 def _emit(obj, out=None):
     text = core.dump_json(obj)
     if out and out != "-":
-        with open(out, "w") as fh:
+        try:
+            fh = open(out, "w")
+        except OSError as e:
+            raise ValueError("cannot write JSON to %s: %s" % (out, e))
+        with fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -247,17 +251,20 @@ def cmd_verify(args):
         from tvpm import colored as colored_mod
         cc = colored_mod.classes_from_json(input_obj)
         cp = colored_mod.colorful_from_json(cert_obj)
-        ok, problems = colored_mod.verify_colorful(cc, cp, m_set)
+        _, problems = colored_mod.verify_colorful(cc, cp, m_set)
+        # proper and separation_warning are claims about a point partition
+        problems += ["a colored certificate carries no %s claim" % key
+                     for key in ("proper", "separation_warning")
+                     if key in cert_obj]
     else:
         config = core.config_from_json(input_obj)
         cert, partition, alternative = core.certificate_from_json(cert_obj)
-        ok, problems = core.verify_certificate(
+        _, problems = core.verify_certificate(
             config, partition, cert, alternative, m_set, proper)
         if "separation_warning" in cert_obj:
             problems += _separation_problems(
                 config, m_set, cert_obj["separation_warning"])
-            ok = not problems
-    if ok:
+    if not problems:
         return _result("valid")
     return _result("invalid", problems=problems)
 
@@ -292,6 +299,8 @@ def cmd_batch(args):
     else:
         if args.m_size is None:
             raise ValueError("batch --mode solve needs --m-size")
+        if not 0 <= args.m_size <= (args.r - 1) * (args.d + 1) + 1:
+            raise ValueError("--m-size must be between 0 and n = (r-1)(d+1)+1")
         param = args.m_size
     tasks = [
         (args.mode, args.d, args.r, param, args.seed_base + trial)

@@ -9,7 +9,10 @@ no r! set is ever built and any r runs.  The same pivoting engine finds a
 zero transversal; each chosen permutation assigns one point of its class
 to every part, and ``sarkaria.decode_weights``, the point solver's
 recovery routine, unscales the class weights by gamma into coefficients,
-constant across parts by construction, and their sign sets.
+constant across parts by construction, and their sign sets.  The parts an
+assignment picks (``assigned_parts``) feed that routine and the verifier,
+which re-checks them with the point verifier's one check,
+``core.certificate_problems``.
 """
 
 from fractions import Fraction
@@ -19,6 +22,7 @@ from typing import NamedTuple
 from tvpm.core import (
     SCHEMA,
     alternative_problems,
+    certificate_problems,
     index_list,
     int_field,
     json_list,
@@ -28,7 +32,6 @@ from tvpm.linalg import (
     denominator_lcm,
     format_rat,
     format_vec,
-    int_weighted_sum,
     parse_rat,
     parse_vec,
     tensor,
@@ -254,10 +257,8 @@ def colored_tverberg_pm(cc, m_set, trace=None):
         for j, l in enumerate(color.permutation(rank)):
             inv[l] = j
         assignment.append(tuple(inv))
-    cert = decode_weights(
-        choice, beta, m_set,
-        [(range(cc.n), [ints[i][assignment[i][l]] for i in range(cc.n)])
-         for l in range(cc.r)], scale)
+    cert = decode_weights(choice, beta, m_set,
+                          assigned_parts(ints, assignment), scale)
     if isinstance(cert, DegenerateGamma):
         return cert
     return ColorfulPartition(
@@ -271,45 +272,37 @@ def colored_tverberg_pm(cc, m_set, trace=None):
     )
 
 
+def assigned_parts(ints, assignment):
+    """Per part l, ``(indices, points)``: every class index and the point
+    of each class that ``assignment`` sends to part l, from the scaled
+    classes ``ints``."""
+    indices = range(len(assignment))
+    return [(indices, [ints[i][assignment[i][l]] for i in indices])
+            for l in range(len(ints[0]))]
+
+
 def verify_colorful(cc, cp, m_set=None):
     """Exact re-check of a colorful partition certificate.
 
-    With ``m_set``, the alternative ("m_negative" or "m_positive") must
+    After the shape and bijection guards, the part sums, the sign sets
+    and gamma are checked by ``core.certificate_problems``, the point
+    verifier's check, with alpha repeated in every part.  With
+    ``m_set``, the alternative ("m_negative" or "m_positive") must
     describe the negatives (``core.alternative_problems``).
     """
-    problems = []
     if len(cp.assignment) != cc.n or len(cp.alpha) != cc.n:
         return False, ["shape mismatch"]
     if len(cp.z) != cc.d:
         return False, ["z has wrong dimension"]
-    for i, row in enumerate(cp.assignment):
-        if sorted(row) != list(range(cc.r)):
-            problems.append("class %d: assignment is not a bijection" % i)
+    problems = ["class %d: assignment is not a bijection" % i
+                for i, row in enumerate(cp.assignment)
+                if sorted(row) != list(range(cc.r))]
     if problems:
         return False, problems
     scale, ints = cc.scaled
-    picked = [[g[j] for j in row] for g, row in zip(ints, cp.assignment)]
-    sums = [int_weighted_sum(cp.alpha, part) for part in zip(*picked)]
-    den, total, _ = sums[0]  # alpha is the same in every part
-    if total != den:
-        problems.append("coefficient sum %s != 1"
-                        % format_rat(Fraction(total, den)))
-    unit = den * scale  # the rational weighted sum is u / unit
-    for l, (_, _, u) in enumerate(sums):
-        if any(v * x.denominator != x.numerator * unit
-               for v, x in zip(u, cp.z)):
-            problems.append(
-                "part %d: weighted sum %s != z %s"
-                % (l, format_vec(Fraction(v, unit) for v in u),
-                   format_vec(cp.z)))
-    neg = frozenset(i for i, a in enumerate(cp.alpha) if a < 0)
-    if neg != cp.negatives:
-        problems.append("negatives set does not match coefficient signs")
-    zero = frozenset(i for i, a in enumerate(cp.alpha) if a == 0)
-    if zero != cp.zero_set:
-        problems.append("zero_set does not match zeros of alpha")
-    if cp.gamma == 0:
-        problems.append("gamma is zero")
+    parts = assigned_parts(ints, cp.assignment)
+    problems = certificate_problems(
+        cp, scale, [(l, *part) for l, part in enumerate(parts)])
     problems += alternative_problems(cc.n, cp.negatives, cp.zero_set,
                                      cp.alternative, m_set,
                                      ("m_negative", "m_positive"))

@@ -16,6 +16,10 @@ Classification drives everything downstream: a unique point comes with
 exact coefficients; inconsistent equations certify empty intersection;
 consistent ones whose point or coefficients are not unique are reported
 as degenerate (a general-position failure), never silently repaired.
+
+A certificate's arithmetic (the part sums, the sign sets and gamma) is
+re-checked in one place, ``certificate_problems``, for the point and the
+colored verifier alike.
 """
 
 import json
@@ -256,18 +260,55 @@ def alternative_problems(n, negatives, zero_set, alternative, m_set, names):
     return []
 
 
+def certificate_problems(cert, scale, parts):
+    """Problems with a certificate's arithmetic: the one check behind both
+    verifiers.
+
+    ``parts`` lists, per part, ``(label, indices, points)``: the label
+    that names the part in a problem, the indices it holds and their
+    points, integer vectors equal to ``scale`` times the input points.
+    Per part, the coefficients alpha[i] must sum to 1 and weight the
+    points to z, checked on ints (``linalg.int_weighted_sum``); then the
+    sign sets must match alpha and gamma must not be zero.  alpha is read
+    by index over 0..n-1, so a dict covering those indices and a tuple
+    both serve.
+    """
+    problems = []
+    alpha = cert.alpha
+    for label, indices, points in parts:
+        den, total, sums = int_weighted_sum([alpha[i] for i in indices],
+                                            points)
+        if total != den:
+            problems.append("part %s: coefficient sum %s != 1"
+                            % (label, format_rat(Fraction(total, den))))
+        unit = den * scale  # the rational weighted sum is sums / unit
+        if any(v * x.denominator != x.numerator * unit
+               for v, x in zip(sums, cert.z)):
+            problems.append(
+                "part %s: weighted sum %s != z %s"
+                % (label, format_vec(Fraction(v, unit) for v in sums),
+                   format_vec(cert.z)))
+    indices = range(len(alpha))
+    if frozenset(i for i in indices if alpha[i] < 0) != cert.negatives:
+        problems.append("negatives set does not match strict negatives of alpha")
+    if frozenset(i for i in indices if alpha[i] == 0) != cert.zero_set:
+        problems.append("zero_set does not match zeros of alpha")
+    if cert.gamma == 0:
+        problems.append("gamma is zero")
+    return problems
+
+
 def verify_certificate(config, partition, cert, alternative=None,
                        m_set=None, proper=None):
     """Re-check a certificate against its configuration, exactly.
 
     Returns ``(ok, problems)`` where problems names every violated
-    equation.  Checks: index coverage, per-part coefficient sums equal 1,
-    per-part weighted point sums equal z, and sign-set bookkeeping.  The
-    optional claims are checked when given: ``proper`` must equal
-    ``is_proper``, and ``alternative`` ("in_m" or "complement") with
-    ``m_set`` must describe the negatives (``alternative_problems``).
+    equation.  After the index-coverage guards, the part sums, the sign
+    sets and gamma are checked by ``certificate_problems``.  The optional
+    claims are checked when given: ``proper`` must equal ``is_proper``,
+    and ``alternative`` ("in_m" or "complement") with ``m_set`` must
+    describe the negatives (``alternative_problems``).
     """
-    problems = []
     try:
         validate_partition(config, partition)
     except ValueError as e:
@@ -277,27 +318,9 @@ def verify_certificate(config, partition, cert, alternative=None,
     if len(cert.z) != config.d:
         return False, ["z has wrong dimension"]
     scale, points = config.scaled
-    for part in partition:
-        den, total, sums = int_weighted_sum([cert.alpha[i] for i in part],
-                                            [points[i] for i in part])
-        if total != den:
-            problems.append("part %s: coefficient sum %s != 1"
-                            % (list(part), format_rat(Fraction(total, den))))
-        unit = den * scale  # the rational weighted sum is sums / unit
-        if any(v * x.denominator != x.numerator * unit
-               for v, x in zip(sums, cert.z)):
-            problems.append(
-                "part %s: weighted sum %s != z %s"
-                % (list(part), format_vec(Fraction(v, unit) for v in sums),
-                   format_vec(cert.z)))
-    neg = frozenset(i for i, a in cert.alpha.items() if a < 0)
-    if neg != cert.negatives:
-        problems.append("negatives set does not match strict negatives of alpha")
-    zero = frozenset(i for i, a in cert.alpha.items() if a == 0)
-    if zero != cert.zero_set:
-        problems.append("zero_set does not match zeros of alpha")
-    if cert.gamma == 0:
-        problems.append("gamma is zero")
+    problems = certificate_problems(
+        cert, scale,
+        [(list(part), part, [points[i] for i in part]) for part in partition])
     if proper is not None and proper != is_proper(config, partition):
         problems.append("proper is %s but the partition %s"
                         % (str(proper).lower(),

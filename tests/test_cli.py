@@ -15,11 +15,15 @@ from tvpm.core import dump_json
 
 CMD = [sys.executable, "-m", "tvpm.cli"]
 SRC = Path(__file__).resolve().parent.parent / "src"
+# Child processes import this checkout's package, also when only pytest's
+# own ``pythonpath`` setting put src/ on the path.
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
 
 
 def run_cli(args, stdin=None):
     proc = subprocess.run(
-        CMD + args, input=stdin, capture_output=True, text=True)
+        CMD + args, input=stdin, capture_output=True, text=True, env=ENV)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -132,7 +136,12 @@ def test_verify_rechecks_a_true_separation_warning(tmp_path):
     ("zero_set", [1], "zero_set does not match zeros of alpha"),
     ("alternative", "m_positive", "alternative m_positive for m [0]"),
     ("m", [1], "alternative m_negative for m [1]"),
-], ids=["zero_set", "alternative", "m"])
+    # proper and separation_warning describe a point partition: a colored
+    # certificate that carries either is invalid, whatever its value
+    ("proper", False, "a colored certificate carries no proper claim"),
+    ("separation_warning", True,
+     "a colored certificate carries no separation_warning claim"),
+], ids=["zero_set", "alternative", "m", "proper", "separation_warning"])
 def test_verify_rejects_false_colored_claims(tmp_path, key, value, problem):
     cc = ColorClasses(d=1, r=2, classes=((("0",), ("4",)),
                                          (("1",), ("3",))))
@@ -146,6 +155,24 @@ def test_verify_rejects_false_colored_claims(tmp_path, key, value, problem):
     assert obj["result"] == "invalid"
     assert len(obj["problems"]) == 1
     assert problem in obj["problems"][0]
+
+
+def test_out_to_a_path_that_cannot_be_opened_is_a_usage_error(
+        tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    assert cli.main(["gen", "--d", "2", "--r", "3", "--out", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write JSON to %s: " % path), err
+    assert not path.parent.exists()
+
+
+def test_batch_names_an_m_size_out_of_range():
+    code, out, err = run_cli(["batch", "--mode", "solve", "--d", "2",
+                              "--r", "3", "--trials", "2", "--m-size", "99"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: --m-size must be between 0 and n = (r-1)(d+1)+1\n"
 
 
 def _crash(config, accept):
@@ -189,7 +216,7 @@ def test_internal_errors_exit_three(tmp_path, monkeypatch, capsys,
 def test_closed_stdout_exits_three_without_traceback(argv, buffered):
     # stdout is a pipe whose read end is already closed: the write fails,
     # and neither the error handler nor the exit flush may try again
-    env = dict(os.environ)
+    env = dict(ENV)
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -407,7 +434,7 @@ def _main_calls(argvs):
     all in one fresh process."""
     proc = subprocess.run(
         [sys.executable, "-c", _MAIN_CALLS, json.dumps(argvs)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0, proc.stderr
     return [tuple(r) for r in json.loads(proc.stdout)]
 

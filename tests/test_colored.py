@@ -369,15 +369,16 @@ def test_verifier_flags_corruption():
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(d=st.integers(1, 2), r=st.integers(2, 4), seed=st.integers(0, 10**6),
        den=st.sampled_from([1, 2, 6]),
-       edit=st.sampled_from(["none", "alpha", "z"]),
+       edit=st.sampled_from(["none", "alpha", "z", "negatives", "zero_set",
+                             "gamma"]),
        delta=st.builds(F, st.integers(1, 3) | st.integers(-3, -1),
                        st.integers(1, 6)),
        data=st.data())
 def test_verifier_matches_the_fraction_oracle(d, r, seed, den, edit, delta,
                                               data):
     # a colored certificate as written, or with one alpha or one z
-    # coordinate moved: the integer re-check gives the oracle's verdict
-    # and problems
+    # coordinate moved, one class toggled in a sign set, or gamma zeroed:
+    # the integer re-check gives the oracle's verdict and problems
     cc = distinct_classes(d, r, seed, num=10, den=den)
     m = data.draw(st.frozensets(st.integers(0, cc.n - 1)))
     res = colored_tverberg_pm(cc, m)
@@ -390,6 +391,11 @@ def test_verifier_matches_the_fraction_oracle(d, r, seed, den, edit, delta,
     elif edit == "z":
         k = data.draw(st.integers(0, d - 1))
         cp = cp._replace(z=cp.z[:k] + (cp.z[k] + delta,) + cp.z[k + 1:])
+    elif edit in ("negatives", "zero_set"):
+        i = data.draw(st.integers(0, cc.n - 1))
+        cp = cp._replace(**{edit: getattr(cp, edit) ^ {i}})
+    elif edit == "gamma":
+        cp = cp._replace(gamma=F(0))
     got = verify_colorful(cc, cp, m)
     assert got == verify_oracle.verify_colorful(cc, cp, m)
     assert got[0] == (edit == "none")

@@ -318,13 +318,15 @@ def test_verify_catches_corruption():
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(d=st.integers(1, 3), r=st.integers(2, 3), seed=st.integers(0, 10**6),
-       edit=st.sampled_from(["none", "alpha", "z"]),
+       edit=st.sampled_from(["none", "alpha", "z", "negatives", "zero_set",
+                             "gamma"]),
        delta=st.builds(F, st.integers(1, 3) | st.integers(-3, -1),
                        st.integers(1, 6)),
        data=st.data())
 def test_verify_matches_the_fraction_oracle(d, r, seed, edit, delta, data):
     # a solve certificate as written, or with one alpha or one z coordinate
-    # moved: the integer re-check gives the oracle's verdict and problems
+    # moved, one index toggled in a sign set, or gamma zeroed: the integer
+    # re-check gives the oracle's verdict and problems
     cfg = random_config(d, r, seed)
     m = data.draw(st.frozensets(st.integers(0, cfg.n - 1)))
     res = tverberg_pm(cfg, m, check_sep=False)
@@ -338,6 +340,11 @@ def test_verify_matches_the_fraction_oracle(d, r, seed, edit, delta, data):
         k = data.draw(st.integers(0, d - 1))
         cert = cert._replace(z=cert.z[:k] + (cert.z[k] + delta,)
                              + cert.z[k + 1:])
+    elif edit in ("negatives", "zero_set"):
+        i = data.draw(st.integers(0, cfg.n - 1))
+        cert = cert._replace(**{edit: getattr(cert, edit) ^ {i}})
+    elif edit == "gamma":
+        cert = cert._replace(gamma=F(0))
     args = (cfg, partition, cert, alternative, m, res.proper)
     got = verify_certificate(*args)
     assert got == verify_oracle.verify_certificate(*args)

@@ -74,9 +74,10 @@ def verify_colorful(cc, cp, m_set=None):
     if problems:
         return False, problems
     total = sum(cp.alpha, Fraction(0))
-    if total != 1:
-        problems.append("coefficient sum %s != 1" % format_rat(total))
     for l in range(cc.r):
+        if total != 1:
+            problems.append(
+                "part %d: coefficient sum %s != 1" % (l, format_rat(total)))
         u = rational_sum(cp.alpha, [cc.classes[i][cp.assignment[i][l]]
                                     for i in range(cc.n)])
         if u != tuple(cp.z):
@@ -85,7 +86,7 @@ def verify_colorful(cc, cp, m_set=None):
                 % (l, format_vec(u), format_vec(cp.z)))
     neg = frozenset(i for i, a in enumerate(cp.alpha) if a < 0)
     if neg != cp.negatives:
-        problems.append("negatives set does not match coefficient signs")
+        problems.append("negatives set does not match strict negatives of alpha")
     zero = frozenset(i for i, a in enumerate(cp.alpha) if a == 0)
     if zero != cp.zero_set:
         problems.append("zero_set does not match zeros of alpha")
