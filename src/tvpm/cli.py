@@ -21,6 +21,7 @@ import functools
 import json
 import os
 import sys
+from fractions import Fraction
 
 from tvpm import core, gen
 from tvpm.linalg import format_rat, format_vec, parse_rat
@@ -90,6 +91,12 @@ def _parse_m(text, option="--m"):
     return frozenset(map(int, tokens))
 
 
+def _check_count(option, value, d, r):
+    """Reject a count option outside 0..n for n = (r-1)(d+1)+1 points."""
+    if not 0 <= value <= (r - 1) * (d + 1) + 1:
+        raise ValueError("%s must be between 0 and n = (r-1)(d+1)+1" % option)
+
+
 def _m_from_args_or_input(args, obj):
     if args.m is not None:
         return _parse_m(args.m)
@@ -117,13 +124,13 @@ def cmd_example(args):
     return EXIT_OK
 
 
-def _trace_writer(step, choice, w, normsq):
-    line = {
-        "step": step,
-        "choice": list(choice),
-        "w": format_vec(w),
-        "normsq": format_rat(normsq),
-    }
+def _trace_writer(scale, step, choice, y, nsq, q):
+    """One ``--trace`` line from ``pivot_to_origin``'s integers, for
+    vectors lifted from points times ``scale``: w = y / (q scale)."""
+    den = q * scale
+    line = {"step": step, "choice": list(choice),
+            "w": format_vec(Fraction(c, den) for c in y),
+            "normsq": format_rat(Fraction(nsq, den * den))}
     print(json.dumps(line), file=sys.stderr)
 
 
@@ -137,7 +144,8 @@ def cmd_solve(args):
     obj = _read_json(args.input)
     config = core.config_from_json(obj)
     m_set = _m_from_args_or_input(args, obj)
-    trace = _trace_writer if args.trace else None
+    trace = (functools.partial(_trace_writer, config.scaled[0])
+             if args.trace else None)
     result = tverberg_pm(config, m_set, trace=trace)
     if isinstance(result, PMCertificate):
         out = core.certificate_to_json(
@@ -163,6 +171,7 @@ def cmd_search(args):
     if (args.k is None) == (args.prescribe is None):
         raise ValueError("search needs exactly one of --k and --prescribe")
     if args.k is not None:
+        _check_count("--k", args.k, config.d, config.r)
         res = search.search_exact_k(config, args.k)
     else:
         res = search.search_prescribed(config,
@@ -183,7 +192,7 @@ def cmd_spectrum(args):
     config = core.config_from_json(obj)
     res = search.radon_spectrum(config)
     return _result("spectrum", achievable=sorted(res.achievable),
-                   bound=(config.d + 2) // 2, partitions_scanned=res.scanned,
+                   partitions_scanned=res.scanned,
                    degenerate_skipped=res.skipped)
 
 
@@ -206,7 +215,8 @@ def cmd_colored(args):
     obj = _read_json(args.input)
     cc = colored_mod.classes_from_json(obj)
     m_set = _m_from_args_or_input(args, obj)
-    trace = _trace_writer if args.trace else None
+    trace = (functools.partial(_trace_writer, cc.scaled[0])
+             if args.trace else None)
     result = colored_mod.colored_tverberg_pm(cc, m_set, trace=trace)
     if isinstance(result, DegenerateGamma):
         return _result("degenerate_gamma")
@@ -293,15 +303,12 @@ def _batch_trial(task):
 def cmd_batch(args):
     import csv
     if args.mode == "search-k":
-        if args.k is None:
-            raise ValueError("batch --mode search-k needs --k")
-        param = args.k
+        option, param = "--k", args.k
     else:
-        if args.m_size is None:
-            raise ValueError("batch --mode solve needs --m-size")
-        if not 0 <= args.m_size <= (args.r - 1) * (args.d + 1) + 1:
-            raise ValueError("--m-size must be between 0 and n = (r-1)(d+1)+1")
-        param = args.m_size
+        option, param = "--m-size", args.m_size
+    if param is None:
+        raise ValueError("batch --mode %s needs %s" % (args.mode, option))
+    _check_count(option, param, args.d, args.r)
     tasks = [
         (args.mode, args.d, args.r, param, args.seed_base + trial)
         for trial in range(args.trials)

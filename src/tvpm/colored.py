@@ -249,7 +249,7 @@ def colored_tverberg_pm(cc, m_set, trace=None):
     scale, ints = cc.scaled
     sets = [PermutationColor(group, i in m_set, vs)
             for i, group in enumerate(ints)]
-    choice, beta = pivot_to_origin(sets, [0] * cc.n, trace=trace, scale=scale)
+    choice, lam, q = pivot_to_origin(sets, [0] * cc.n, trace=trace)
     # assignment[i][l]: the point of class i that sigma_i sends to part l
     assignment = []
     for color, rank in zip(sets, choice):
@@ -257,7 +257,7 @@ def colored_tverberg_pm(cc, m_set, trace=None):
         for j, l in enumerate(color.permutation(rank)):
             inv[l] = j
         assignment.append(tuple(inv))
-    cert = decode_weights(choice, beta, m_set,
+    cert = decode_weights(choice, lam, q, m_set,
                           assigned_parts(ints, assignment), scale)
     if isinstance(cert, DegenerateGamma):
         return cert

@@ -22,7 +22,9 @@ and reads v[i] = q <x, p_i> for every point from it.  ``PairCorral`` runs
 on the differences l - r of two point sets without building them or their
 Gram matrix: with y = q x, <y, l - r> = <y, l> - <y, r>, so the entering
 difference is the first l of least <y, l> less the first r of greatest
-<y, r>, found in O((|L| + |R|) d) per major cycle.
+<y, r>, found in O((|L| + |R|) d) per major cycle.  It alone encodes a
+difference's index, and it alone decodes it: ``side_weights`` sums the
+weights lam per side, one integer per point of each list.
 
 A caller of ``Corral`` that replaces points off the support (a
 colorful-Caratheodory pivot swaps a color of weight zero) keeps the
@@ -172,6 +174,16 @@ class PairCorral(Corral):
         self._start([ls + rs - 2 * vdot(l, r)
                      for l, ls in zip(left, lsq)
                      for r, rs in zip(right, rsq)])
+
+    def side_weights(self):
+        """``(left, right)``: the weights lam summed per side, one int per
+        point of each list; each list totals q."""
+        left, right = [0] * len(self.left), [0] * len(self.right)
+        for k, c in self.lam.items():
+            a, b = divmod(k, len(self.right))
+            left[a] += c
+            right[b] += c
+        return left, right
 
     def diff(self, k):
         """The difference k, left[a] - right[b], as a list."""

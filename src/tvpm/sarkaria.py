@@ -20,20 +20,22 @@ R^{n-1} whose convex hull contains the origin:
      shrinks the norm (Barany-Onn 1997).  The rule reads only w, which is
      unique.  The swapped color is off the support, so Wolfe's method
      (``minnorm.min_norm_point``) resumes from the previous pivot's corral
-     instead of restarting, and w = y / q is read from its integers.
+     instead of restarting, and w = y / q is read from its integers.  The
+     zero transversal comes back as Wolfe's integers: one weight lam_i per
+     colour over one denominator q.
   4. ``recover``, from the configuration, the prescribed set and the
-     transversal: reading the partition off the chosen tensor factors,
-     then ``decode_weights``, the one routine that turns a zero
-     transversal into a certificate (``colored`` calls it too): it
-     unscales the weights by the common per-part coefficient sum gamma
-     into the affine coefficients and their sign sets, and the sign of
-     gamma selects which of the two sign alternatives was realized.  An
-     empty part yields an exact witness that the prescribed set was not
-     separated instead.
+     transversal with its integers (lam, q): reading the partition off the
+     chosen tensor factors, then ``decode_weights``, the one routine that
+     turns a zero transversal into a certificate (``colored`` calls it
+     too): it unscales the integer weights by the common per-part
+     coefficient sum gamma into the affine coefficients and their sign
+     sets, and the sign of gamma selects which of the two sign
+     alternatives was realized.  An empty part yields an exact witness
+     that the prescribed set was not separated instead, built by
+     ``search.overlap``, the routine that builds every overlap witness.
 """
 
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from tvpm.core import (
@@ -43,7 +45,7 @@ from tvpm.core import (
 )
 from tvpm.linalg import tensor, vdot, weighted_sum
 from tvpm.minnorm import Corral, gram, min_norm_point
-from tvpm.search import NotSeparated, check_separation
+from tvpm.search import NotSeparated, check_separation, overlap
 
 
 def companion_simplex(r):
@@ -95,15 +97,16 @@ def lift(config, m_set):
     return tuple(sets)
 
 
-def pivot_to_origin(sets, init_choice, trace=None, scale=1):
+def pivot_to_origin(sets, init_choice, trace=None):
     """Transversal of the color sets whose hull contains the origin.
 
     Each set must contain the origin in its convex hull.  Returns
-    ``(choice, weights)`` with sum weights[i] * sets[i][choice[i]] = 0,
-    weights >= 0 summing to 1.  ``trace(step, choice, w, normsq)`` is
-    called once per pivot iteration when given, with w and its squared
-    norm divided by ``scale``: a caller that passes its vectors times a
-    scale gets the trace of the unscaled ones.
+    ``(choice, lam, q)``: ``lam`` holds one non-negative int per color, 0
+    off the support, summing to the int q, with sum lam[i] *
+    sets[i][choice[i]] = 0.  ``trace(step, choice, y, nsq, q)`` is called
+    once per pivot iteration when given, with ints: the current point is
+    w = y / q and its squared norm nsq / q^2.  A caller that passes its
+    vectors times a scale divides that out itself.
 
     A set is a colour: an integral indexable set with
     ``most_opposed(y)``, which returns ``(index, vector, <y, vector>)``
@@ -119,7 +122,7 @@ def pivot_to_origin(sets, init_choice, trace=None, scale=1):
     off that hyperplane the smallest one of weight zero.  Either way it is
     off the support, so the corral stays valid after the swap.  The
     returned weights are checked exactly: their combination is the origin
-    and they sum to 1.
+    and they sum to q.
     """
     ncolors = len(sets)
     choice = list(init_choice)
@@ -134,14 +137,12 @@ def pivot_to_origin(sets, init_choice, trace=None, scale=1):
         lam, q, v, nsq = corral.lam, corral.q, corral.v, corral.nsq
         y = weighted_sum(list(lam.values()), [current[i] for i in lam])
         if trace is not None:
-            den = q * scale
-            trace(step, tuple(choice), tuple(Fraction(c, den) for c in y),
-                  Fraction(nsq, den * den))
+            trace(step, tuple(choice), y, nsq, q)
         if nsq == 0:
             if any(y) or sum(lam.values()) != q:
                 raise AssertionError("transversal weights miss the origin")
-            return tuple(choice), tuple(Fraction(lam.get(i, 0), q)
-                                        for i in range(ncolors))
+            return (tuple(choice),
+                    tuple(lam.get(i, 0) for i in range(ncolors)), q)
         if prev is not None and not nsq * prev[1] < prev[0] * q * q:
             raise AssertionError("pivot norm failed to decrease")
         prev = (nsq, q * q)
@@ -193,24 +194,21 @@ class DegenerateGamma(NamedTuple):
     weights: tuple
 
 
-def decode_weights(choice, beta, m_set, parts, scale):
-    """Turn a zero transversal's weights into a certificate.
+def decode_weights(choice, lam, q, m_set, parts, scale):
+    """Turn a zero transversal's integer weights into a certificate.
 
     ``parts`` lists, per part, ``(indices, points)``: the indices it holds
     and their points, integer vectors equal to ``scale`` times the input
-    points; index i carries the weight beta[i], negated when i is in
+    points; index i carries the weight lam[i] / q, negated when i is in
     m_set.  The per-part sums of signed weight times (point, 1) must
-    agree; their last coordinate is gamma.  The sums run on ints, over the
-    weights' common denominator q and the point scale.  Returns the
-    ``core.AffineCertificate`` with alpha[i] = signed[i] / gamma, z the
-    common sum of the points over gamma and the sign sets of alpha
-    (``make_certificate``), or DegenerateGamma, which keeps the
-    transversal, when gamma = 0.
+    agree; their last coordinate is gamma.  The sums run on ints: q *
+    scale times the rational ones.  Returns the ``core.AffineCertificate``
+    with alpha[i] = signed[i] / gamma, z the common sum of the points over
+    gamma and the sign sets of alpha (``make_certificate``), or
+    DegenerateGamma, which keeps the transversal with weights lam[i] / q,
+    when gamma = 0.
     """
-    q = lcm(*(b.denominator for b in beta))
-    signed = [b.numerator * (q // b.denominator) * (-1 if i in m_set else 1)
-              for i, b in enumerate(beta)]
-    # q * scale times each part's sum of signed[i] / q * (a_i, 1)
+    signed = [-c if i in m_set else c for i, c in enumerate(lam)]
     sums = []
     for indices, points in parts:
         weights = [signed[i] for i in indices]
@@ -219,54 +217,45 @@ def decode_weights(choice, beta, m_set, parts, scale):
         raise AssertionError("per-part sums must agree")
     *u, top = sums[0]
     if top == 0:
-        return DegenerateGamma(choice=tuple(choice), weights=beta)
+        return DegenerateGamma(choice=tuple(choice),
+                               weights=tuple(Fraction(c, q) for c in lam))
     return make_certificate(
         z=(Fraction(x, top) for x in u),
         alpha={i: Fraction(c * scale, top) for i, c in enumerate(signed)},
         gamma=Fraction(top, q * scale))
 
 
-def recover(config, m_set, choice, beta):
-    """Decode a zero transversal, ``pivot_to_origin``'s ``(choice,
-    beta)`` on ``lift(config, m_set)``, into a partition certificate.
+def recover(config, m_set, choice, lam, q):
+    """Decode a zero transversal, ``pivot_to_origin``'s ``(choice, lam,
+    q)`` on ``lift(config, m_set)``, into a partition certificate.
 
-    The per-part sums sum_{i in part} eps_i beta_i (a_i, 1) agree across
-    parts; their last coordinate is gamma (``decode_weights``).  gamma > 0
-    realizes negatives on m_set, gamma < 0 on the complement, gamma = 0 is
-    surfaced as degenerate.  An empty part forces all sums to vanish and
-    yields an exact common point of the two hulls instead.
+    The per-part sums sum_{i in part} eps_i lam_i (a_i, 1) agree across
+    parts; their last coordinate is q gamma (``decode_weights``).  gamma >
+    0 realizes negatives on m_set, gamma < 0 on the complement, gamma = 0
+    is surfaced as degenerate.  An empty part forces all sums to vanish and
+    yields an exact common point of the two hulls instead
+    (``search.overlap``).
     """
     parts = [[] for _ in range(config.r)]
     for i in range(config.n):
         parts[choice[i]].append(i)
     if any(not part for part in parts):
         # All sums vanish; inside any part carrying weight, the positive
-        # and the negated points average to the same point with the same
-        # total weight, exhibiting a common point of the two hulls.
+        # and the negated points carry the same total weight and the same
+        # weighted sum, exhibiting a common point of the two hulls.
         for part in parts:
-            mw = {i: beta[i] for i in part if i in m_set and beta[i] > 0}
-            scale = sum(mw.values())
-            if scale == 0:
-                continue
-            rw = {i: beta[i] for i in part if i not in m_set and beta[i] > 0}
-            assert sum(rw.values()) == scale
-            mw = {i: w / scale for i, w in mw.items()}
-            rw = {i: w / scale for i, w in rw.items()}
-            pt = weighted_sum(list(mw.values()),
-                              [config.points[i] for i in mw])
-            check = weighted_sum(list(rw.values()),
-                                 [config.points[i] for i in rw])
-            assert pt == check
-            return SeparationViolated(
-                common_point=pt,
-                part=tuple(part),
-                m_weights=mw,
-                rest_weights=rw,
-            )
+            mw = {i: lam[i] for i in part if i in m_set and lam[i] > 0}
+            if mw:
+                rw = {i: lam[i] for i in part
+                      if i not in m_set and lam[i] > 0}
+                w = overlap(config.points, mw, rw)
+                return SeparationViolated(
+                    common_point=w.point, part=tuple(part),
+                    m_weights=w.m_weights, rest_weights=w.rest_weights)
         raise AssertionError("an empty part implies a weighted overlap")
     unit, points = config.scaled
     cert = decode_weights(
-        choice, beta, m_set,
+        choice, lam, q, m_set,
         [(part, [points[i] for i in part]) for part in parts], unit)
     if isinstance(cert, DegenerateGamma):
         return cert
@@ -292,10 +281,10 @@ def tverberg_pm(config, m_set, check_sep=True, trace=None):
     if check_sep and m_set and m_set < frozenset(range(config.n)):
         sep = check_separation(config, m_set)
         warning = isinstance(sep, NotSeparated)
-    choice, weights = pivot_to_origin(
+    choice, lam, q = pivot_to_origin(
         lift(config, m_set), [i % config.r for i in range(config.n)],
-        trace=trace, scale=config.scaled[0])
-    result = recover(config, m_set, choice, weights)
+        trace=trace)
+    result = recover(config, m_set, choice, lam, q)
     if isinstance(result, PMCertificate):
         return result._replace(separation_warning=warning)
     return result

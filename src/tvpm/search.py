@@ -27,7 +27,11 @@ gives a common point of the two hulls, anything else the max-margin
 separating hyperplane.  Wolfe's method runs on the points themselves:
 each major cycle reads the entering difference from one inner product per
 point, and only the differences in its support are ever built, never the
-Gram matrix of all |M| (n - |M|) of them.
+Gram matrix of all |M| (n - |M|) of them.  A common point is read from
+the integer pair weights summed per side: ``overlap``, the one routine
+that builds an overlap witness, divides them by their common total and
+checks that both sides sum to the same point.  ``sarkaria.recover``
+calls it too, for a transversal with an empty part.
 """
 
 from fractions import Fraction
@@ -214,6 +218,26 @@ class NotSeparated(NamedTuple):
     rest_weights: dict
 
 
+def overlap(points, m_weights, rest_weights):
+    """The common point of two hulls as a ``NotSeparated`` witness.
+
+    ``m_weights`` and ``rest_weights`` map point indices to non-negative
+    integer weights with equal positive totals; each is divided by that total into
+    convex weights, and the two weighted sums of ``points`` must agree.
+    Every overlap witness is built here: ``check_separation``'s and the
+    one ``sarkaria.recover`` reads off an empty part.
+    """
+    total = sum(m_weights.values())
+    if sum(rest_weights.values()) != total:
+        raise AssertionError("overlap weights need equal totals")
+    mw = {i: Fraction(c, total) for i, c in m_weights.items()}
+    rw = {j: Fraction(c, total) for j, c in rest_weights.items()}
+    pt = weighted_sum(list(mw.values()), [points[i] for i in mw])
+    if weighted_sum(list(rw.values()), [points[j] for j in rw]) != pt:
+        raise AssertionError("overlap weights give two different points")
+    return NotSeparated(point=pt, m_weights=mw, rest_weights=rw)
+
+
 def check_separation(config, m_set):
     """Decide whether conv(m_set points) and conv(the rest) are disjoint.
 
@@ -227,8 +251,9 @@ def check_separation(config, m_set):
     max-margin normal, with <normal, x> > offset strictly on the m side
     and < offset strictly on the other side; the margin is read in
     integers on the scaled points, <normal, a> = <normal, D a> / D.
-    NotSeparated: y = 0, and summing the pair weights lam[k] / q per side
-    gives an exact common point with convex weights for both hulls.
+    NotSeparated: y = 0, and the pair weights summed per side
+    (``PairCorral.side_weights``) give an exact common point with convex
+    weights for both hulls (``overlap``).
     """
     from tvpm.minnorm import PairCorral, min_norm_point
 
@@ -243,16 +268,10 @@ def check_separation(config, m_set):
     corral = PairCorral([points[i] for i in m_idx],
                         [points[j] for j in rest])
     min_norm_point(corral)
-    lam, q = corral.lam, corral.q
     if corral.nsq == 0:
-        mw = {i: Fraction(0) for i in m_idx}
-        rw = {j: Fraction(0) for j in rest}
-        for k, c in lam.items():
-            a, b = divmod(k, len(rest))
-            mw[m_idx[a]] += Fraction(c, q)
-            rw[rest[b]] += Fraction(c, q)
-        pt = weighted_sum(list(mw.values()), [config.points[i] for i in mw])
-        return NotSeparated(point=pt, m_weights=mw, rest_weights=rw)
+        mw, rw = corral.side_weights()
+        return overlap(config.points, dict(zip(m_idx, mw)),
+                       dict(zip(rest, rw)))
     # <y, a_i - a_j> >= |y|^2 / q > 0 for every pair, so y points from the
     # rest to the m side; scale it to primitive integers.
     y = corral.y

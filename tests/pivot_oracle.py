@@ -12,8 +12,6 @@ that represents w.
 ``VectorColor`` hands an explicit vector set to either engine as a colour.
 """
 
-from fractions import Fraction
-
 from tvpm.linalg import vdot
 from tvpm.minnorm import Corral, gram, min_norm_point
 
@@ -29,13 +27,14 @@ class VectorColor(tuple):
         return j, self[j], vdot(y, self[j])
 
 
-def cold_pivot_to_origin(sets, init_choice, scale=1):
-    """Return ``((choice, weights), steps, fallbacks)``.
+def cold_pivot_to_origin(sets, init_choice):
+    """Return ``((choice, lam, q), steps, fallbacks)``.
 
-    ``sets`` are colours, as ``pivot_to_origin`` takes them; ``steps``
-    are the ``(step, choice, w, normsq)`` tuples ``pivot_to_origin``'s
-    trace gets with the same ``scale``, and ``fallbacks`` lists the steps
-    at which no color lay off the hyperplane.
+    ``sets`` are colours, as ``pivot_to_origin`` takes them, and the
+    result has its integer contract; ``steps`` are the ``(step, choice, y,
+    nsq, q)`` int tuples ``pivot_to_origin``'s trace gets, and
+    ``fallbacks`` lists the steps at which no color lay off the
+    hyperplane.
     """
     ncolors = len(sets)
     choice = list(init_choice)
@@ -49,14 +48,10 @@ def cold_pivot_to_origin(sets, init_choice, scale=1):
         for i, c in lam.items():
             y = [a + c * b for a, b in zip(y, current[i])]
         nsq = vdot(y, y)
-        den = q * scale
-        steps.append((len(steps), tuple(choice),
-                      tuple(Fraction(c, den) for c in y),
-                      Fraction(nsq, den * den)))
+        steps.append((len(steps), tuple(choice), tuple(y), nsq, q))
         if nsq == 0:
-            weights = tuple(Fraction(lam.get(i, 0), q)
-                            for i in range(ncolors))
-            return (tuple(choice), weights), steps, fallbacks
+            weights = tuple(lam.get(i, 0) for i in range(ncolors))
+            return (tuple(choice), weights, q), steps, fallbacks
         # the colors with <w, p> > |w|^2
         off = [i for i, p in enumerate(current) if vdot(y, p) * q > nsq]
         if off:

@@ -343,7 +343,8 @@ def test_criterion_11_solver_internal_properties():
             norms = []
             res = tverberg_pm(
                 cfg, m, check_sep=False,
-                trace=lambda step, choice, w, nsq: norms.append(nsq))
+                trace=lambda step, choice, y, nsq, q: norms.append(
+                    F(nsq, q * q)))
             assert isinstance(res, PMCertificate)
             assert norms[-1] == 0
             assert all(a > b for a, b in zip(norms, norms[1:]))

@@ -151,9 +151,9 @@ def test_lex_first_assignment_matches_brute_force(cost):
     assert lex_first_assignment(cost) == best
 
 
-def _pivot_run(sets, n, scale):
+def _pivot_run(sets, n):
     steps = []
-    result = pivot_to_origin(sets, [0] * n, scale=scale,
+    result = pivot_to_origin(sets, [0] * n,
                              trace=lambda *step: steps.append(step))
     return result, steps
 
@@ -181,10 +181,10 @@ def test_implicit_lift_pivots_like_the_explicit_oracle(d, r, seed, den):
     # distinct points: no two permutations merge, so index = Lehmer rank
     assert all(len(vectors) == factorial(r) for vectors, _ in lifts)
     explicit_run = _pivot_run([VectorColor(vectors) for vectors, _ in lifts],
-                              n, scale)
-    implicit_run = _pivot_run(implicit, n, scale)
+                              n)
+    implicit_run = _pivot_run(implicit, n)
     assert implicit_run == explicit_run
-    (choice, _), _ = implicit_run
+    (choice, _, _), _ = implicit_run
     for color, (vectors, sigmas), rank in zip(implicit, lifts, choice):
         assert color.permutation(rank) == sigmas[rank]
         assert color[rank] == vectors[rank]

@@ -2,12 +2,14 @@
 
 The kernel, the per-partition path of the scan, the general-position
 check, Wolfe's method (all of ``minnorm``, the pivoting solver's inner
-loop and the separation test) and the sums that ``verify`` re-checks
+loop and the separation test), the tensor and permutation lifts, the
+pivot loop, which returns Wolfe's integer weights, the recovery up to
+``decode_weights`` and the sums that ``verify`` re-checks
 (``linalg.int_weighted_sum``) run on Python ints only; rationals stay at
-the edges (parsing, certificates, the problem texts of ``verify``).  Each named
-module, function or class below is parsed, not imported, and searched
-for any use of the name ``Fraction``, whether called, bound or read off
-``fractions``.
+the edges (parsing, certificates, overlap witnesses, the trace's lines,
+the problem texts of ``verify``).  Each named module, function or class
+below is parsed, not imported, and searched for any use of the name
+``Fraction``, whether called, bound or read off ``fractions``.
 Docstrings and comments do not count.
 """
 
@@ -27,6 +29,10 @@ INTEGER_CORE = {
     "core.py": ("common_point", "read_parts"),
     "search.py": ("_scan", "_radon_weights", "_radon_signs"),
     "minnorm.py": None,
+    "sarkaria.py": ("companion_simplex", "LiftColor", "lift",
+                    "pivot_to_origin", "recover"),
+    "colored.py": ("lex_first_assignment", "lehmer_rank",
+                   "PermutationColor", "assigned_parts"),
 }
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -85,10 +86,10 @@ def test_lift_uniform_average_is_origin():
 
 def test_pivot_two_interval_colors():
     sets = (VectorColor(((-1,), (1,))), VectorColor(((-2,), (2,))))
-    choice, weights = pivot_to_origin(sets, (0, 0))
+    choice, lam, q = pivot_to_origin(sets, (0, 0))
     assert choice == (0, 1)
-    assert weights == (F(2, 3), F(1, 3))
-    total = weights[0] * sets[0][choice[0]][0] + weights[1] * sets[1][choice[1]][0]
+    assert (lam, q) == ((2, 1), 3)
+    total = lam[0] * sets[0][choice[0]][0] + lam[1] * sets[1][choice[1]][0]
     assert total == 0
 
 
@@ -122,7 +123,7 @@ def test_pivot_trace_norm_strictly_decreases():
     cfg = random_config(2, 3, seed=77)
     norms = []
     tverberg_pm(cfg, separated_subset(cfg, 2, 77), check_sep=False,
-                trace=lambda step, ch, w, nsq: norms.append(nsq))
+                trace=lambda step, ch, y, nsq, q: norms.append(F(nsq, q * q)))
     assert norms[-1] == 0
     assert all(a > b for a, b in zip(norms, norms[1:]))
 
@@ -169,7 +170,7 @@ def test_recover_gamma_zero_is_surfaced():
     # sums agree with vanishing last coordinate, so no sign split exists
     sq = PointConfig(d=2, r=2, points=(
         (F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))))
-    res = recover(sq, {0, 2}, (0, 0, 1, 1), (F(1, 4),) * 4)
+    res = recover(sq, {0, 2}, (0, 0, 1, 1), (1,) * 4, 4)
     assert isinstance(res, DegenerateGamma)
 
 
@@ -245,44 +246,50 @@ def test_pipeline_runs_without_the_kernel(monkeypatch):
         assert tverberg_pm(cfg, m) == expected
 
 
-def _warm_run(sets, init, scale):
+def _warm_run(sets, init):
     # pivot_to_origin with the weights of every Wolfe result it reads
     # recorded; the trace gives each call's transversal
     steps, calls = [], []
 
     def record(corral):
         got = minnorm.min_norm_point(corral)
-        calls.append({i: F(x, corral.q) for i, x in corral.lam.items()})
+        calls.append((dict(corral.lam), corral.q))
         return got
 
     with mock.patch.object(sarkaria, "min_norm_point", record):
-        result = pivot_to_origin(sets, init, scale=scale,
+        result = pivot_to_origin(sets, init,
                                  trace=lambda *step: steps.append(step))
     return result, steps, calls
 
 
-def _check_against_cold_replay(sets, init, scale):
+def _check_against_cold_replay(sets, init):
     """Assert the swap rule on every pivot of the warm run and its
-    agreement with the cold replay; return the warm run's fallback steps
-    and its result."""
-    result, steps, calls = _warm_run(sets, init, scale)
+    agreement with the cold replay, both on the integer contract; return
+    the warm run's fallback steps and its result."""
+    result, steps, calls = _warm_run(sets, init)
     fallbacks = []
-    for (step, choice, _, _), (_, after, _, _), wts in zip(
+    for (step, choice, *_), (_, after, *_), (lam, q) in zip(
             steps, steps[1:], calls):
         changed = [i for i, (a, b) in enumerate(zip(choice, after)) if a != b]
         assert len(changed) == 1
         current = [sets[i][choice[i]] for i in range(len(sets))]
-        w = weighted_sum(list(wts.values()), [current[i] for i in wts])
-        nsq = vdot(w, w)
-        off = [i for i, p in enumerate(current) if vdot(w, p) > nsq]
+        y = weighted_sum(list(lam.values()), [current[i] for i in lam])
+        nsq = vdot(y, y)
+        assert steps[step][2:] == (y, nsq, q)
+        off = [i for i, p in enumerate(current) if vdot(y, p) * q > nsq]
         if off:
             # the smallest color strictly off <w, p> = |w|^2
             assert changed == off[:1]
         else:
             fallbacks.append(step)
             assert changed == [min(i for i in range(len(sets))
-                                   if i not in wts)]
-    cold, cold_steps, cold_fallbacks = cold_pivot_to_origin(sets, init, scale)
+                                   if i not in lam)]
+    cold, cold_steps, cold_fallbacks = cold_pivot_to_origin(sets, init)
+    # a step's point w = y / q in lowest terms: two supports may weight
+    # the same w differently
+    steps, cold_steps = ([(step, choice, *_lowest(y, q))
+                          for step, choice, y, _, q in run]
+                         for run in (steps, cold_steps))
     if not fallbacks:
         assert not cold_fallbacks
         assert result == cold
@@ -295,6 +302,12 @@ def _check_against_cold_replay(sets, init, scale):
     return fallbacks, result
 
 
+def _lowest(y, q):
+    """``(y, q)`` over gcd(q, *y): the integers of y / q in lowest terms."""
+    g = gcd(q, *y)
+    return tuple(c // g for c in y), q // g
+
+
 @settings(max_examples=40, deadline=None)
 @given(d=st.integers(2, 4), r=st.integers(3, 5), seed=st.integers(0, 10**6),
        k=st.integers(0, 3))
@@ -302,7 +315,7 @@ def test_warm_pivots_match_the_cold_replay(d, r, seed, k):
     cfg = random_config(d, r, seed=seed)
     sets = lift(cfg, separated_subset(cfg, k, seed))
     n = len(sets)
-    _check_against_cold_replay(sets, [i % r for i in range(n)], cfg.scaled[0])
+    _check_against_cold_replay(sets, [i % r for i in range(n)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -316,7 +329,7 @@ def test_warm_colored_pivots_match_the_cold_replay(d, r, seed):
     vs = companion_simplex(r)
     sets = [PermutationColor(to_int(g, scale), rng.random() < 0.5, vs)
             for g in groups]
-    _check_against_cold_replay(sets, [0] * n, scale)
+    _check_against_cold_replay(sets, [0] * n)
 
 
 def test_swap_fallback_fires_and_the_certificate_verifies():
@@ -326,7 +339,7 @@ def test_swap_fallback_fires_and_the_certificate_verifies():
     m = separated_subset(cfg, 1, 17)
     sets = lift(cfg, m)
     fallbacks, _ = _check_against_cold_replay(
-        sets, [i % 3 for i in range(cfg.n)], cfg.scaled[0])
+        sets, [i % 3 for i in range(cfg.n)])
     assert fallbacks == [1]
     res = tverberg_pm(cfg, m)
     assert isinstance(res, PMCertificate)

@@ -141,19 +141,20 @@ def test_pivot_to_origin_rational_sets_match_oracle():
             # close each set around the origin: its mean is zero
             last = tuple(-sum(p[c] for p in pts) for c in range(dim))
             sets.append(tuple(pts) + (last,))
-        # the sets times D as integer colours, traced with scale=D: the
-        # trace is the run on the rational sets
+        # the sets times D as integer colours: the trace's y / (q D) is
+        # the run on the rational sets
         scale = denominator_lcm([v for s in sets for v in s])
         steps = []
-        choice, weights = pivot_to_origin(
+        choice, lam, q = pivot_to_origin(
             [VectorColor(to_int(s, scale)) for s in sets], [0] * ncolors,
-            scale=scale, trace=lambda *a: steps.append(a))
+            trace=lambda *a: steps.append(a))
         runs += 1
-        for _, ch, w, normsq in steps:
+        for _, ch, y, nsq, den in steps:
             current = [sets[i][ch[i]] for i in range(ncolors)]
+            w = tuple(F(c, den * scale) for c in y)
             assert w == min_norm_point_naive(current)[0]
-            assert normsq == vdot(w, w)
+            assert F(nsq, (den * scale) ** 2) == vdot(w, w)
         assert steps[-1][3] == 0 and tuple(steps[-1][1]) == choice
-        total = tuple(sum(weights[i] * sets[i][choice[i]][c]
+        total = tuple(sum(lam[i] * sets[i][choice[i]][c]
                           for i in range(ncolors)) for c in range(dim))
-        assert total == (0,) * dim and sum(weights) == 1
+        assert total == (0,) * dim and sum(lam) == q

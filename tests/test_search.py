@@ -22,6 +22,7 @@ from tvpm.search import (
     NotSeparated,
     Separated,
     check_separation,
+    overlap,
     proper_partitions,
     radon_spectrum,
     search_exact_k,
@@ -148,6 +149,22 @@ def test_separation_line():
         check_separation(cfg, set())
     with pytest.raises(ValueError):
         check_separation(cfg, {0, 1, 2})
+
+
+def test_overlap_divides_by_the_total_and_checks_both_sides():
+    # the diagonals of the unit square cross at (1/2, 1/2); a zero weight
+    # stays in the witness
+    sq = ((F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1)), (F(2), F(2)))
+    res = overlap(sq, {0: 3, 3: 3}, {1: 3, 2: 3, 4: 0})
+    assert res == NotSeparated(point=(F(1, 2), F(1, 2)),
+                               m_weights={0: F(1, 2), 3: F(1, 2)},
+                               rest_weights={1: F(1, 2), 2: F(1, 2), 4: F(0)})
+    # the totals differ: 6 on the m side, 5 on the rest
+    with pytest.raises(AssertionError, match="totals"):
+        overlap(sq, {0: 3, 3: 3}, {1: 2, 2: 3})
+    # equal totals, but (1/2, 1/2) against (1/3, 2/3)
+    with pytest.raises(AssertionError, match="different points"):
+        overlap(sq, {0: 3, 3: 3}, {1: 2, 2: 4})
 
 
 def test_separation_square_adjacent_corners():
