@@ -20,6 +20,12 @@ on T and -lambda_j / lambda(T) off T (Radon, 1921).  When lambda is
 unique with every lambda_i != 0, the scan reads every bipartition's signs
 from it and factors no part; otherwise (the points lie in a hyperplane,
 or some lambda_i = 0) it reads them from the part hulls as for r > 2.
+``radon_spectrum`` scans nothing when lambda is such: the achievable
+negative counts are {0..K}, K the number of smallest |lambda_i| whose sum
+stays below half of sum |lambda_i|.  Its ``scanned`` counts the
+2^(d+1) - 1 bipartitions lambda decides and its ``skipped`` those with
+lambda(T) = 0, found by a meet-in-the-middle count of integer subset
+sums; the scan is its fallback.
 
 Separation of conv(M) from conv(A \\ M) is decided by the exact
 minimum-norm point of the differences a_i - a_j, i in M, j not in M: zero
@@ -34,7 +40,9 @@ checks that both sides sum to the same point.  ``sarkaria.recover``
 calls it too, for a transversal with an empty part.
 """
 
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 from typing import NamedTuple
 
@@ -55,10 +63,10 @@ def proper_partitions(n, r, d):
             if len(parts) == r:
                 yield tuple(tuple(p) for p in parts)
             return
+        # The open slots always number r * cap - idx >= n - idx, so only
+        # too few remaining indices can cut a branch.
         used = len(parts)
-        remaining = n - idx
-        open_slots = sum(cap - len(p) for p in parts) + (r - used) * cap
-        if remaining > open_slots or remaining < r - used:
+        if n - idx < r - used:
             return
         for p in parts:
             if len(p) < cap:
@@ -190,12 +198,49 @@ class SpectrumResult(NamedTuple):
     skipped: int
 
 
+def _subset_sums(values):
+    """The sums of all 2^len(values) subsets of ``values``."""
+    sums = [0]
+    for v in values:
+        sums += [s + v for s in sums]
+    return sums
+
+
+def _zero_sum_bipartitions(lam):
+    """The number of bipartitions {T, A \\ T} with lambda(T) = 0, for an
+    integer lambda summing to 0.
+
+    Meet in the middle: the zero-sum subsets are the pairs of a subset of
+    the first half and one of the second whose sums cancel, found with a
+    count of the first half's sums.  Dropping T = {} and T = A leaves the
+    proper ones, each counted with its complement.
+    """
+    half = len(lam) // 2
+    counts = Counter(_subset_sums(lam[:half]))
+    zero = sum(counts[-s] for s in _subset_sums(lam[half:]))
+    return (zero - 2) // 2
+
+
 def radon_spectrum(config):
-    """Achievable negative counts over all bipartitions, for n = d+2."""
+    """Achievable negative counts over all bipartitions, for n = d+2.
+
+    Read from the Radon dependence (``_radon_weights``) when there is one:
+    the negatives of T with lambda(T) > 0 are exactly the sets U with
+    sum_U |lambda_i| below half of sum |lambda_i|.  Otherwise the
+    bipartitions are scanned.
+    """
     if config.r != 2:
         raise ValueError("spectrum needs r = 2")
     if config.n != config.d + 2:
         raise ValueError("spectrum needs n = d+2")
+    lam = _radon_weights(config.scaled[1])
+    if lam is not None:
+        sizes = sorted(map(abs, lam))
+        total = sum(sizes)
+        top = sum(2 * below < total for below in accumulate(sizes))
+        return SpectrumResult(frozenset(range(top + 1)),
+                              2 ** (config.n - 1) - 1,
+                              _zero_sum_bipartitions(lam))
     ks = set()
 
     def collect(parts):

@@ -29,6 +29,7 @@ from tvpm.search import (
 from linalg_oracle import block_intersection, solve_linear
 from minnorm_oracle import min_norm_point_naive, min_norm_point_scaled
 from radon_oracle import radon_top
+from scan_spectrum import scanned_spectrum
 
 F = Fraction
 
@@ -217,14 +218,17 @@ def test_criterion_05_exact_classification():
 def _check_radon_top(cfg):
     """Assert the spectrum is exactly {0..K} and both ends of it hold.
 
-    K comes from the closed form in radon_oracle; the witness bipartition
-    must give a verified certificate with exactly the K predicted
-    negatives, and an exhaustive scan must find no certificate with K+1.
+    K comes from the closed form in radon_oracle; the scan over every
+    bipartition must find the same spectrum as ``radon_spectrum``, the
+    witness bipartition must give a verified certificate with exactly the
+    K predicted negatives, and an exhaustive scan must find no certificate
+    with K+1.
     """
     k, top, partition = radon_top(cfg.points)
     res = radon_spectrum(cfg)
     assert res.achievable == frozenset(range(k + 1)), (
         cfg.d, cfg.points, sorted(res.achievable), k)
+    assert scanned_spectrum(cfg) == res, (cfg.d, cfg.points)
     hit = intersect_affine_hulls(cfg, partition)
     assert hit.kind == "point", (cfg.d, cfg.points, partition)
     ok, problems = verify_certificate(cfg, partition, hit.cert)
@@ -259,7 +263,8 @@ def test_criterion_06_radon_spectrum_equals_bound():
     print("criterion 6: finding - spectrum equals {0..floor((d+2)/2)} "
           "in %s (reported, not asserted)" % ", ".join(tallies))
     print("criterion 6: PASS - in 250 runs (d = 1..5) the spectrum is "
-          "{0..K} for the closed-form Radon K, the K-negative witness "
+          "{0..K} for the closed-form Radon K, as the bipartition scan "
+          "finds it too, the K-negative witness "
           "re-verified and no K+1 in a full scan; {0..floor((d+2)/2)} is "
           "contained in every run and strictly exceeded for each d = 3..5; "
           "the unit square has spectrum {0, 1}")

@@ -13,6 +13,8 @@ from tvpm import cli, gen, search
 from tvpm.colored import ColorClasses, classes_to_json
 from tvpm.core import dump_json
 
+from radon_oracle import radon_top
+
 CMD = [sys.executable, "-m", "tvpm.cli"]
 SRC = Path(__file__).resolve().parent.parent / "src"
 # Child processes import this checkout's package, also when only pytest's
@@ -286,6 +288,18 @@ def test_spectrum_radon_line():
     assert res["achievable"] == [0, 1, 2]
     # no "bound": criterion 6 refutes achievable == {0..floor((d+2)/2)}
     assert "bound" not in res
+
+
+def test_spectrum_at_d20_decides_every_bipartition():
+    # 2^21 - 1 bipartitions, answered from the Radon dependence.
+    _, cfg_text, _ = run_cli(["gen", "--d", "20", "--r", "2", "--seed", "0"])
+    code, out, _ = run_cli(["spectrum"], stdin=cfg_text)
+    assert code == 0
+    res = json.loads(out)
+    top, _, _ = radon_top(gen.random_config(20, 2, seed=0).points)
+    assert res["achievable"] == list(range(top + 1))
+    assert res["partitions_scanned"] == 2 ** 21 - 1
+    assert res["degenerate_skipped"] == 0
 
 
 def test_separation_both_outcomes():

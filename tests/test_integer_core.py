@@ -1,10 +1,11 @@
 """The exact integer core computes without ``Fraction``.
 
-The kernel, the per-partition path of the scan, the general-position
-check, Wolfe's method (all of ``minnorm``, the pivoting solver's inner
-loop and the separation test), the tensor and permutation lifts, the
-pivot loop, which returns Wolfe's integer weights, the recovery up to
-``decode_weights`` and the sums that ``verify`` re-checks
+The kernel, the per-partition path of the scan, the r = 2 spectrum
+read from the Radon dependence (its K and its zero-sum count), the
+general-position check, Wolfe's method (all of ``minnorm``, the pivoting
+solver's inner loop and the separation test), the tensor and permutation
+lifts, the pivot loop, which returns Wolfe's integer weights, the
+recovery up to ``decode_weights`` and the sums that ``verify`` re-checks
 (``linalg.int_weighted_sum``) run on Python ints only; rationals stay at
 the edges (parsing, certificates, overlap witnesses, the trace's lines,
 the problem texts of ``verify``).  Each named module, function or class
@@ -27,7 +28,8 @@ INTEGER_CORE = {
     "gen.py": ("general_position",),
     "linalg.py": ("hull_factor", "int_weighted_sum"),
     "core.py": ("common_point", "read_parts"),
-    "search.py": ("_scan", "_radon_weights", "_radon_signs"),
+    "search.py": ("_scan", "_radon_weights", "_radon_signs",
+                  "_subset_sums", "_zero_sum_bipartitions", "radon_spectrum"),
     "minnorm.py": None,
     "sarkaria.py": ("companion_simplex", "LiftColor", "lift",
                     "pivot_to_origin", "recover"),

@@ -21,6 +21,7 @@ from tvpm.linalg import vdot, weighted_sum
 from tvpm.search import (
     NotSeparated,
     Separated,
+    SpectrumResult,
     check_separation,
     overlap,
     proper_partitions,
@@ -32,6 +33,7 @@ from tvpm.search import (
 from linalg_oracle import block_intersection
 from minnorm_oracle import min_norm_point_naive
 from radon_oracle import radon_top
+from scan_spectrum import scanned_spectrum
 from separation_oracle import (
     assert_pair_corral_matches_gram,
     check_separation_gram,
@@ -326,6 +328,55 @@ def test_radon_spectrum_preconditions():
     cfg = PointConfig(d=2, r=2, points=((F(0), F(0)), (F(1), F(0))))
     with pytest.raises(ValueError):
         radon_spectrum(cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 6), seed=st.integers(0, 10 ** 6))
+def test_radon_spectrum_closed_form_matches_the_scan(d, seed):
+    cfg = random_config(d, 2, seed=seed)
+    assert radon_spectrum(cfg) == scanned_spectrum(cfg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 6), data=st.data())
+def test_radon_spectrum_closed_form_matches_the_scan_on_lattice(d, data):
+    # Small lattice coordinates: bipartitions with lambda(T) = 0 are
+    # common, and so are zero Radon weights, where the scan is the answer.
+    pts = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d),
+                             min_size=d + 2, max_size=d + 2, unique=True))
+    cfg = PointConfig(d=d, r=2, points=pts)
+    assert radon_spectrum(cfg) == scanned_spectrum(cfg)
+
+
+def test_radon_spectrum_reads_lambda_and_scans_only_without_it(monkeypatch):
+    # A Radon dependence with no zero entry answers the spectrum without
+    # enumerating a bipartition or factoring a part, also when some
+    # lambda(T) = 0 (the unit square has two such bipartitions); three
+    # collinear points give lambda_3 = 0, and the scan.
+    generic = random_config(4, 2, seed=6)
+    square = PointConfig(d=2, r=2, points=(
+        (F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))))
+    collinear = _collinear_config()
+    want = [scanned_spectrum(cfg) for cfg in (generic, square, collinear)]
+    assert want[1] == SpectrumResult(frozenset({0, 1}), 7, 2)
+    calls = {"proper_partitions": 0, "hull_factor": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(search, "proper_partitions")
+    counted(linalg, "hull_factor")
+    assert radon_spectrum(generic) == want[0]
+    assert radon_spectrum(square) == want[1]
+    assert calls == {"proper_partitions": 0, "hull_factor": 0}
+    assert radon_spectrum(collinear) == want[2]
+    assert calls["proper_partitions"] == 1 and calls["hull_factor"] > 0
 
 
 def _parity_configs():
