@@ -309,19 +309,6 @@ def verify_colorful(cc, cp, m_set=None):
     return not problems, problems
 
 
-def classes_to_json(cc, m_set=None):
-    out = {
-        "schema": SCHEMA,
-        "kind": "color_classes",
-        "d": cc.d,
-        "r": cc.r,
-        "classes": [[format_vec(p) for p in group] for group in cc.classes],
-    }
-    if m_set is not None:
-        out["m"] = sorted(m_set)
-    return out
-
-
 def classes_from_json(obj):
     json_object(obj, "classes", ("d", "r", "classes"))
     d, r = int_field(obj, "d"), int_field(obj, "r")

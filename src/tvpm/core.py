@@ -2,15 +2,15 @@
 
 For a partition of n points in R^d into r parts, each part's affine hull
 is the solution set of d+1-k integer equations, k the part's affine rank
-(``linalg.hull_factor``).  Stacking every part's equations gives one
-system for the common point w of all the hulls, whatever the partition's
-size; one exact solve (``kernel.ff_solve``) classifies it
-(``common_point``).  When w is unique and every part is affinely
-independent, each part's affine coefficients are one integer mat-vec with
-the part's cached coefficient matrix, read part by part and only as far
+(``linalg.hull_factor``).  A copy of every part's equations, stacked, is
+one system for the common point w of all the hulls, whatever the
+partition's size; one in-place elimination (``kernel.reduce_system``)
+classifies it and back substitution reads w (``common_point``).  When w
+is unique and every part is affinely independent, the signs of each
+part's affine coefficients are one integer mat-vec with the part's cached
+coefficient matrix, read part by part as negative flags and only as far
 as the caller needs (``read_parts``).  With n = (r-1)(d+1)+1 and affinely
-independent parts the codimensions add up to exactly d, so the stack is
-d x d.
+independent parts the stack is d x d.
 
 Classification drives everything downstream: a unique point comes with
 exact coefficients; inconsistent equations certify empty intersection;
@@ -28,7 +28,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from tvpm import linalg
-from tvpm.kernel import ff_solve
+from tvpm.kernel import back_substitute, reduce_system
 from tvpm.linalg import (
     format_rat,
     format_vec,
@@ -143,14 +143,14 @@ class CommonPoint(NamedTuple):
     """A partition's intersection class and, for a point, its parts.
 
     ``kind`` is "point", "empty" or "degenerate", as for
-    ``intersect_affine_hulls``.  For a point, y = t (w, 1) is integral (w
-    the common point of the scaled parts, t != 0) and ``parts`` reads the
-    parts lazily, in order (``read_parts``); otherwise both are None.
+    ``intersect_affine_hulls``.  For a point, y = t (w, 1) is integral
+    with t > 0 (w the common point of the scaled parts), and ``factors``
+    holds each part's ``linalg.hull_factor``; otherwise both are None.
     """
 
     kind: str
     y: list = None
-    parts: object = None
+    factors: list = None
 
 
 def common_point(points, partition, memo=None):
@@ -158,53 +158,44 @@ def common_point(points, partition, memo=None):
 
     ``points`` are integer (``PointConfig.scaled``); ``memo`` maps parts
     to their ``linalg.hull_factor`` across calls (None: factor every part
-    afresh).  One ``ff_solve`` of the stacked hull equations gives the
-    kind: inconsistent is "empty"; a point that is not unique, or a part
-    that is affinely dependent, is "degenerate".  Otherwise the parts'
-    coefficients are read one part at a time, and only as far as the
-    caller iterates.
+    afresh).  One in-place elimination (``kernel.reduce_system``) of a
+    copy of the parts' stacked equations gives the kind: inconsistent is
+    "empty"; a point that is not unique, or a part that is affinely
+    dependent, is "degenerate".  Otherwise y is read by back substitution.
     """
     factors = []
-    rows = []
-    rhs = []
     for part in partition:
         f = memo.get(part) if memo is not None else None
         if f is None:
             f = linalg.hull_factor([points[i] for i in part])
             if memo is not None:
                 memo[part] = f
-        rows += f.rows
-        rhs += f.rhs
         factors.append(f)
-    got = ff_solve(rows, rhs)
-    if got.rank < got.rank_aug:
+    d = len(points[0])
+    a = [row[:] for f in factors for row in f.eqs]
+    rank, rank_aug, _ = reduce_system(a, d)
+    if rank < rank_aug:
         return CommonPoint("empty")
-    # With no equations (every part spans R^d) the stack has no columns,
-    # so its rank is compared with d, not with its width.
-    if got.rank < len(points[0]):
+    if rank < d:
         return CommonPoint("degenerate")
     for f in factors:
         if f.coef is None:  # affinely dependent: coefficients not unique
             return CommonPoint("degenerate")
-    y = got.nums + [got.den]
-    return CommonPoint("point", y, read_parts(partition, factors, y))
+    # the rows [A | c] say A w = -c: y = -den (w, 1), made to have t > 0
+    den = a[d - 1][d - 1]
+    y = back_substitute(a, [row[d] for row in a[:d]]) + [-den]
+    if den > 0:
+        y = [-v for v in y]
+    return CommonPoint("point", y, factors)
 
 
 def read_parts(partition, factors, y):
-    """Yield ``(part, negatives, x)`` per part of a point partition.
-
-    x = f.coef y = f.den t alpha on the part, in integers (f its hull
-    factor, y = t (w, 1)), and ``negatives`` lists the part's indices
-    with negative coefficients, in part order.
-    """
-    negative_t = y[-1] < 0
+    """Yield ``(part, flags)`` per part of a point partition, lazily:
+    flags[j] says whether part[j]'s coefficient is negative, the sign of
+    x[j] for x = f.coef y = f.den t alpha (f the part's hull factor, f.den
+    > 0, and y = t (w, 1) from ``common_point``, t > 0); x is not kept."""
     for part, f in zip(partition, factors):
-        x = [vdot(row, y) for row in f.coef]
-        # x has alpha's signs when den t > 0, and the opposite ones else
-        if (f.den < 0) != negative_t:
-            yield part, [i for i, v in zip(part, x) if v > 0], x
-        else:
-            yield part, [i for i, v in zip(part, x) if v < 0], x
+        yield part, [vdot(row, y) < 0 for row in f.coef]
 
 
 class Intersection(NamedTuple):
@@ -228,7 +219,8 @@ def intersect_affine_hulls(config, partition):
     if got.kind != "point":
         return Intersection(got.kind, None)
     alpha = {}
-    for part, _, x in got.parts:
+    for part, f in zip(partition, got.factors):
+        x = [vdot(row, got.y) for row in f.coef]
         total = sum(x)  # the coefficients sum to 1, so x sums to den t
         alpha.update((i, Fraction(v, total)) for i, v in zip(part, x))
     t = got.y[-1]

@@ -4,11 +4,12 @@
 exhaustive partition scans, intersection certificates and rank tests all
 bottom out in it.  ``every_subset_independent`` is the general-position
 test (``tvpm.gen.general_position``): the same fraction-free step, run
-once per pivot prefix instead of once per subset.  ``ff_solve`` is the
-package's one exact linear solve: it classifies and solves any m x n
-integer system from one elimination, and ``back_substitute`` is the one
-back substitution, which ``tvpm.linalg.hull_factor`` also runs, once per
-part, to build the integer coefficient matrix that every partition reads
+once per pivot prefix instead of once per subset.  ``reduce_system``
+classifies an integer system from one in-place elimination; ``ff_solve``,
+the one exact solve, runs it on a copy, and so does the partition scan
+(``tvpm.core.common_point``), which reads its point with
+``back_substitute``, the one back substitution.  ``tvpm.linalg.hull_factor``
+runs that once per part, for the coefficient matrix every partition reads
 the part's signs from.  The pivoting solver does not call them: Wolfe's
 method in ``tvpm.minnorm`` updates its bordered systems in place, and
 separation runs on that method too.
@@ -161,20 +162,29 @@ def back_substitute(upper, c):
     return c
 
 
+def reduce_system(a, n):
+    """Fraction-free elimination of the augmented rows [A | b] of a system
+    in n unknowns, in place: ``(rank A, rank [A | b], sign)``, sign that of
+    the row permutation.  When rank A = rank [A | b] = n the first n rows
+    are upper triangular, ready for ``back_substitute``."""
+    pivots, sign = eliminate(a, n + 1, n + 1)
+    rank_aug = len(pivots)
+    rank = rank_aug - (1 if pivots and pivots[-1] == n else 0)
+    return rank, rank_aug, sign
+
+
 def ff_solve(rows, rhs):
     """Classify and solve an m x n integer system A x = b exactly.
 
-    One elimination over [A | b] gives both ranks.  When the system is
-    consistent with full column rank, den != 0 and x = nums / den;
-    otherwise den = 0 and nums is None.  For square A, den is det A (0
-    when A is singular).
+    One elimination over [A | b] (``reduce_system``) gives both ranks.
+    When the system is consistent with full column rank, den != 0 and
+    x = nums / den; otherwise den = 0 and nums is None.  For square A,
+    den is det A (0 when A is singular).
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     a = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    pivots, sign = eliminate(a, n + 1, n + 1)
-    rank_aug = len(pivots)
-    rank = rank_aug - (1 if pivots and pivots[-1] == n else 0)
+    rank, rank_aug, sign = reduce_system(a, n)
     if rank < rank_aug or rank < n:
         return Solution(0, None, rank, rank_aug)
     if n == 0:

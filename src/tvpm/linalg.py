@@ -100,17 +100,17 @@ def int_weighted_sum(weights, points):
 class HullFactor(NamedTuple):
     """The affine hull of s integer points in Z^d, of affine rank k.
 
-    The hull is {x : rows x = rhs} (d+1-k equations).  When the points
-    are affinely independent (k = s), with P the (d+1) x s matrix of
-    lifted columns (p, 1), ``coef`` P = ``den`` I: ``coef`` is the s x
-    (d+1) integer matrix den U^-1 L and ``den`` != 0 the last pivot of U,
-    for the factor L P = U that ``hull_factor`` computes.  So a point
-    y = t (w, 1) of the hull has affine coefficients coef y / (den t).
-    Both are None for dependent points.
+    The hull is {x : e . (x, 1) = 0 for e in ``eqs``}, d+1-k integer
+    rows ready to stack.  When the points are affinely independent (k =
+    s), with P the (d+1) x s matrix of lifted columns (p, 1), ``coef`` P =
+    ``den`` I: ``coef`` is the s x (d+1) integer matrix den U^-1 L and
+    ``den`` > 0 is |U's last pivot|, for the factor L P = U that
+    ``hull_factor`` computes.  So a point y = t (w, 1) of the hull has
+    affine coefficients coef y / (den t), with the signs of coef y when
+    t > 0.  Both are None for dependent points.
     """
 
-    rows: list
-    rhs: list
+    eqs: list
     coef: list
     den: int
 
@@ -134,13 +134,10 @@ def hull_factor(points):
     rank = len(eliminate(a, s, width)[0])
     coef = den = None
     if rank == s:
-        cols = [back_substitute(a, [a[k][j] for k in range(s)])
+        den = a[s - 1][s - 1]
+        sign = 1 if den > 0 else -1
+        cols = [back_substitute(a, [sign * a[k][j] for k in range(s)])
                 for j in range(s, width)]
         coef = list(zip(*cols))
-        den = a[s - 1][s - 1]
-    return HullFactor(
-        rows=[row[s:width - 1] for row in a[rank:]],
-        rhs=[-row[-1] for row in a[rank:]],
-        coef=coef,
-        den=den,
-    )
+        den *= sign
+    return HullFactor([row[s:] for row in a[rank:]], coef, den)

@@ -5,19 +5,22 @@ with part sizes capped at d+1, exactly once, in a deterministic order
 (indices are placed in restricted-growth fashion, so parts are ordered by
 their smallest element).  Brute-force scans over this stream serve as the
 independent oracle for the constructive solver: "not found" always means
-the whole stream was checked.  The scan classifies each partition from
-per-part hull equations and one exact integer solve
-(``core.common_point``), then reads its signs part by part and stops at
-the first part that rules the partition out; a partition stopped early
-still counts as scanned.  It builds a certificate (through
-``core.intersect_affine_hulls``, which reads the same routine) only for the
-partition it returns.
+the whole stream was checked.  The scan classifies each partition with
+one in-place elimination of a copy of its stacked per-part hull equations
+(``core.common_point``), then reads each part's negative flags, one per
+index (``core.read_parts``), and stops at the first part that rules the
+partition out; a partition stopped early still counts as scanned.
+``search_exact_k`` sums the flags, and ``search_prescribed`` compares them
+with the part's membership in M, computed once per part.  Neither builds
+a coefficient vector or an index list.  A certificate is built (through
+``core.intersect_affine_hulls``, which reads the same routine) only for
+the partition the scan returns.
 
 For r = 2 the n = d+2 points have one affine dependence lambda,
 sum lambda_i (a_i, 1) = 0, and every bipartition (T, A \\ T) with
 lambda(T) != 0 meets in the point with coefficients lambda_i / lambda(T)
 on T and -lambda_j / lambda(T) off T (Radon, 1921).  When lambda is
-unique with every lambda_i != 0, the scan reads every bipartition's signs
+unique with every lambda_i != 0, the scan reads every bipartition's flags
 from it and factors no part; otherwise (the points lie in a hyperplane,
 or some lambda_i = 0) it reads them from the part hulls as for r > 2.
 ``radon_spectrum`` scans nothing when lambda is such: the achievable
@@ -46,7 +49,7 @@ from itertools import accumulate
 from math import gcd
 from typing import NamedTuple
 
-from tvpm.core import common_point, intersect_affine_hulls
+from tvpm.core import common_point, intersect_affine_hulls, read_parts
 from tvpm.kernel import ff_solve
 from tvpm.linalg import vdot, weighted_sum
 
@@ -107,17 +110,17 @@ def _radon_weights(points):
 
 
 def _radon_signs(lam, partition):
-    """``(part, negatives, None)`` for both parts of a bipartition at its
-    unique intersection point, read from the Radon dependence
-    (``_radon_weights``), or None when lambda(T) = 0, T the first part:
-    then T is affinely dependent."""
+    """``(part, flags)`` for both parts of a bipartition at its unique
+    intersection point, as ``core.read_parts`` yields them, read from the
+    Radon dependence (``_radon_weights``), or None when lambda(T) = 0, T
+    the first part: then T is affinely dependent."""
     first, second = partition
     total = sum(lam[i] for i in first)
     if total == 0:
         return None
     pos = total > 0
-    return ((first, [i for i in first if (lam[i] > 0) != pos], None),
-            (second, [j for j in second if (lam[j] > 0) == pos], None))
+    return ((first, [(lam[i] > 0) != pos for i in first]),
+            (second, [(lam[j] > 0) == pos for j in second]))
 
 
 def _scan(config, accept):
@@ -125,14 +128,14 @@ def _scan(config, accept):
     with a unique intersection point; only that one gets a certificate
     (from ``intersect_affine_hulls``).
 
-    ``parts`` yields ``(part, negatives, x)`` lazily, in part order
+    ``parts`` yields ``(part, flags)`` lazily, in part order, flags[j]
+    telling whether part[j]'s coefficient is negative
     (``core.read_parts``), so ``accept`` may return as soon as one part
     rules the partition out; the partition still counts as scanned, never
-    as skipped.  The signs come from the part hulls
+    as skipped.  The flags come from the part hulls
     (``core.common_point``, with ``memo`` its per-part factor cache).  For
-    r = 2 (n = d+2, as every caller requires) they come from
-    the Radon dependence instead when it has no zero entry, with x None;
-    the input decides which.
+    r = 2 (n = d+2, as every caller requires) they come from the Radon
+    dependence instead when it has no zero entry; the input decides which.
     """
     _, points = config.scaled
     lam = _radon_weights(points) if config.r == 2 else None
@@ -145,7 +148,8 @@ def _scan(config, accept):
         if lam is not None:
             parts = _radon_signs(lam, partition)
         else:
-            parts = common_point(points, partition, memo).parts
+            got = common_point(points, partition, memo)
+            parts = got.y and read_parts(partition, got.factors, got.y)
         if parts is None:
             skipped += 1
         elif accept(parts):
@@ -164,8 +168,8 @@ def search_exact_k(config, k):
 
     def accept(parts):
         count = 0
-        for _, negatives, _ in parts:
-            count += len(negatives)
+        for _, flags in parts:
+            count += sum(flags)
             if count > k:
                 return False
         return count == k
@@ -175,17 +179,23 @@ def search_exact_k(config, k):
 
 def search_prescribed(config, m_set):
     """First proper partition whose negatives are exactly m_set; each
-    partition is dropped at its first part whose negatives are not
-    m_set's indices in that part."""
+    partition is dropped at its first part whose negative flags differ
+    from the part's membership in m_set (``pattern``, one list per part
+    seen)."""
     if not config.is_full:
         raise ValueError("search needs n = (r-1)(d+1)+1 points")
     target = frozenset(m_set)
     if not target <= frozenset(range(config.n)):
         raise ValueError("m_set out of range")
 
+    pattern = {}
+
     def accept(parts):
-        for part, negatives, _ in parts:
-            if negatives != [i for i in part if i in target]:
+        for part, flags in parts:
+            want = pattern.get(part)
+            if want is None:
+                want = pattern[part] = [i in target for i in part]
+            if flags != want:
                 return False
         return True
 
@@ -244,8 +254,8 @@ def radon_spectrum(config):
     ks = set()
 
     def collect(parts):
-        (_, first, _), (_, second, _) = parts
-        ks.add(len(first) + len(second))
+        (_, first), (_, second) = parts
+        ks.add(sum(first) + sum(second))
         return False
 
     res = _scan(config, collect)

@@ -14,7 +14,7 @@ def scanned_spectrum(config):
     ks = set()
 
     def collect(parts):
-        ks.add(sum(len(negatives) for _, negatives, _ in parts))
+        ks.add(sum(sum(flags) for _, flags in parts))
         return False
 
     res = search._scan(config, collect)

@@ -9,12 +9,11 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 
-from tvpm.colored import ColorClasses, colored_tverberg_pm, verify_colorful
+from tvpm.colored import colored_tverberg_pm, verify_colorful
 from tvpm.core import PointConfig, intersect_affine_hulls, verify_certificate
 from tvpm.gen import (
     example1,
     example2,
-    general_position,
     random_config,
     separated_subset,
 )
@@ -26,6 +25,7 @@ from tvpm.search import (
     search_prescribed,
 )
 
+from color_classes import random_classes
 from linalg_oracle import block_intersection, solve_linear
 from minnorm_oracle import min_norm_point_naive, min_norm_point_scaled
 from radon_oracle import radon_top
@@ -73,19 +73,6 @@ def random_proper_partition(n, r, d, rng):
         parts.append(tuple(sorted(idx[at:at + s])))
         at += s
     return tuple(parts)
-
-
-def random_classes(d, r, seed):
-    rng = random.Random(seed)
-    n = (r - 1) * d + 1
-    while True:
-        pts = []
-        for _ in range(n * r):
-            pts.append(tuple(F(rng.randint(-10**6, 10**6), 10**3)
-                             for _ in range(d)))
-        if len(set(pts)) == len(pts) and general_position(pts, d):
-            groups = tuple(tuple(pts[i * r:(i + 1) * r]) for i in range(n))
-            return ColorClasses(d=d, r=r, classes=groups)
 
 
 def enumerate_colorful_solutions(cc):

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 from tvpm import cli, gen, search
-from tvpm.colored import ColorClasses, classes_to_json
+from tvpm.colored import ColorClasses
 from tvpm.core import dump_json
 
+from color_classes import classes_to_json
 from radon_oracle import radon_top
 
 CMD = [sys.executable, "-m", "tvpm.cli"]

@@ -17,7 +17,6 @@ from tvpm.colored import (
     ColorClasses,
     PermutationColor,
     classes_from_json,
-    classes_to_json,
     colored_tverberg_pm,
     colorful_from_json,
     colorful_to_json,
@@ -25,30 +24,16 @@ from tvpm.colored import (
     lex_first_assignment,
     verify_colorful,
 )
-from tvpm.gen import general_position
 from tvpm.linalg import denominator_lcm, tensor, to_int, weighted_sum
 from tvpm.sarkaria import DegenerateGamma, companion_simplex, pivot_to_origin
 
 import verify_oracle
+from color_classes import classes_to_json, random_classes
 from colored_oracle import permutation_lift
 from linalg_oracle import solve_linear
 from pivot_oracle import VectorColor
 
 F = Fraction
-
-
-def random_classes(d, r, seed):
-    """(r-1)d+1 classes of r points, jointly in general position."""
-    rng = random.Random(seed)
-    n = (r - 1) * d + 1
-    while True:
-        pts = []
-        for _ in range(n * r):
-            pts.append(tuple(F(rng.randint(-10**6, 10**6), 10**3)
-                             for _ in range(d)))
-        if len(set(pts)) == len(pts) and general_position(pts, d):
-            groups = tuple(tuple(pts[i * r:(i + 1) * r]) for i in range(n))
-            return ColorClasses(d=d, r=r, classes=groups)
 
 
 def distinct_classes(d, r, seed, num=10**6, den=10**3):

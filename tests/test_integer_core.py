@@ -1,6 +1,10 @@
 """The exact integer core computes without ``Fraction``.
 
-The kernel, the per-partition path of the scan, the r = 2 spectrum
+The kernel (with the in-place elimination that classifies each
+partition, ``reduce_system``), the per-partition path of the scan (the
+stacked part equations, the negative flags that ``read_parts`` and
+``_radon_signs`` yield, and the ``accept`` tests of ``search_exact_k``
+and ``search_prescribed`` that read them), the r = 2 spectrum
 read from the Radon dependence (its K and its zero-sum count), the
 general-position check, Wolfe's method (all of ``minnorm``, the pivoting
 solver's inner loop and the separation test), the tensor and permutation
@@ -29,6 +33,7 @@ INTEGER_CORE = {
     "linalg.py": ("hull_factor", "int_weighted_sum"),
     "core.py": ("common_point", "read_parts"),
     "search.py": ("_scan", "_radon_weights", "_radon_signs",
+                  "search_exact_k", "search_prescribed",
                   "_subset_sums", "_zero_sum_bipartitions", "radon_spectrum"),
     "minnorm.py": None,
     "sarkaria.py": ("companion_simplex", "LiftColor", "lift",

@@ -227,21 +227,22 @@ def test_hull_factor_equations_and_triangular_factor():
         prows = list(zip(*lifted))  # the rows of P
         f = hull_factor(pts)
         rk = rank(lifted)
-        # d+1-rk independent equations, each satisfied by every point
-        assert len(f.rows) == len(f.rhs) == d + 1 - rk
-        if f.rows:
-            eqs = [row + [b] for row, b in zip(f.rows, f.rhs)]
-            assert rank(eqs) == d + 1 - rk
-        for p in pts:
-            for row, b in zip(f.rows, f.rhs):
-                assert sum(e * x for e, x in zip(row, p)) == b
+        # d+1-rk independent equations e . (x, 1) = 0, each satisfied by
+        # every point
+        assert len(f.eqs) == d + 1 - rk
+        assert all(len(e) == d + 1 for e in f.eqs)
+        if f.eqs:
+            assert rank(f.eqs) == d + 1 - rk
+        for p in lifted:
+            for e in f.eqs:
+                assert sum(v * x for v, x in zip(e, p)) == 0
         if rk < s:
             assert f.coef is None and f.den is None
             dependent += 1
             continue
         factored += 1
-        # coef P = den I, with den != 0
-        assert f.den != 0 and len(f.coef) == s
+        # coef P = den I, with den > 0
+        assert f.den > 0 and len(f.coef) == s
         for k, crow in enumerate(f.coef):
             assert [sum(c * prow[i] for c, prow in zip(crow, prows))
                     for i in range(s)] == [f.den * (i == k) for i in range(s)]

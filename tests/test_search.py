@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvpm import linalg, search
+from tvpm import core, kernel, linalg, search
 from tvpm.core import (
     PointConfig,
     common_point,
     intersect_affine_hulls,
+    read_parts,
     verify_certificate,
 )
 from tvpm.gen import example1, random_config, separated_subset
@@ -389,7 +390,23 @@ def _parity_configs():
     cases.append(PointConfig(d=2, r=2, points=(
         (F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1)))))
     cases.append(_collinear_config())
+    # lattice points off general position: parallel parts give "empty"
+    # partitions, dependent parts "degenerate" ones
+    cases += [_lattice_config(d, r, seed, span)
+              for d, r, seed, span in ((2, 3, 2, 2), (2, 3, 3, 2),
+                                       (3, 2, 0, 1), (2, 2, 0, 1))]
     return cases
+
+
+def _lattice_config(d, r, seed, span):
+    """n = (r-1)(d+1)+1 distinct seeded points of {-span..span}^d."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < (r - 1) * (d + 1) + 1:
+        p = tuple(rng.randint(-span, span) for _ in range(d))
+        if p not in points:
+            points.append(p)
+    return PointConfig(d=d, r=r, points=points)
 
 
 def _collinear_config():
@@ -411,8 +428,14 @@ def _block_scan(cfg):
     return out
 
 
+def _negatives(parts):
+    """The indices flagged negative in ``(part, flags)`` pairs."""
+    return [i for part, flags in parts for i, neg in zip(part, flags) if neg]
+
+
 def test_part_factored_scan_matches_block_system():
     skips = 0
+    kinds = set()
     for cfg in _parity_configs():
         _, points = cfg.scaled
         memo = {}
@@ -424,17 +447,18 @@ def test_part_factored_scan_matches_block_system():
             if res.cert is not None:
                 assert res.cert.alpha == block.alpha, partition
                 assert res.cert.z == block.z, partition
+            kinds.add(block.kind)
             for m in (None, memo):
-                parts = common_point(points, partition, m).parts
-                assert (parts is None) == (negatives is None), partition
-                if parts is not None:
-                    got = [i for _, neg, _ in parts for i in neg]
-                    assert frozenset(got) == negatives, partition
+                got = common_point(points, partition, m)
+                assert got.kind == block.kind, partition
+                assert (got.y is None) == (negatives is None), partition
+                if got.y is not None:
+                    parts = read_parts(partition, got.factors, got.y)
+                    assert frozenset(_negatives(parts)) == negatives, partition
         skips += want.count(None)
 
         seen = []
-        res = search._scan(cfg, lambda parts: seen.append(
-            [i for _, negatives, _ in parts for i in negatives]))
+        res = search._scan(cfg, lambda parts: seen.append(_negatives(parts)))
         points_only = [w for w in want if w is not None]
         assert [frozenset(s) for s in seen] == points_only
         assert res.scanned == len(want) and res.skipped == want.count(None)
@@ -457,6 +481,7 @@ def test_part_factored_scan_matches_block_system():
                 ok, problems = verify_certificate(cfg, res.partition, res.cert)
                 assert ok, problems
     assert skips > 0
+    assert kinds == {"point", "empty", "degenerate"}
 
 
 def test_prescribed_scan_stops_at_the_block_systems_first_match():
@@ -487,6 +512,33 @@ def test_prescribed_scan_stops_at_the_block_systems_first_match():
             assert res.cert.negatives == m
             ok, problems = verify_certificate(cfg, res.partition, res.cert)
             assert ok, problems
+
+
+def test_r3_scan_classifies_each_partition_with_one_elimination(monkeypatch):
+    # A partition costs one in-place elimination of its stacked part
+    # equations, and a part seen for the first time one more, for its hull
+    # factor; no ff_solve copies a system or builds a Solution on the way.
+    cfg = random_config(2, 3, seed=5)
+    partitions = list(proper_partitions(cfg.n, cfg.r, cfg.d))
+    parts = {part for partition in partitions for part in partition}
+    calls = {"ff_solve": 0, "reduce_system": 0, "eliminate": 0}
+
+    def counted(name, inner):
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for module in (kernel, linalg, core, search):
+        for name in calls:
+            inner = getattr(module, name, None)
+            if inner is not None:
+                monkeypatch.setattr(module, name, counted(name, inner))
+    # n = 7 negatives with r = 3 parts: never found, so the whole stream
+    res = search_prescribed(cfg, set(range(cfg.n)))
+    assert not res.found and res.scanned == len(partitions)
+    assert calls == {"ff_solve": 0, "reduce_system": len(partitions),
+                     "eliminate": len(partitions) + len(parts)}
 
 
 def test_r2_scan_reads_signs_from_the_radon_dependence(monkeypatch):
