@@ -13,7 +13,11 @@ A command imports what it runs: this module loads only the reading,
 writing and generating code (``core``, ``gen``, ``linalg``), and each
 command imports its solver modules (``search``, ``sarkaria``,
 ``colored``) and ``csv`` itself, so that a process pays start-up time
-for no module its command never calls.
+for no module its command never calls.  ``verify`` imports no solver: a
+``solve`` certificate carries the witness of its ``separation_warning``
+(``_separation`` writes it, as ``separation`` prints it), and ``verify``
+checks that witness (``core.separation_problems``) instead of running the
+separation test again.
 """
 
 import argparse
@@ -79,6 +83,15 @@ def _weights(witness):
     return {key: {str(i): format_rat(w)
                   for i, w in sorted(getattr(witness, key).items())}
             for key in ("m_weights", "rest_weights")}
+
+
+def _separation(witness):
+    """The fields of ``search.check_separation``'s witness: a hyperplane's
+    ``normal`` and ``offset``, or an overlap's ``point`` and weights."""
+    if "normal" in witness._fields:
+        return {"normal": format_vec(witness.normal),
+                "offset": format_rat(witness.offset)}
+    return {"point": format_vec(witness.point), **_weights(witness)}
 
 
 def _parse_m(text, option="--m"):
@@ -152,8 +165,9 @@ def cmd_solve(args):
             result.cert, result.partition,
             alternative=result.alternative, proper=result.proper)
         out["m"] = sorted(m_set)
-        if result.separation_warning is not None:
+        if result.separation is not None:
             out["separation_warning"] = result.separation_warning
+            out["separation"] = _separation(result.separation)
         _emit(out)
         return EXIT_OK
     if isinstance(result, SeparationViolated):
@@ -161,7 +175,8 @@ def cmd_solve(args):
                        common_point=format_vec(result.common_point),
                        part=list(result.part), **_weights(result))
     assert isinstance(result, DegenerateGamma)
-    return _result("degenerate_gamma")
+    return _result("degenerate_gamma", choice=list(result.choice),
+                   weights=format_vec(result.weights))
 
 
 def cmd_search(args):
@@ -202,11 +217,8 @@ def cmd_separation(args):
     config = core.config_from_json(obj)
     m_set = _m_from_args_or_input(args, obj)
     res = search.check_separation(config, m_set)
-    if isinstance(res, search.Separated):
-        return _result("separated", normal=format_vec(res.normal),
-                       offset=format_rat(res.offset))
-    return _result("not_separated", point=format_vec(res.point),
-                   **_weights(res))
+    return _result("separated" if isinstance(res, search.Separated)
+                   else "not_separated", **_separation(res))
 
 
 def cmd_colored(args):
@@ -219,29 +231,12 @@ def cmd_colored(args):
              if args.trace else None)
     result = colored_mod.colored_tverberg_pm(cc, m_set, trace=trace)
     if isinstance(result, DegenerateGamma):
-        return _result("degenerate_gamma")
+        return _result("degenerate_gamma", choice=list(result.choice),
+                       weights=format_vec(result.weights))
     out = colored_mod.colorful_to_json(result)
     out["m"] = sorted(m_set)
     _emit(out)
     return EXIT_OK
-
-
-def _separation_problems(config, m_set, warning):
-    """Problems with a solve certificate's ``separation_warning`` claim,
-    which is true exactly when conv(m) and conv(rest) meet
-    (``search.check_separation``)."""
-    from tvpm import search
-    if not isinstance(warning, bool):
-        raise ValueError("'separation_warning' must be true or false")
-    if not m_set or not m_set < frozenset(range(config.n)):
-        return ["separation_warning needs m to be a nonempty proper subset"
-                " of the indices"]
-    meet = isinstance(search.check_separation(config, m_set),
-                      search.NotSeparated)
-    if meet != warning:
-        return ["separation_warning is %s but the hulls of m and the rest %s"
-                % (str(warning).lower(), "meet" if meet else "are disjoint")]
-    return []
 
 
 def cmd_verify(args):
@@ -262,18 +257,18 @@ def cmd_verify(args):
         cc = colored_mod.classes_from_json(input_obj)
         cp = colored_mod.colorful_from_json(cert_obj)
         _, problems = colored_mod.verify_colorful(cc, cp, m_set)
-        # proper and separation_warning are claims about a point partition
+        # proper and separation_warning (with its witness) are claims about
+        # a point partition
         problems += ["a colored certificate carries no %s claim" % key
-                     for key in ("proper", "separation_warning")
+                     for key in ("proper", "separation_warning", "separation")
                      if key in cert_obj]
     else:
         config = core.config_from_json(input_obj)
         cert, partition, alternative = core.certificate_from_json(cert_obj)
         _, problems = core.verify_certificate(
             config, partition, cert, alternative, m_set, proper)
-        if "separation_warning" in cert_obj:
-            problems += _separation_problems(
-                config, m_set, cert_obj["separation_warning"])
+        if {"separation_warning", "separation"} & cert_obj.keys():
+            problems += core.separation_problems(config, m_set, cert_obj)
     if not problems:
         return _result("valid")
     return _result("invalid", problems=problems)

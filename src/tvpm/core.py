@@ -19,7 +19,10 @@ as degenerate (a general-position failure), never silently repaired.
 
 A certificate's arithmetic (the part sums, the sign sets and gamma) is
 re-checked in one place, ``certificate_problems``, for the point and the
-colored verifier alike.
+colored verifier alike.  A solve certificate's separation claim is
+re-checked from the witness it carries (``separation_problems``): a
+hyperplane by the side of each point, an overlap by the same integer
+weighted sums (``_sum_problems``).
 """
 
 import json
@@ -252,6 +255,25 @@ def alternative_problems(n, negatives, zero_set, alternative, m_set, names):
     return []
 
 
+def _sum_problems(label, weights, points, target, name, scale):
+    """Problems with rational weights on integer points, ``scale`` times
+    the input points: the weights must sum to 1 and weight the points to
+    ``target`` (called ``name`` in a problem).  Checked on ints
+    (``linalg.int_weighted_sum``)."""
+    problems = []
+    den, total, sums = int_weighted_sum(weights, points)
+    if total != den:
+        problems.append("%s: coefficient sum %s != 1"
+                        % (label, format_rat(Fraction(total, den))))
+    unit = den * scale  # the rational weighted sum is sums / unit
+    if any(v * x.denominator != x.numerator * unit
+           for v, x in zip(sums, target)):
+        problems.append("%s: weighted sum %s != %s %s"
+                        % (label, format_vec(Fraction(v, unit) for v in sums),
+                           name, format_vec(target)))
+    return problems
+
+
 def certificate_problems(cert, scale, parts):
     """Problems with a certificate's arithmetic: the one check behind both
     verifiers.
@@ -260,26 +282,16 @@ def certificate_problems(cert, scale, parts):
     that names the part in a problem, the indices it holds and their
     points, integer vectors equal to ``scale`` times the input points.
     Per part, the coefficients alpha[i] must sum to 1 and weight the
-    points to z, checked on ints (``linalg.int_weighted_sum``); then the
-    sign sets must match alpha and gamma must not be zero.  alpha is read
-    by index over 0..n-1, so a dict covering those indices and a tuple
-    both serve.
+    points to z (``_sum_problems``); then the sign sets must match alpha
+    and gamma must not be zero.  alpha is read by index over 0..n-1, so a
+    dict covering those indices and a tuple both serve.
     """
     problems = []
     alpha = cert.alpha
     for label, indices, points in parts:
-        den, total, sums = int_weighted_sum([alpha[i] for i in indices],
-                                            points)
-        if total != den:
-            problems.append("part %s: coefficient sum %s != 1"
-                            % (label, format_rat(Fraction(total, den))))
-        unit = den * scale  # the rational weighted sum is sums / unit
-        if any(v * x.denominator != x.numerator * unit
-               for v, x in zip(sums, cert.z)):
-            problems.append(
-                "part %s: weighted sum %s != z %s"
-                % (label, format_vec(Fraction(v, unit) for v in sums),
-                   format_vec(cert.z)))
+        problems += _sum_problems("part %s" % (label,),
+                                  [alpha[i] for i in indices], points,
+                                  cert.z, "z", scale)
     indices = range(len(alpha))
     if frozenset(i for i in indices if alpha[i] < 0) != cert.negatives:
         problems.append("negatives set does not match strict negatives of alpha")
@@ -287,6 +299,68 @@ def certificate_problems(cert, scale, parts):
         problems.append("zero_set does not match zeros of alpha")
     if cert.gamma == 0:
         problems.append("gamma is zero")
+    return problems
+
+
+def separation_problems(config, m_set, obj):
+    """Problems with a solve certificate's ``separation_warning`` claim,
+    true exactly when conv(m) and conv(rest) meet, and with the
+    ``separation`` witness that backs it; ``obj`` is the certificate's
+    JSON, which must hold both.  The witness is checked in one pass over
+    the scaled points (``PointConfig.scaled``), in integers.
+
+    A hyperplane ``{"normal", "offset"}`` must have <normal, a> > offset
+    strictly on every point of m and < offset on every other point.  An
+    overlap ``{"point", "m_weights", "rest_weights"}`` must weight m and
+    the rest (keys as for alpha) with non-negative weights that sum to 1
+    on each side, and both weighted sums must equal point
+    (``_sum_problems``).  A witness that checks out must be of the kind
+    the claim names.  A malformed claim or witness is a ValueError.
+    """
+    json_object(obj, "certificate", ("separation_warning", "separation"))
+    warning, witness = obj["separation_warning"], obj["separation"]
+    if not isinstance(warning, bool):
+        raise ValueError("'separation_warning' must be true or false")
+    meet = not (isinstance(witness, dict) and "normal" in witness)
+    keys = ("point", "m_weights", "rest_weights") if meet else ("normal",
+                                                                 "offset")
+    json_object(witness, "separation", keys)
+    vec = parse_vec(witness[keys[0]])
+    if len(vec) != config.d:
+        raise ValueError("separation %r must have d entries" % keys[0])
+    everything = frozenset(range(config.n))
+    if not m_set or not m_set < everything:
+        return ["separation_warning needs m to be a nonempty proper subset"
+                " of the indices"]
+    scale, points = config.scaled
+    problems = []
+    if meet:
+        for key, side in (("m_weights", m_set),
+                          ("rest_weights", everything - m_set)):
+            w = index_map(witness[key], repr(key))
+            if not w.keys() <= side:
+                problems.append("%s: indices %s lie off its side"
+                                % (key, sorted(w.keys() - side)))
+            elif any(v < 0 for v in w.values()):
+                problems.append("%s: a weight is negative" % key)
+            else:
+                problems += _sum_problems(key, list(w.values()),
+                                          [points[i] for i in w], vec,
+                                          "point", scale)
+    else:
+        # <normal, D a> against D offset, cleared of denominators
+        c = vec + (parse_rat(witness["offset"]) * scale,)
+        *normal, offset = linalg.to_int([c], linalg.denominator_lcm([c]))[0]
+        wrong = [i for i, p in enumerate(points)
+                 if not (vdot(normal, p) > offset if i in m_set
+                         else vdot(normal, p) < offset)]
+        if wrong:
+            problems.append("the hyperplane does not separate m from the"
+                            " rest at indices %s" % wrong)
+    if not problems and meet != warning:
+        problems.append(
+            "separation_warning is %s but the hulls of m and the rest %s"
+            % (str(warning).lower(), "meet" if meet else "are disjoint"))
     return problems
 
 
@@ -379,6 +453,18 @@ def index_list(v, what):
     return v
 
 
+def index_map(v, what):
+    """v, a JSON object from decimal indices to rational literals, as a
+    dict from ints to Fractions; else ValueError naming ``what``."""
+    if not isinstance(v, dict):
+        raise ValueError("%s must be an object" % what)
+    out = {int(i): parse_rat(a) for i, a in v.items()}
+    # int() also reads " 1", "01" and "1_0"; only str(i) names index i
+    if list(map(str, out)) != list(v):
+        raise ValueError("%s keys must be indices in decimal form" % what)
+    return out
+
+
 def certificate_to_json(cert, partition, alternative=None, proper=None):
     out = {
         "schema": SCHEMA,
@@ -401,16 +487,9 @@ def certificate_to_json(cert, partition, alternative=None, proper=None):
 def certificate_from_json(obj):
     json_object(obj, "certificate",
                 ("z", "alpha", "negatives", "gamma", "partition"))
-    z = parse_vec(obj["z"])
-    if not isinstance(obj["alpha"], dict):
-        raise ValueError("'alpha' must be an object")
-    alpha = {int(i): parse_rat(a) for i, a in obj["alpha"].items()}
-    # int() also reads " 1", "01" and "1_0"; only str(i) names index i
-    if list(map(str, alpha)) != list(obj["alpha"]):
-        raise ValueError("'alpha' keys must be indices in decimal form")
     cert = AffineCertificate(
-        z=z,
-        alpha=alpha,
+        z=parse_vec(obj["z"]),
+        alpha=index_map(obj["alpha"], "'alpha'"),
         negatives=frozenset(index_list(obj["negatives"], "'negatives'")),
         gamma=parse_rat(obj["gamma"]),
         zero_set=frozenset(index_list(obj.get("zero_set", []), "'zero_set'")),

@@ -32,7 +32,8 @@ _RAT_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 def parse_rat(s):
     """Parse "p" or "p/q" (q > 0) into a Fraction."""
     if not isinstance(s, str) or not _RAT_RE.fullmatch(s):
-        raise ValueError("not a rational literal: %r" % (s,))
+        raise ValueError('not a rational literal: %r (expected a string "p"'
+                         ' or "p/q")' % (s,))
     if "/" in s:
         num, den = s.split("/")
         den = int(den)

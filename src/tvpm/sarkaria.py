@@ -33,6 +33,11 @@ R^{n-1} whose convex hull contains the origin:
      alternatives was realized.  An empty part yields an exact witness
      that the prescribed set was not separated instead, built by
      ``search.overlap``, the routine that builds every overlap witness.
+
+``tverberg_pm`` runs the separation test first (``search.check_separation``)
+and keeps its witness, a hyperplane or an overlap, on the certificate
+beside the warning it implies, so that a verifier checks the witness and
+never runs the test.
 """
 
 from fractions import Fraction
@@ -180,6 +185,7 @@ class PMCertificate(NamedTuple):
     alternative: str  # "in_m" | "complement"
     proper: bool
     separation_warning: object  # None when unchecked, else bool
+    separation: object  # None when unchecked, else check_separation's
 
 
 class SeparationViolated(NamedTuple):
@@ -266,6 +272,7 @@ def recover(config, m_set, choice, lam, q):
         alternative="in_m" if cert.gamma > 0 else "complement",
         proper=is_proper(config, partition),
         separation_warning=None,
+        separation=None,
     )
 
 
@@ -274,10 +281,13 @@ def tverberg_pm(config, m_set, check_sep=True, trace=None):
 
     When check_sep is set and m_set is a nonempty proper subset, the
     separation hypothesis is tested up front and a failure is attached to
-    the certificate as a warning (the pipeline still runs).
+    the certificate as a warning (the pipeline still runs); the
+    certificate keeps the test's witness as ``separation``, a
+    ``search.Separated`` hyperplane or a ``search.NotSeparated`` overlap,
+    for ``verify`` to re-check without running the test again.
     """
     m_set = frozenset(m_set)
-    warning = None
+    sep = warning = None
     if check_sep and m_set and m_set < frozenset(range(config.n)):
         sep = check_separation(config, m_set)
         warning = isinstance(sep, NotSeparated)
@@ -286,5 +296,5 @@ def tverberg_pm(config, m_set, check_sep=True, trace=None):
         trace=trace)
     result = recover(config, m_set, choice, lam, q)
     if isinstance(result, PMCertificate):
-        return result._replace(separation_warning=warning)
+        return result._replace(separation_warning=warning, separation=sep)
     return result

@@ -5,12 +5,14 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from tvpm import cli, gen, search
-from tvpm.colored import ColorClasses
+from tvpm.colored import ColorClasses, colored_tverberg_pm
+from tvpm.sarkaria import tverberg_pm
 from tvpm.core import dump_json
 
 from color_classes import classes_to_json
@@ -85,16 +87,18 @@ def _verify_edited(tmp_path, input_text, cert_text, key, value):
         ["verify", "--input", str(cfg_path), "--cert", str(cert_path)])
 
 
-@pytest.mark.parametrize("key, value, problem", [
-    ("proper", False, "proper is false but the partition is proper"),
-    ("alternative", "complement", "alternative complement for m [0, 1]"),
-    # {3} is separated from the rest, so the certificate's
-    # separation_warning (false) stays true of the edited m
-    ("m", [3], "alternative in_m for m [3]"),
-    ("separation_warning", True, "separation_warning is true but the hulls"
-     " of m and the rest are disjoint"),
+@pytest.mark.parametrize("key, value, problems", [
+    ("proper", False, ["proper is false but the partition is proper"]),
+    ("alternative", "complement", ["alternative complement for m [0, 1]"]),
+    # the separation witness is a hyperplane with {0, 1} on its positive
+    # side, so it does not separate the edited m from the rest
+    ("m", [3], ["alternative in_m for m [3]",
+                "the hyperplane does not separate m from the rest at"
+                " indices [0, 1, 3]"]),
+    ("separation_warning", True, ["separation_warning is true but the hulls"
+                                  " of m and the rest are disjoint"]),
 ], ids=["proper", "alternative", "m", "separation_warning"])
-def test_verify_rejects_false_claims(tmp_path, key, value, problem):
+def test_verify_rejects_false_claims(tmp_path, key, value, problems):
     _, cfg_text, _ = run_cli(["gen", "--d", "2", "--r", "3", "--seed", "5"])
     code, cert_text, _ = run_cli(["solve", "--m", "0,1"], stdin=cfg_text)
     assert code == 0
@@ -104,8 +108,9 @@ def test_verify_rejects_false_claims(tmp_path, key, value, problem):
     assert code == 1
     obj = json.loads(verdict)
     assert obj["result"] == "invalid"
-    assert len(obj["problems"]) == 1
-    assert problem in obj["problems"][0]
+    assert len(obj["problems"]) == len(problems)
+    for got, problem in zip(obj["problems"], problems):
+        assert problem in got
 
 
 def test_verify_rechecks_a_true_separation_warning(tmp_path):
@@ -383,6 +388,44 @@ def test_colored_degenerate_exit_code(tmp_path):
         ["colored", "--input", str(classes_path), "--m", "0"])
     assert code == 2
     assert json.loads(out)["result"] == "degenerate_gamma"
+
+
+def _solve_degenerate():
+    # solve --m 0,3 on gen --d 2 --r 3 --seed 5
+    cfg_text = run_cli(["gen", "--d", "2", "--r", "3", "--seed", "5"])[1]
+    return (["solve", "--m", "0,3"], cfg_text,
+            tverberg_pm(gen.random_config(2, 3, seed=5), {0, 3}))
+
+
+def _colored_degenerate():
+    # the classes of test_colored_degenerate_exit_code
+    cc = ColorClasses(d=1, r=2, classes=((("-1",), ("3",)),
+                                         (("1",), ("5",))))
+    return (["colored", "--m", "0"], dump_json(classes_to_json(cc)),
+            colored_tverberg_pm(cc, {0}))
+
+
+@pytest.mark.parametrize("case", [_solve_degenerate, _colored_degenerate],
+                         ids=["solve", "colored"])
+def test_degenerate_gamma_documents_carry_the_transversal(case):
+    argv, stdin, res = case()
+    code, out, _ = run_cli(argv, stdin=stdin)
+    assert code == 2
+    obj = json.loads(out)
+    assert obj["result"] == "degenerate_gamma"
+    assert obj["choice"] == list(res.choice)
+    assert [Fraction(w) for w in obj["weights"]] == list(res.weights)
+    assert sum(res.weights) == 1
+
+
+def test_json_number_coordinates_name_the_expected_form():
+    # JSON numbers are rejected, and the message says what to write
+    cfg = dict(LINE_CFG, points=[[0], [1], [2]])
+    code, out, err = run_cli(["solve", "--m", "1"], stdin=json.dumps(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == ('error: not a rational literal: 0 (expected a string "p"'
+                   ' or "p/q")\n')
 
 
 def test_trace_lines_are_json(tmp_path):
@@ -679,8 +722,9 @@ print(json.dumps([before, code, loaded()]))
 
 def test_cli_import_leaves_the_solver_modules_unloaded(tmp_path):
     # Each command loads only what it runs: gen and a point or colored
-    # verify load no dataclasses, csv or search, and only the re-check of
-    # a separation_warning loads search (with minnorm), not the solver.
+    # verify load no dataclasses, csv or solver module; a solve
+    # certificate's separation witness is checked without search or
+    # minnorm.
     # ``-S`` keeps site and its .pth files out of the module set.
     env = dict(os.environ, PYTHONPATH=str(SRC))
     paths = {key: tmp_path / (key + ".json") for key in
@@ -710,7 +754,7 @@ def test_cli_import_leaves_the_solver_modules_unloaded(tmp_path):
                          "--cert", "colored_cert") == [
         [], 0, ["tvpm.colored"]]
     assert modules_after("verify", "--input", "cfg", "--cert", "solved") == [
-        [], 0, ["tvpm.minnorm", "tvpm.search"]]
+        [], 0, []]
 
 
 # (result, a command whose --out file is the input "{gen}", the command)

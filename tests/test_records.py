@@ -57,7 +57,7 @@ RECORDS = [
     (Separated, ("normal", "offset")),
     (NotSeparated, ("point", "m_weights", "rest_weights")),
     (PMCertificate, ("partition", "cert", "alternative", "proper",
-                     "separation_warning")),
+                     "separation_warning", "separation")),
     (SeparationViolated, ("common_point", "part", "m_weights",
                           "rest_weights")),
     (DegenerateGamma, ("choice", "weights")),
