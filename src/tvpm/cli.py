@@ -34,6 +34,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_DEGENERATE = 4
 
 # Every result document's name and its exit code.
 RESULTS = {
@@ -44,7 +45,7 @@ RESULTS = {
     "not_found": EXIT_NEGATIVE,
     "not_separated": EXIT_NEGATIVE,
     "separation_violated": EXIT_NEGATIVE,
-    "degenerate_gamma": EXIT_USAGE,
+    "degenerate_gamma": EXIT_DEGENERATE,
     "internal_error": EXIT_INTERNAL,
 }
 

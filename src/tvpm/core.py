@@ -2,15 +2,14 @@
 
 For a partition of n points in R^d into r parts, each part's affine hull
 is the solution set of d+1-k integer equations, k the part's affine rank
-(``linalg.hull_factor``).  A copy of every part's equations, stacked, is
-one system for the common point w of all the hulls, whatever the
-partition's size; one in-place elimination (``kernel.reduce_system``)
-classifies it and back substitution reads w (``common_point``).  When w
-is unique and every part is affinely independent, the signs of each
-part's affine coefficients are one integer mat-vec with the part's cached
-coefficient matrix, read part by part as negative flags and only as far
-as the caller needs (``read_parts``).  With n = (r-1)(d+1)+1 and affinely
-independent parts the stack is d x d.
+(``linalg.hull_factor``).  A point sum x_i (p_i, 1) of the hull of the
+first smallest part, the kernel part, lies on the other hulls when x is
+a null vector of their equations at its points, (s-1) x s for s points
+when n = (r-1)(d+1)+1 and every part is affinely independent: one
+``kernel.null_vector`` classifies the partition (``common_point``).  The
+signs of x are the kernel part's negative flags; past them, each other
+part's are one integer mat-vec with its cached coefficient matrix at the
+common point, read only as far as the caller needs (``read_parts``).
 
 Classification drives everything downstream: a unique point comes with
 exact coefficients; inconsistent equations certify empty intersection;
@@ -31,7 +30,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from tvpm import linalg
-from tvpm.kernel import back_substitute, reduce_system
+from tvpm.kernel import eliminate, null_vector
 from tvpm.linalg import (
     format_rat,
     format_vec,
@@ -143,61 +142,65 @@ def make_certificate(z, alpha, gamma=Fraction(1)):
 
 
 class CommonPoint(NamedTuple):
-    """A partition's intersection class and, for a point, its parts.
-
-    ``kind`` is "point", "empty" or "degenerate", as for
-    ``intersect_affine_hulls``.  For a point, y = t (w, 1) is integral
-    with t > 0 (w the common point of the scaled parts), and ``factors``
-    holds each part's ``linalg.hull_factor``; otherwise both are None.
-    """
+    """A partition's class, "point", "empty" or "degenerate"; for a point
+    also its ``kernel`` part, that part's coefficients times some t > 0 as
+    integers ``x``, and ``(part, hull factor)`` for the others, in order."""
 
     kind: str
-    y: list = None
-    factors: list = None
+    x: list = None
+    kernel: tuple = None
+    others: list = None
 
 
 def common_point(points, partition, memo=None):
-    """Classify the partition from per-part hull factors.
-
-    ``points`` are integer (``PointConfig.scaled``); ``memo`` maps parts
-    to their ``linalg.hull_factor`` across calls (None: factor every part
-    afresh).  One in-place elimination (``kernel.reduce_system``) of a
-    copy of the parts' stacked equations gives the kind: inconsistent is
-    "empty"; a point that is not unique, or a part that is affinely
-    dependent, is "degenerate".  Otherwise y is read by back substitution.
-    """
-    factors = []
-    for part in partition:
-        f = memo.get(part) if memo is not None else None
-        if f is None:
+    """Classify the partition of the integer ``points`` from N, the
+    equations (``linalg.hull_factor``) of the parts other than the kernel
+    part, the first of least size, at its lifted points (p, 1); ``memo``
+    keeps each part's factor and equations at every point.  "empty": all
+    of ker N sums to 0 (the all-ones row lies in N's row space); "point":
+    ker N is a line, whose ``kernel.null_vector`` x sums to nonzero (made
+    positive), and no other part is affinely dependent (nor then is the
+    kernel part: its dependences lie in ker N and sum to 0); otherwise
+    "degenerate"."""
+    memo = {} if memo is None else memo
+    kernel = min(partition, key=len)  # the first part of least size
+    k = partition.index(kernel)
+    others, rows = [], []
+    for part in partition[:k] + partition[k + 1:]:
+        got = memo.get(part)
+        if got is None:  # the factor, and its equations at every point
             f = linalg.hull_factor([points[i] for i in part])
-            if memo is not None:
-                memo[part] = f
-        factors.append(f)
-    d = len(points[0])
-    a = [row[:] for f in factors for row in f.eqs]
-    rank, rank_aug, _ = reduce_system(a, d)
-    if rank < rank_aug:
-        return CommonPoint("empty")
-    if rank < d:
-        return CommonPoint("degenerate")
-    for f in factors:
+            got = memo[part] = f, [[vdot(e, p) + e[-1] for p in points]
+                                   for e in f.eqs]
+        others.append((part, got[0]))
+        rows += [[v[i] for i in kernel] for v in got[1]]
+    s = len(kernel)
+    x = null_vector(rows, s)
+    if not (x and sum(x)):  # no point x / sum x: is 1 in N's row space?
+        rank = sum(map(any, rows))  # the echelon rows are the nonzero ones
+        wide = len(eliminate(rows + [[1] * s], s, s)[0]) > rank
+        return CommonPoint("degenerate" if wide else "empty")
+    for _, f in others:
         if f.coef is None:  # affinely dependent: coefficients not unique
             return CommonPoint("degenerate")
-    # the rows [A | c] say A w = -c: y = -den (w, 1), made to have t > 0
-    den = a[d - 1][d - 1]
-    y = back_substitute(a, [row[d] for row in a[:d]]) + [-den]
-    if den > 0:
-        y = [-v for v in y]
-    return CommonPoint("point", y, factors)
+    if sum(x) < 0:
+        x = [-v for v in x]
+    return CommonPoint("point", x, kernel, others)
 
 
-def read_parts(partition, factors, y):
-    """Yield ``(part, flags)`` per part of a point partition, lazily:
-    flags[j] says whether part[j]'s coefficient is negative, the sign of
-    x[j] for x = f.coef y = f.den t alpha (f the part's hull factor, f.den
-    > 0, and y = t (w, 1) from ``common_point``, t > 0); x is not kept."""
-    for part, f in zip(partition, factors):
+def lifted_point(points, part, x):
+    """y = sum x_i (p_i, 1) over the points p_i of ``part``."""
+    return [vdot(x, c) for c in zip(*[points[i] for i in part])] + [sum(x)]
+
+
+def read_parts(points, got):
+    """Yield ``(part, flags)`` per part of the point partition ``got``,
+    lazily, the kernel part first: flags[j] says whether part[j]'s
+    coefficient is negative, the sign of ``got.x``, then, with y = t (w,
+    1), of f.coef y = f.den t alpha, f the part's factor (f.den > 0)."""
+    yield got.kernel, [v < 0 for v in got.x]
+    y = lifted_point(points, got.kernel, got.x)
+    for part, f in got.others:
         yield part, [vdot(row, y) < 0 for row in f.coef]
 
 
@@ -207,27 +210,24 @@ class Intersection(NamedTuple):
 
 
 def intersect_affine_hulls(config, partition):
-    """Classify the common point of all part affine hulls.
-
-    Returns Intersection with kind "point" (unique point and coefficients,
-    certificate attached), "empty" (the stacked hull equations are
-    inconsistent), or "degenerate" (consistent, but the point or some
-    part's coefficients are not unique; only possible off general
-    position), as ``common_point`` classifies it.
-    """
+    """Classify the common point of all part hulls as ``common_point``
+    does, with the certificate for a "point": the kernel part's
+    coefficients are x / sum x, each other part's f.coef y / sum f.coef y.
+    "degenerate" (point or coefficients not unique) only occurs off general
+    position."""
     partition = canonical_partition(partition)
     validate_partition(config, partition)
     scale, points = config.scaled
     got = common_point(points, partition)
     if got.kind != "point":
         return Intersection(got.kind, None)
-    alpha = {}
-    for part, f in zip(partition, got.factors):
-        x = [vdot(row, got.y) for row in f.coef]
+    y = lifted_point(points, got.kernel, got.x)
+    alpha = {i: Fraction(v, y[-1]) for i, v in zip(got.kernel, got.x)}
+    for part, f in got.others:
+        x = [vdot(row, y) for row in f.coef]
         total = sum(x)  # the coefficients sum to 1, so x sums to den t
         alpha.update((i, Fraction(v, total)) for i, v in zip(part, x))
-    t = got.y[-1]
-    z = [Fraction(v, t * scale) for v in got.y[:-1]]
+    z = [Fraction(v, y[-1] * scale) for v in y[:-1]]
     return Intersection("point", make_certificate(z=z, alpha=alpha))
 
 
@@ -458,11 +458,11 @@ def index_map(v, what):
     dict from ints to Fractions; else ValueError naming ``what``."""
     if not isinstance(v, dict):
         raise ValueError("%s must be an object" % what)
-    out = {int(i): parse_rat(a) for i, a in v.items()}
     # int() also reads " 1", "01" and "1_0"; only str(i) names index i
-    if list(map(str, out)) != list(v):
+    if not all(i.removeprefix("-").isdecimal() and str(int(i)) == i
+               for i in v):
         raise ValueError("%s keys must be indices in decimal form" % what)
-    return out
+    return {int(i): parse_rat(a) for i, a in v.items()}
 
 
 def certificate_to_json(cert, partition, alternative=None, proper=None):

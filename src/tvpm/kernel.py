@@ -4,15 +4,12 @@
 exhaustive partition scans, intersection certificates and rank tests all
 bottom out in it.  ``every_subset_independent`` is the general-position
 test (``tvpm.gen.general_position``): the same fraction-free step, run
-once per pivot prefix instead of once per subset.  ``reduce_system``
-classifies an integer system from one in-place elimination; ``ff_solve``,
-the one exact solve, runs it on a copy, and so does the partition scan
-(``tvpm.core.common_point``), which reads its point with
-``back_substitute``, the one back substitution.  ``tvpm.linalg.hull_factor``
-runs that once per part, for the coefficient matrix every partition reads
-the part's signs from.  The pivoting solver does not call them: Wolfe's
-method in ``tvpm.minnorm`` updates its bordered systems in place, and
-separation runs on that method too.
+once per pivot prefix instead of once per subset.  ``null_vector``
+classifies each scanned partition (``tvpm.core.common_point``) and gives
+the Radon dependence; ``back_substitute``, the one back substitution,
+reads its vector, ``ff_solve``'s solution and ``tvpm.linalg.hull_factor``'s
+per-part coefficients.  Wolfe's method (``tvpm.minnorm``) does not use
+them: it updates its bordered systems in place.
 
 All matrices are row-major lists of Python ints.  Elimination uses the
 one-step fraction-free scheme: every 2x2 cross-multiplication is divided by
@@ -162,29 +159,32 @@ def back_substitute(upper, c):
     return c
 
 
-def reduce_system(a, n):
-    """Fraction-free elimination of the augmented rows [A | b] of a system
-    in n unknowns, in place: ``(rank A, rank [A | b], sign)``, sign that of
-    the row permutation.  When rank A = rank [A | b] = n the first n rows
-    are upper triangular, ready for ``back_substitute``."""
-    pivots, sign = eliminate(a, n + 1, n + 1)
-    rank_aug = len(pivots)
-    rank = rank_aug - (1 if pivots and pivots[-1] == n else 0)
-    return rank, rank_aug, sign
+def null_vector(a, n):
+    """The integer null vector x of the rows ``a`` (n ints each, eliminated
+    in place, keeping their span) when their rank is n - 1, else None.  For
+    c the column with no pivot, x_c is the last pivot before it (1 if c =
+    0), x before c is ``back_substitute`` of -x_c column c, x after c is 0."""
+    pivots = eliminate(a, n, n)[0]
+    free = n - 1
+    if len(pivots) != free:
+        return None
+    if pivots and pivots[-1] == free:  # the pivotless column is not last
+        free = next(c for c, p in enumerate(pivots) if c != p)
+    x = back_substitute(a, [-row[free] for row in a[:free]])
+    x.append(a[free - 1][free - 1] if free else 1)
+    return x + [0] * (n - 1 - free)
 
 
 def ff_solve(rows, rhs):
-    """Classify and solve an m x n integer system A x = b exactly.
-
-    One elimination over [A | b] (``reduce_system``) gives both ranks.
-    When the system is consistent with full column rank, den != 0 and
-    x = nums / den; otherwise den = 0 and nums is None.  For square A,
-    den is det A (0 when A is singular).
-    """
+    """Classify and solve an m x n integer system A x = b exactly, from
+    one fraction-free elimination of [A | b]: consistent with full column
+    rank, den != 0 and x = nums / den; otherwise den = 0 and nums is None.
+    For square A, den is det A (0 when A is singular)."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     a = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    rank, rank_aug, sign = reduce_system(a, n)
+    pivots, sign = eliminate(a, n + 1, n + 1)
+    rank_aug, rank = len(pivots), len(pivots) - (pivots[-1:] == [n])
     if rank < rank_aug or rank < n:
         return Solution(0, None, rank, rank_aug)
     if n == 0:

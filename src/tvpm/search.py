@@ -5,16 +5,16 @@ with part sizes capped at d+1, exactly once, in a deterministic order
 (indices are placed in restricted-growth fashion, so parts are ordered by
 their smallest element).  Brute-force scans over this stream serve as the
 independent oracle for the constructive solver: "not found" always means
-the whole stream was checked.  The scan classifies each partition with
-one in-place elimination of a copy of its stacked per-part hull equations
-(``core.common_point``), then reads each part's negative flags, one per
-index (``core.read_parts``), and stops at the first part that rules the
+the whole stream was checked.  The scan classifies each partition from
+one null vector, of the other parts' hull equations at the points of its
+first smallest part (``core.common_point``), then reads each part's
+negative flags, one per index, that part first and from the null vector
+itself (``core.read_parts``), and stops at the first part that rules the
 partition out; a partition stopped early still counts as scanned.
 ``search_exact_k`` sums the flags, and ``search_prescribed`` compares them
-with the part's membership in M, computed once per part.  Neither builds
-a coefficient vector or an index list.  A certificate is built (through
-``core.intersect_affine_hulls``, which reads the same routine) only for
-the partition the scan returns.
+with the part's membership in M, computed once per part.  A certificate
+is built (through ``core.intersect_affine_hulls``, which reads the same
+routine) only for the partition the scan returns.
 
 For r = 2 the n = d+2 points have one affine dependence lambda,
 sum lambda_i (a_i, 1) = 0, and every bipartition (T, A \\ T) with
@@ -50,7 +50,7 @@ from math import gcd
 from typing import NamedTuple
 
 from tvpm.core import common_point, intersect_affine_hulls, read_parts
-from tvpm.kernel import ff_solve
+from tvpm.kernel import null_vector
 from tvpm.linalg import vdot, weighted_sum
 
 
@@ -64,7 +64,7 @@ def proper_partitions(n, r, d):
     def rec(idx):
         if idx == n:
             if len(parts) == r:
-                yield tuple(tuple(p) for p in parts)
+                yield tuple(map(tuple, parts))
             return
         # The open slots always number r * cap - idx >= n - idx, so only
         # too few remaining indices can cut a branch.
@@ -93,20 +93,13 @@ class SearchResult(NamedTuple):
 
 
 def _radon_weights(points):
-    """The integer Radon dependence of n = d+2 integer points, or None.
-
-    lambda = (nums, den) from one solve of the lifted first d+1 points
-    against the last: sum lambda_i (a_i, 1) = 0.  None when that solve is
-    singular or some lambda_i is 0, where a bipartition's signs cannot be
-    read from lambda alone.
-    """
-    cols = [tuple(p) + (1,) for p in points]
-    rows = [[c[k] for c in cols[:-1]] for k in range(len(cols[0]))]
-    den, nums = ff_solve(rows, [-v for v in cols[-1]])[:2]
-    if not den:
-        return None
-    lam = nums + [den]
-    return None if 0 in lam else lam
+    """The integer Radon dependence lambda of n = d+2 integer points, with
+    sum lambda_i (a_i, 1) = 0 (``kernel.null_vector`` of the lifted
+    points), or None when it is not unique up to a factor or some lambda_i
+    is 0, where a bipartition's signs cannot be read from lambda alone."""
+    rows = [list(col) for col in zip(*points)] + [[1] * len(points)]
+    lam = null_vector(rows, len(points))
+    return None if lam is None or 0 in lam else lam
 
 
 def _radon_signs(lam, partition):
@@ -128,14 +121,15 @@ def _scan(config, accept):
     with a unique intersection point; only that one gets a certificate
     (from ``intersect_affine_hulls``).
 
-    ``parts`` yields ``(part, flags)`` lazily, in part order, flags[j]
-    telling whether part[j]'s coefficient is negative
-    (``core.read_parts``), so ``accept`` may return as soon as one part
-    rules the partition out; the partition still counts as scanned, never
-    as skipped.  The flags come from the part hulls
-    (``core.common_point``, with ``memo`` its per-part factor cache).  For
-    r = 2 (n = d+2, as every caller requires) they come from the Radon
-    dependence instead when it has no zero entry; the input decides which.
+    ``parts`` yields ``(part, flags)`` lazily, the kernel part (the first
+    of least size) first and the others in part order, flags[j] telling
+    whether part[j]'s coefficient is negative (``core.read_parts``), so
+    ``accept`` may return as soon as one part rules the partition out; the
+    partition still counts as scanned, never as skipped.  The flags come
+    from the part hulls (``core.common_point``, with ``memo`` its per-part
+    cache).  For r = 2 (n = d+2, as every caller requires) they come from
+    the Radon dependence instead, in part order, when it has no zero
+    entry; the input decides which.
     """
     _, points = config.scaled
     lam = _radon_weights(points) if config.r == 2 else None
@@ -149,7 +143,7 @@ def _scan(config, accept):
             parts = _radon_signs(lam, partition)
         else:
             got = common_point(points, partition, memo)
-            parts = got.y and read_parts(partition, got.factors, got.y)
+            parts = got.x and read_parts(points, got)
         if parts is None:
             skipped += 1
         elif accept(parts):

@@ -5,7 +5,10 @@ The library works on integer systems it assembles itself; ``rank`` and
 tests that state a system over ``Fraction`` entries.  ``block_system``
 and ``block_intersection`` state a partition's intersection as one block
 system over all coefficients and the point at once, the reference for the
-library's per-part reading in ``tvpm.core.common_point``.
+library's reading in ``tvpm.core.common_point``: the null vector of the
+other parts' equations at the kernel part's points, which gives that
+part's coefficients and the point, and each other part's coefficients
+through its hull factor.
 """
 
 from fractions import Fraction

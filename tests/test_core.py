@@ -165,9 +165,9 @@ def test_intersect_degenerate_overlapping_lines():
 def test_intersect_dependent_part():
     # {0, 1, 2} is affinely dependent: its coefficients are not unique,
     # so the partition is degenerate when the other part's hull meets its
-    # line and empty when it does not.  On the real line the stacked hull
-    # equations are 1 x 1 and nonsingular, though n = 4 is above
-    # (r-1)(d+1)+1.
+    # line and empty when it does not.  On the real line {0, 1, 2} has no
+    # hull equation, so the kernel part (3,) gives a 0 x 1 matrix N with
+    # null vector (1), though n = 4 is above (r-1)(d+1)+1.
     line = ((F(0), F(0)), (F(1), F(0)), (F(2), F(0)))
     cases = [
         (PointConfig(d=2, r=2, points=line + ((F(3), F(0)),)), "degenerate"),

@@ -1,10 +1,11 @@
 """The exact integer core computes without ``Fraction``.
 
-The kernel (with the in-place elimination that classifies each
-partition, ``reduce_system``), the per-partition path of the scan (the
-stacked part equations, the negative flags that ``read_parts`` and
-``_radon_signs`` yield, and the ``accept`` tests of ``search_exact_k``
-and ``search_prescribed`` that read them), the r = 2 spectrum
+The kernel (with ``null_vector``, the one elimination that classifies
+each partition and gives the Radon dependence), the per-partition path
+of the scan (the kernel part's matrix N, the common point built from its
+null vector, the negative flags that ``read_parts`` and ``_radon_signs``
+yield, and the ``accept`` tests of ``search_exact_k`` and
+``search_prescribed`` that read them), the r = 2 spectrum
 read from the Radon dependence (its K and its zero-sum count), the
 general-position check, Wolfe's method (all of ``minnorm``, the pivoting
 solver's inner loop and the separation test), the tensor and permutation
@@ -28,10 +29,12 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "tvpm"
 # module -> the top-level functions and classes that must stay integral
 # (None: the whole module)
 INTEGER_CORE = {
+    # eliminate, every_subset_independent, back_substitute, null_vector,
+    # ff_solve and the rest of the module
     "kernel.py": None,
     "gen.py": ("general_position",),
     "linalg.py": ("hull_factor", "int_weighted_sum"),
-    "core.py": ("common_point", "read_parts"),
+    "core.py": ("common_point", "lifted_point", "read_parts"),
     "search.py": ("_scan", "_radon_weights", "_radon_signs",
                   "search_exact_k", "search_prescribed",
                   "_subset_sums", "_zero_sum_bipartitions", "radon_spectrum"),

@@ -4,7 +4,12 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from tvpm.kernel import eliminate, every_subset_independent, ff_solve
+from tvpm.kernel import (
+    eliminate,
+    every_subset_independent,
+    ff_solve,
+    null_vector,
+)
 
 
 def cofactor_det(rows):
@@ -159,6 +164,38 @@ def test_eliminate_width_and_column_skip():
     b = [[0, 1], [1, 0]]
     assert eliminate(b, 2, 2) == ([0, 1], -1)
     assert eliminate([], 3, 3) == ([], 1)
+
+
+def test_null_vector_matches_gauss_oracle():
+    # m x n matrices of small entries, n = 1..5: x is nonzero with A x = 0
+    # exactly when the rank is n - 1, whichever column has no pivot, and
+    # the elimination keeps the row space (a row joins it exactly when it
+    # joins the original)
+    rng = random.Random(53)
+    free = set()
+    for trial in range(1500):
+        n = rng.randint(1, 5)
+        a = random_matrix(rng, rng.randint(0, n + 1), n, -2, 2)
+        if rng.random() < 0.3:  # a zero column, the free one when rank n-1
+            zero = rng.randrange(n)
+            for row in a:
+                row[zero] = 0
+        work = [row[:] for row in a]
+        pivots = gauss_pivots(a) if a else []
+        x = null_vector(work, n)
+        if len(pivots) != n - 1:
+            assert x is None, a
+        else:
+            assert any(x) and all(
+                sum(v * c for v, c in zip(row, x)) == 0 for row in a), a
+            free.add((n, next(c for c in range(n) if c not in pivots)))
+        v = [rng.randint(-2, 2) for _ in range(n)]
+        assert ff_rank(a + [v]) == ff_rank(work + [v]), a
+    assert {(n, c) for n in range(1, 6) for c in range(n)} <= free
+    assert null_vector([], 1) == [1]
+    assert null_vector([[3, 5]], 2) == [-5, 3]
+    assert null_vector([[0, 4, 1], [0, 2, 7]], 3) == [1, 0, 0]
+    assert null_vector([[2, 4, 1], [1, 2, 7]], 3) == [-4, 2, 0]
 
 
 def test_every_subset_independent_matches_cofactor_oracle():

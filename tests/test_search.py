@@ -1,15 +1,19 @@
 """Partition enumeration, brute-force search, spectrum, separation."""
 
 import functools
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvpm import core, kernel, linalg, search
+from tvpm.cli import main
 from tvpm.core import (
     PointConfig,
     common_point,
@@ -31,7 +35,7 @@ from tvpm.search import (
     search_prescribed,
 )
 
-from linalg_oracle import block_intersection
+from linalg_oracle import block_intersection, rank
 from minnorm_oracle import min_norm_point_naive
 from radon_oracle import radon_top
 from scan_spectrum import scanned_spectrum
@@ -41,6 +45,7 @@ from separation_oracle import (
 )
 
 F = Fraction
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def naive_partitions(n, r, cap):
@@ -395,13 +400,22 @@ def _parity_configs():
     cases += [_lattice_config(d, r, seed, span)
               for d, r, seed, span in ((2, 3, 2, 2), (2, 3, 3, 2),
                                        (3, 2, 0, 1), (2, 2, 0, 1))]
+    # a collinear triple among lattice points: (3, 3, 3) partitions whose
+    # kernel part (0, 1, 2) is affinely dependent
+    cases.append(_lattice_config(3, 3, 0, 2,
+                                 [(0, 0, 0), (1, 1, 1), (2, 2, 2)]))
+    # the moment curve: general position, but chords t + u = t' + u' are
+    # parallel, and 13 partitions are skipped
+    cases.append(PointConfig(d=2, r=3,
+                             points=[(t, t * t) for t in range(1, 8)]))
     return cases
 
 
-def _lattice_config(d, r, seed, span):
-    """n = (r-1)(d+1)+1 distinct seeded points of {-span..span}^d."""
+def _lattice_config(d, r, seed, span, points=()):
+    """n = (r-1)(d+1)+1 distinct points of {-span..span}^d: ``points``,
+    then seeded ones."""
     rng = random.Random(seed)
-    points = []
+    points = list(points)
     while len(points) < (r - 1) * (d + 1) + 1:
         p = tuple(rng.randint(-span, span) for _ in range(d))
         if p not in points:
@@ -451,9 +465,9 @@ def test_part_factored_scan_matches_block_system():
             for m in (None, memo):
                 got = common_point(points, partition, m)
                 assert got.kind == block.kind, partition
-                assert (got.y is None) == (negatives is None), partition
-                if got.y is not None:
-                    parts = read_parts(partition, got.factors, got.y)
+                assert (got.x is None) == (negatives is None), partition
+                if got.x is not None:
+                    parts = read_parts(points, got)
                     assert frozenset(_negatives(parts)) == negatives, partition
         skips += want.count(None)
 
@@ -482,6 +496,29 @@ def test_part_factored_scan_matches_block_system():
                 assert ok, problems
     assert skips > 0
     assert kinds == {"point", "empty", "degenerate"}
+
+
+def test_the_parity_set_reaches_every_kernel_case():
+    # Counted from the block system and the part sizes alone, per case the
+    # partitions whose kernel part (the first of least size) is affinely
+    # dependent, has a zero coefficient (on its last index: the null
+    # vector's free column is then not the last), meets the others in
+    # nothing, or ties with another part on size.
+    cases = Counter()
+    for cfg in _parity_configs():
+        for partition, block, _ in _block_scan(cfg):
+            sizes = [len(part) for part in partition]
+            kernel = partition[sizes.index(min(sizes))]
+            lifted = [cfg.points[i] + (1,) for i in kernel]
+            cases["dependent"] += rank(lifted) < len(kernel)
+            if block.kind == "point":
+                cases["zero"] += any(block.alpha[i] == 0 for i in kernel)
+                cases["zero last"] += block.alpha[kernel[-1]] == 0
+            cases["empty"] += block.kind == "empty"
+            cases["tie"] += sizes.count(min(sizes)) > 1
+    assert min(cases.values()) > 0, cases
+    moment = _parity_configs()[-1]
+    assert search._scan(moment, lambda parts: False).skipped == 13
 
 
 def test_prescribed_scan_stops_at_the_block_systems_first_match():
@@ -514,18 +551,26 @@ def test_prescribed_scan_stops_at_the_block_systems_first_match():
             assert ok, problems
 
 
-def test_r3_scan_classifies_each_partition_with_one_elimination(monkeypatch):
-    # A partition costs one in-place elimination of its stacked part
-    # equations, and a part seen for the first time one more, for its hull
-    # factor; no ff_solve copies a system or builds a Solution on the way.
+def test_r3_scan_classifies_each_partition_from_one_null_vector(monkeypatch):
+    # A partition costs one in-place elimination, of the (s-1) x s matrix
+    # of the other parts' equations at its kernel part's s points
+    # (kernel.null_vector), and a part first seen outside the kernel one
+    # more, for its hull factor; a part that is only ever a kernel part is
+    # never factored, and no ff_solve copies a system or builds a Solution.
     cfg = random_config(2, 3, seed=5)
     partitions = list(proper_partitions(cfg.n, cfg.r, cfg.d))
-    parts = {part for partition in partitions for part in partition}
-    calls = {"ff_solve": 0, "reduce_system": 0, "eliminate": 0}
+    sizes = [min(map(len, partition)) for partition in partitions]
+    parts = {part for partition, s in zip(partitions, sizes)
+             for part in partition
+             if part != next(q for q in partition if len(q) == s)}
+    calls = {"ff_solve": 0, "null_vector": 0, "eliminate": 0}
+    shapes = []
 
     def counted(name, inner):
         def wrapper(*args):
             calls[name] += 1
+            if name == "null_vector":
+                shapes.append((len(args[0]), args[1]))
             return inner(*args)
         return wrapper
 
@@ -537,15 +582,31 @@ def test_r3_scan_classifies_each_partition_with_one_elimination(monkeypatch):
     # n = 7 negatives with r = 3 parts: never found, so the whole stream
     res = search_prescribed(cfg, set(range(cfg.n)))
     assert not res.found and res.scanned == len(partitions)
-    assert calls == {"ff_solve": 0, "reduce_system": len(partitions),
+    assert calls == {"ff_solve": 0, "null_vector": len(partitions),
                      "eliminate": len(partitions) + len(parts)}
+    assert shapes == [(s - 1, s) for s in sizes]
+    assert set(sizes) == {1, 2}
+
+
+def test_scan_outputs_match_golden_bytes(capsys):
+    # search --k K for every K on gen at (2, 3) seed 1, (3, 3) seed 2 and
+    # (2, 4) seed 3, search --prescribe 0 on example --kind 1 at (3, 3) and
+    # spectrum's fallback scan on a Radon dependence with a zero entry,
+    # recorded when each partition's stacked equations were eliminated
+    runs = json.loads((DATA / "scan_golden.json").read_text())
+    assert len(runs) == 31
+    for run in runs:
+        argv = [str(DATA / a) if a.endswith(".json") else a
+                for a in run["argv"]]
+        assert main(argv) == run["exit"], run["argv"]
+        assert capsys.readouterr().out == run["stdout"], run["argv"]
 
 
 def test_r2_scan_reads_signs_from_the_radon_dependence(monkeypatch):
     # A generic r = 2 configuration has a Radon dependence with no zero
-    # entry, so its scan factors no part: only a found bipartition's two
-    # parts are factored, for its certificate.  Three collinear points give
-    # lambda_3 = 0 and fall back to the part hulls.
+    # entry, so its scan factors no part: only a found bipartition's part
+    # outside its kernel part is factored, for its certificate.  Three
+    # collinear points give lambda_3 = 0 and fall back to the part hulls.
     cfg = random_config(4, 2, seed=6)
     spectrum = radon_spectrum(cfg)
     found = [search_exact_k(cfg, k) for k in range(cfg.n + 1)]
@@ -565,7 +626,7 @@ def test_r2_scan_reads_signs_from_the_radon_dependence(monkeypatch):
     for k in range(cfg.n + 1):
         del calls[:]
         assert search_exact_k(cfg, k) == found[k]
-        assert len(calls) == (2 if found[k].found else 0), k
+        assert len(calls) == (1 if found[k].found else 0), k
     assert any(res.found for res in found)
     assert not all(res.found for res in found)
 

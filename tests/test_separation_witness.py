@@ -159,6 +159,8 @@ def test_each_overlap_corruption_is_its_own_problem(seed5, tmp_path, edit):
 @pytest.mark.parametrize("edit, message", [
     (lambda c: c["separation"]["m_weights"].update({"04": "0"}),
      "'m_weights' keys must be indices in decimal form"),
+    (lambda c: c["separation"]["m_weights"].update({"x": "0"}),
+     "'m_weights' keys must be indices in decimal form"),
     (lambda c: c.pop("separation"), "certificate JSON missing 'separation'"),
     (lambda c: c.pop("separation_warning"),
      "certificate JSON missing 'separation_warning'"),
@@ -167,8 +169,9 @@ def test_each_overlap_corruption_is_its_own_problem(seed5, tmp_path, edit):
     (lambda c: c.update(separation=[]), "separation JSON must be an object"),
     (lambda c: c["separation"]["point"].append("0"),
      "separation 'point' must have d entries"),
-], ids=["non-canonical-key", "no-separation", "no-separation-warning",
-        "no-rest-weights", "not-an-object", "wrong-dimension"])
+], ids=["non-canonical-key", "non-numeric-key", "no-separation",
+        "no-separation-warning", "no-rest-weights", "not-an-object",
+        "wrong-dimension"])
 def test_malformed_witnesses_are_usage_errors(seed5, tmp_path, edit,
                                               message):
     cert = solve(seed5, "0,4")
