@@ -9,7 +9,6 @@ from tvpm.core import (
     PointConfig,
     canonical_partition,
     intersect_affine_hulls,
-    verify_certificate,
 )
 
 __all__ = [
@@ -21,3 +20,12 @@ __all__ = [
     "intersect_affine_hulls",
     "verify_certificate",
 ]
+
+
+def __getattr__(name):
+    # verify_certificate loads the checker on first use, so that importing
+    # the CLI does not load it
+    if name == "verify_certificate":
+        from tvpm.check import verify_certificate
+        return verify_certificate
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

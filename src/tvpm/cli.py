@@ -13,11 +13,13 @@ A command imports what it runs: this module loads only the reading,
 writing and generating code (``core``, ``gen``, ``linalg``), and each
 command imports its solver modules (``search``, ``sarkaria``,
 ``colored``) and ``csv`` itself, so that a process pays start-up time
-for no module its command never calls.  ``verify`` imports no solver: a
-``solve`` certificate carries the witness of its ``separation_warning``
-(``_separation`` writes it, as ``separation`` prints it), and ``verify``
-checks that witness (``core.separation_problems``) instead of running the
-separation test again.
+for no module its command never calls.  ``verify`` imports only the
+checker, ``check``, and no solver, for a point certificate and a colored
+one alike: ``check.check_document`` looks the certificate's ``kind`` up
+in its table and runs that kind's checker.  A ``solve`` certificate
+carries the witness of its ``separation_warning`` (``_separation``
+writes it, as ``separation`` prints it), and the checker checks that
+witness instead of running the separation test again.
 """
 
 import argparse
@@ -226,7 +228,7 @@ def cmd_colored(args):
     from tvpm import colored as colored_mod
     from tvpm.sarkaria import DegenerateGamma
     obj = _read_json(args.input)
-    cc = colored_mod.classes_from_json(obj)
+    cc = core.classes_from_json(obj)
     m_set = _m_from_args_or_input(args, obj)
     trace = (functools.partial(_trace_writer, cc.scaled[0])
              if args.trace else None)
@@ -234,42 +236,16 @@ def cmd_colored(args):
     if isinstance(result, DegenerateGamma):
         return _result("degenerate_gamma", choice=list(result.choice),
                        weights=format_vec(result.weights))
-    out = colored_mod.colorful_to_json(result)
+    out = core.colorful_to_json(result)
     out["m"] = sorted(m_set)
     _emit(out)
     return EXIT_OK
 
 
 def cmd_verify(args):
+    from tvpm import check
     cert_obj = _read_json(args.cert)
-    input_obj = _read_json(args.input)
-    # A non-object certificate falls through to certificate_from_json,
-    # which rejects it.
-    kind = cert_obj.get("kind") if isinstance(cert_obj, dict) else None
-    m_set = proper = None
-    if isinstance(cert_obj, dict):
-        if "m" in cert_obj:
-            m_set = frozenset(core.index_list(cert_obj["m"], "'m'"))
-        proper = cert_obj.get("proper")
-        if proper is not None and not isinstance(proper, bool):
-            raise ValueError("'proper' must be true or false")
-    if kind == "colored_certificate":
-        from tvpm import colored as colored_mod
-        cc = colored_mod.classes_from_json(input_obj)
-        cp = colored_mod.colorful_from_json(cert_obj)
-        _, problems = colored_mod.verify_colorful(cc, cp, m_set)
-        # proper and separation_warning (with its witness) are claims about
-        # a point partition
-        problems += ["a colored certificate carries no %s claim" % key
-                     for key in ("proper", "separation_warning", "separation")
-                     if key in cert_obj]
-    else:
-        config = core.config_from_json(input_obj)
-        cert, partition, alternative = core.certificate_from_json(cert_obj)
-        _, problems = core.verify_certificate(
-            config, partition, cert, alternative, m_set, proper)
-        if {"separation_warning", "separation"} & cert_obj.keys():
-            problems += core.separation_problems(config, m_set, cert_obj)
+    problems = check.check_document(_read_json(args.input), cert_obj)
     if not problems:
         return _result("valid")
     return _result("invalid", problems=problems)

@@ -1,97 +1,30 @@
 """Colored variant: one point per class per part, equal coefficients.
 
-Input is n = (r-1)d+1 disjoint classes of r points each.  Each class is
-lifted to the set of its r! permutation tensors sum_j z_j (x) v_sigma(j),
-negated on the prescribed classes.  The set stays implicit
-(``PermutationColor``): a pivot asks it only for its element most opposed
-to the current point, an assignment problem solved exactly in O(r^3), so
-no r! set is ever built and any r runs.  The same pivoting engine finds a
-zero transversal; each chosen permutation assigns one point of its class
-to every part, and ``sarkaria.decode_weights``, the point solver's
-recovery routine, unscales the class weights by gamma into coefficients,
-constant across parts by construction, and their sign sets.  The parts an
-assignment picks (``assigned_parts``) feed that routine and the verifier,
-which re-checks them with the point verifier's one check,
-``core.certificate_problems``.
+Input is n = (r-1)d+1 disjoint classes of r points each
+(``core.ColorClasses``).  Each class is lifted to the set of its r!
+permutation tensors sum_j z_j (x) v_sigma(j), negated on the prescribed
+classes.  The set stays implicit (``PermutationColor``): a pivot asks it
+only for its element most opposed to the current point, an assignment
+problem solved exactly in O(r^3), so no r! set is ever built and any r
+runs.  The same pivoting engine finds a zero transversal; each chosen
+permutation assigns one point of its class to every part, and
+``sarkaria.decode_weights``, the point solver's recovery routine,
+unscales the class weights by gamma into coefficients, constant across
+parts by construction, and their sign sets.  This module is the solver
+only: the parts an assignment picks (``check.assigned_parts``) feed that
+routine and the checker, and the records and their JSON live in
+``core``.
 """
 
-from fractions import Fraction
-from functools import cached_property
-from typing import NamedTuple
-
-from tvpm.core import (
-    SCHEMA,
-    alternative_problems,
-    certificate_problems,
-    index_list,
-    int_field,
-    json_list,
-    json_object,
+from tvpm.check import assigned_parts
+from tvpm.core import ColorfulPartition
+from tvpm.linalg import tensor, vdot
+from tvpm.sarkaria import (
+    DegenerateGamma,
+    companion_simplex,
+    decode_weights,
+    pivot_to_origin,
 )
-from tvpm.linalg import (
-    denominator_lcm,
-    format_rat,
-    format_vec,
-    parse_rat,
-    parse_vec,
-    tensor,
-    to_int,
-    vdot,
-)
-
-
-class _ClassFields(NamedTuple):
-    d: int
-    r: int
-    classes: tuple
-
-
-class ColorClasses(_ClassFields):
-    """(r-1)d+1 classes of r points in R^d (tuples of Fractions).
-
-    Immutable like ``core.PointConfig``: the constructor coerces the
-    coordinates to Fractions and rejects malformed classes with a
-    ValueError.
-    """
-
-    def __new__(cls, d, r, classes):
-        if d < 1:
-            raise ValueError("d must be >= 1")
-        if r < 2:
-            raise ValueError("r must be >= 2")
-        groups = tuple(
-            tuple(tuple(x if isinstance(x, Fraction) else Fraction(x)
-                        for x in p) for p in group)
-            for group in classes
-        )
-        if len(groups) != (r - 1) * d + 1:
-            raise ValueError("need (r-1)d+1 classes")
-        for group in groups:
-            if len(group) != r:
-                raise ValueError("every class needs exactly r points")
-            for p in group:
-                if len(p) != d:
-                    raise ValueError("point dimension mismatch")
-        self = super().__new__(cls, d, r, groups)
-        everything = [p for group in self.scaled[1] for p in group]
-        if len(set(everything)) != len(everything):
-            raise ValueError("points must be distinct across classes")
-        return self
-
-    @classmethod
-    def _make(cls, fields):
-        # _replace builds through _make: validate as the constructor does
-        return cls(*fields)
-
-    @property
-    def n(self):
-        return len(self.classes)
-
-    @cached_property
-    def scaled(self):
-        """``(D, classes)`` as ``core.PointConfig.scaled``, class by class."""
-        scale = denominator_lcm([p for group in self.classes for p in group])
-        return scale, tuple(to_int(group, scale) for group in self.classes)
 
 
 def lex_first_assignment(cost):
@@ -216,16 +149,6 @@ class PermutationColor:
         return lehmer_rank(sigma), self._element(sigma), value
 
 
-class ColorfulPartition(NamedTuple):
-    assignment: tuple  # assignment[i][l] = point index of class i in part l
-    alpha: tuple  # one coefficient per class
-    z: tuple
-    gamma: Fraction
-    negatives: frozenset  # class indices
-    zero_set: frozenset
-    alternative: str  # "m_negative" | "m_positive"
-
-
 def colored_tverberg_pm(cc, m_set, trace=None):
     """Colorful partition with per-class signs split by m_set.
 
@@ -234,14 +157,6 @@ def colored_tverberg_pm(cc, m_set, trace=None):
     negative coefficients sit exactly on m_set, "m_positive" when they
     sit on its complement.
     """
-    # The pivot engine is imported here, so that reading and verifying a
-    # colored certificate loads no solver module.
-    from tvpm.sarkaria import (
-        DegenerateGamma,
-        companion_simplex,
-        decode_weights,
-        pivot_to_origin,
-    )
     m_set = frozenset(m_set)
     if not m_set <= frozenset(range(cc.n)):
         raise ValueError("m_set out of range")
@@ -269,83 +184,4 @@ def colored_tverberg_pm(cc, m_set, trace=None):
         negatives=cert.negatives,
         zero_set=cert.zero_set,
         alternative="m_negative" if cert.gamma > 0 else "m_positive",
-    )
-
-
-def assigned_parts(ints, assignment):
-    """Per part l, ``(indices, points)``: every class index and the point
-    of each class that ``assignment`` sends to part l, from the scaled
-    classes ``ints``."""
-    indices = range(len(assignment))
-    return [(indices, [ints[i][assignment[i][l]] for i in indices])
-            for l in range(len(ints[0]))]
-
-
-def verify_colorful(cc, cp, m_set=None):
-    """Exact re-check of a colorful partition certificate.
-
-    After the shape and bijection guards, the part sums, the sign sets
-    and gamma are checked by ``core.certificate_problems``, the point
-    verifier's check, with alpha repeated in every part.  With
-    ``m_set``, the alternative ("m_negative" or "m_positive") must
-    describe the negatives (``core.alternative_problems``).
-    """
-    if len(cp.assignment) != cc.n or len(cp.alpha) != cc.n:
-        return False, ["shape mismatch"]
-    if len(cp.z) != cc.d:
-        return False, ["z has wrong dimension"]
-    problems = ["class %d: assignment is not a bijection" % i
-                for i, row in enumerate(cp.assignment)
-                if sorted(row) != list(range(cc.r))]
-    if problems:
-        return False, problems
-    scale, ints = cc.scaled
-    parts = assigned_parts(ints, cp.assignment)
-    problems = certificate_problems(
-        cp, scale, [(l, *part) for l, part in enumerate(parts)])
-    problems += alternative_problems(cc.n, cp.negatives, cp.zero_set,
-                                     cp.alternative, m_set,
-                                     ("m_negative", "m_positive"))
-    return not problems, problems
-
-
-def classes_from_json(obj):
-    json_object(obj, "classes", ("d", "r", "classes"))
-    d, r = int_field(obj, "d"), int_field(obj, "r")
-    classes = tuple(
-        tuple(parse_vec(p) for p in json_list(group, "each class"))
-        for group in json_list(obj["classes"], "'classes'")
-    )
-    return ColorClasses(d=d, r=r, classes=classes)
-
-
-def colorful_to_json(cp):
-    out = {
-        "schema": SCHEMA,
-        "kind": "colored_certificate",
-        "assignment": [list(row) for row in cp.assignment],
-        "alpha": [format_rat(a) for a in cp.alpha],
-        "z": format_vec(cp.z),
-        "gamma": format_rat(cp.gamma),
-        "negatives": sorted(cp.negatives),
-        "alternative": cp.alternative,
-    }
-    if cp.zero_set:
-        out["zero_set"] = sorted(cp.zero_set)
-    return out
-
-
-def colorful_from_json(obj):
-    json_object(obj, "colored certificate",
-                ("assignment", "alpha", "z", "gamma", "negatives"))
-    rows = json_list(obj["assignment"], "'assignment'")
-    return ColorfulPartition(
-        assignment=tuple(tuple(index_list(row, "each assignment row"))
-                         for row in rows),
-        alpha=parse_vec(obj["alpha"]),
-        z=parse_vec(obj["z"]),
-        gamma=parse_rat(obj["gamma"]),
-        negatives=frozenset(index_list(obj["negatives"], "'negatives'")),
-        zero_set=frozenset(index_list(obj.get("zero_set", []), "'zero_set'")),
-        alternative=obj.get("alternative"),
     )

@@ -16,12 +16,11 @@ exact coefficients; inconsistent equations certify empty intersection;
 consistent ones whose point or coefficients are not unique are reported
 as degenerate (a general-position failure), never silently repaired.
 
-A certificate's arithmetic (the part sums, the sign sets and gamma) is
-re-checked in one place, ``certificate_problems``, for the point and the
-colored verifier alike.  A solve certificate's separation claim is
-re-checked from the witness it carries (``separation_problems``): a
-hyperplane by the side of each point, an overlap by the same integer
-weighted sums (``_sum_problems``).
+The records the rest of the package reads and writes live here too: the
+point configuration and the colour classes (``PointConfig``,
+``ColorClasses``), the point and the colored certificate, and their JSON
+readers and writers.  Nothing here checks a certificate; ``tvpm.check``
+does, so that ``verify`` loads this module and no solver.
 """
 
 import json
@@ -34,7 +33,6 @@ from tvpm.kernel import eliminate, null_vector
 from tvpm.linalg import (
     format_rat,
     format_vec,
-    int_weighted_sum,
     parse_rat,
     parse_vec,
     vdot,
@@ -43,36 +41,40 @@ from tvpm.linalg import (
 SCHEMA = "tvpm/1"
 
 
-class _PointFields(NamedTuple):
-    d: int
-    r: int
-    points: tuple
+def _rational(point):
+    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in point)
 
 
-class PointConfig(_PointFields):
-    """n points in R^d (tuples of Fractions) and a part count r.
+class _Validated:
+    """What the two validated records, ``PointConfig`` and
+    ``ColorClasses``, share.
 
-    A tuple of its three fields, immutable; the constructor coerces the
-    coordinates to Fractions and rejects a malformed configuration with a
-    ValueError.
+    Each is a tuple of three fields, d, r and its points (a list, or a
+    list of classes when ``_classes`` is set), and immutable.  The
+    constructor, which ``_replace`` runs too, coerces every coordinate to
+    a Fraction and rejects a malformed record with a ValueError: a bad d
+    or r, then the record's own shape (``_check_shape``), then a repeated
+    point.
     """
 
-    def __new__(cls, d, r, points):
+    _classes = False
+
+    def __new__(cls, *args, **kwargs):
+        # the fields by name, as the record's own constructor reads them
+        d, r, points = super().__new__(cls, *args, **kwargs)
         if d < 1:
             raise ValueError("d must be >= 1")
         if r < 2:
             raise ValueError("r must be >= 2")
-        pts = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x)
-                          for x in p) for p in points)
-        if not pts:
-            raise ValueError("need at least one point")
-        for p in pts:
-            if len(p) != d:
-                raise ValueError("point dimension mismatch")
-        self = super().__new__(cls, d, r, pts)
-        _, ints = self.scaled
+        if cls._classes:
+            points = tuple(tuple(map(_rational, c)) for c in points)
+        else:
+            points = tuple(map(_rational, points))
+        self = super().__new__(cls, d, r, points)
+        self._check_shape()
+        ints = self._flat(self.scaled[1])
         if len(set(ints)) != len(ints):
-            raise ValueError("points must be distinct")
+            raise ValueError(cls._repeated)
         return self
 
     @classmethod
@@ -82,15 +84,43 @@ class PointConfig(_PointFields):
 
     @property
     def n(self):
-        return len(self.points)
+        """The number of points, or of classes."""
+        return len(self[2])
+
+    def _flat(self, points):
+        return [p for c in points for p in c] if self._classes else points
+
+    def _dims(self, points):
+        if any(len(p) != self.d for p in points):
+            raise ValueError("point dimension mismatch")
 
     @cached_property
     def scaled(self):
         """``(D, points)``: D the lcm of all coordinate denominators and
-        the points times D as int tuples.  Partitions and coefficients
-        are affine invariants, so the integer core works on these."""
-        scale = linalg.denominator_lcm(self.points)
-        return scale, linalg.to_int(self.points, scale)
+        the points times D as int tuples, class by class in a
+        ``ColorClasses``.  Partitions and coefficients are affine
+        invariants, so the integer core works on these."""
+        scale = linalg.denominator_lcm(self._flat(self[2]))
+        if self._classes:
+            return scale, tuple(linalg.to_int(c, scale) for c in self[2])
+        return scale, linalg.to_int(self[2], scale)
+
+
+class _PointFields(NamedTuple):
+    d: int
+    r: int
+    points: tuple
+
+
+class PointConfig(_Validated, _PointFields):
+    """n points in R^d (tuples of Fractions) and a part count r."""
+
+    _repeated = "points must be distinct"
+
+    def _check_shape(self):
+        if not self.points:
+            raise ValueError("need at least one point")
+        self._dims(self.points)
 
     @property
     def full_size(self):
@@ -99,6 +129,27 @@ class PointConfig(_PointFields):
     @property
     def is_full(self):
         return self.n == self.full_size
+
+
+class _ClassFields(NamedTuple):
+    d: int
+    r: int
+    classes: tuple
+
+
+class ColorClasses(_Validated, _ClassFields):
+    """(r-1)d+1 classes of r points in R^d (tuples of Fractions)."""
+
+    _classes = True
+    _repeated = "points must be distinct across classes"
+
+    def _check_shape(self):
+        if self.n != (self.r - 1) * self.d + 1:
+            raise ValueError("need (r-1)d+1 classes")
+        for group in self.classes:
+            if len(group) != self.r:
+                raise ValueError("every class needs exactly r points")
+            self._dims(group)
 
 
 def canonical_partition(parts):
@@ -129,6 +180,16 @@ class AffineCertificate(NamedTuple):
     negatives: frozenset
     gamma: Fraction
     zero_set: frozenset
+
+
+class ColorfulPartition(NamedTuple):
+    assignment: tuple  # assignment[i][l] = point index of class i in part l
+    alpha: tuple  # one coefficient per class
+    z: tuple
+    gamma: Fraction
+    negatives: frozenset  # class indices
+    zero_set: frozenset
+    alternative: str  # "m_negative" | "m_positive"
 
 
 def make_certificate(z, alpha, gamma=Fraction(1)):
@@ -231,172 +292,6 @@ def intersect_affine_hulls(config, partition):
     return Intersection("point", make_certificate(z=z, alpha=alpha))
 
 
-def alternative_problems(n, negatives, zero_set, alternative, m_set, names):
-    """Problems with the claim that the negatives sit on m_set (alternative
-    ``names[0]``) or on its complement (``names[1]``).
-
-    An index with a zero coefficient carries no sign, so the claim is
-    negatives == side - zero_set.  Nothing is claimed when alternative is
-    None; without m_set only the alternative's name is checked.
-    """
-    if alternative is None:
-        return []
-    if alternative not in names:
-        return ["unknown alternative %r" % (alternative,)]
-    if m_set is None:
-        return []
-    everything = frozenset(range(n))
-    if not m_set <= everything:
-        return ["m %s is out of range" % sorted(m_set)]
-    side = m_set if alternative == names[0] else everything - m_set
-    if negatives != side - zero_set:
-        return ["negatives %s do not match alternative %s for m %s"
-                % (sorted(negatives), alternative, sorted(m_set))]
-    return []
-
-
-def _sum_problems(label, weights, points, target, name, scale):
-    """Problems with rational weights on integer points, ``scale`` times
-    the input points: the weights must sum to 1 and weight the points to
-    ``target`` (called ``name`` in a problem).  Checked on ints
-    (``linalg.int_weighted_sum``)."""
-    problems = []
-    den, total, sums = int_weighted_sum(weights, points)
-    if total != den:
-        problems.append("%s: coefficient sum %s != 1"
-                        % (label, format_rat(Fraction(total, den))))
-    unit = den * scale  # the rational weighted sum is sums / unit
-    if any(v * x.denominator != x.numerator * unit
-           for v, x in zip(sums, target)):
-        problems.append("%s: weighted sum %s != %s %s"
-                        % (label, format_vec(Fraction(v, unit) for v in sums),
-                           name, format_vec(target)))
-    return problems
-
-
-def certificate_problems(cert, scale, parts):
-    """Problems with a certificate's arithmetic: the one check behind both
-    verifiers.
-
-    ``parts`` lists, per part, ``(label, indices, points)``: the label
-    that names the part in a problem, the indices it holds and their
-    points, integer vectors equal to ``scale`` times the input points.
-    Per part, the coefficients alpha[i] must sum to 1 and weight the
-    points to z (``_sum_problems``); then the sign sets must match alpha
-    and gamma must not be zero.  alpha is read by index over 0..n-1, so a
-    dict covering those indices and a tuple both serve.
-    """
-    problems = []
-    alpha = cert.alpha
-    for label, indices, points in parts:
-        problems += _sum_problems("part %s" % (label,),
-                                  [alpha[i] for i in indices], points,
-                                  cert.z, "z", scale)
-    indices = range(len(alpha))
-    if frozenset(i for i in indices if alpha[i] < 0) != cert.negatives:
-        problems.append("negatives set does not match strict negatives of alpha")
-    if frozenset(i for i in indices if alpha[i] == 0) != cert.zero_set:
-        problems.append("zero_set does not match zeros of alpha")
-    if cert.gamma == 0:
-        problems.append("gamma is zero")
-    return problems
-
-
-def separation_problems(config, m_set, obj):
-    """Problems with a solve certificate's ``separation_warning`` claim,
-    true exactly when conv(m) and conv(rest) meet, and with the
-    ``separation`` witness that backs it; ``obj`` is the certificate's
-    JSON, which must hold both.  The witness is checked in one pass over
-    the scaled points (``PointConfig.scaled``), in integers.
-
-    A hyperplane ``{"normal", "offset"}`` must have <normal, a> > offset
-    strictly on every point of m and < offset on every other point.  An
-    overlap ``{"point", "m_weights", "rest_weights"}`` must weight m and
-    the rest (keys as for alpha) with non-negative weights that sum to 1
-    on each side, and both weighted sums must equal point
-    (``_sum_problems``).  A witness that checks out must be of the kind
-    the claim names.  A malformed claim or witness is a ValueError.
-    """
-    json_object(obj, "certificate", ("separation_warning", "separation"))
-    warning, witness = obj["separation_warning"], obj["separation"]
-    if not isinstance(warning, bool):
-        raise ValueError("'separation_warning' must be true or false")
-    meet = not (isinstance(witness, dict) and "normal" in witness)
-    keys = ("point", "m_weights", "rest_weights") if meet else ("normal",
-                                                                 "offset")
-    json_object(witness, "separation", keys)
-    vec = parse_vec(witness[keys[0]])
-    if len(vec) != config.d:
-        raise ValueError("separation %r must have d entries" % keys[0])
-    everything = frozenset(range(config.n))
-    if not m_set or not m_set < everything:
-        return ["separation_warning needs m to be a nonempty proper subset"
-                " of the indices"]
-    scale, points = config.scaled
-    problems = []
-    if meet:
-        for key, side in (("m_weights", m_set),
-                          ("rest_weights", everything - m_set)):
-            w = index_map(witness[key], repr(key))
-            if not w.keys() <= side:
-                problems.append("%s: indices %s lie off its side"
-                                % (key, sorted(w.keys() - side)))
-            elif any(v < 0 for v in w.values()):
-                problems.append("%s: a weight is negative" % key)
-            else:
-                problems += _sum_problems(key, list(w.values()),
-                                          [points[i] for i in w], vec,
-                                          "point", scale)
-    else:
-        # <normal, D a> against D offset, cleared of denominators
-        c = vec + (parse_rat(witness["offset"]) * scale,)
-        *normal, offset = linalg.to_int([c], linalg.denominator_lcm([c]))[0]
-        wrong = [i for i, p in enumerate(points)
-                 if not (vdot(normal, p) > offset if i in m_set
-                         else vdot(normal, p) < offset)]
-        if wrong:
-            problems.append("the hyperplane does not separate m from the"
-                            " rest at indices %s" % wrong)
-    if not problems and meet != warning:
-        problems.append(
-            "separation_warning is %s but the hulls of m and the rest %s"
-            % (str(warning).lower(), "meet" if meet else "are disjoint"))
-    return problems
-
-
-def verify_certificate(config, partition, cert, alternative=None,
-                       m_set=None, proper=None):
-    """Re-check a certificate against its configuration, exactly.
-
-    Returns ``(ok, problems)`` where problems names every violated
-    equation.  After the index-coverage guards, the part sums, the sign
-    sets and gamma are checked by ``certificate_problems``.  The optional
-    claims are checked when given: ``proper`` must equal ``is_proper``,
-    and ``alternative`` ("in_m" or "complement") with ``m_set`` must
-    describe the negatives (``alternative_problems``).
-    """
-    try:
-        validate_partition(config, partition)
-    except ValueError as e:
-        return False, ["partition: %s" % e]
-    if sorted(cert.alpha) != list(range(config.n)):
-        return False, ["alpha does not cover indices 0..n-1"]
-    if len(cert.z) != config.d:
-        return False, ["z has wrong dimension"]
-    scale, points = config.scaled
-    problems = certificate_problems(
-        cert, scale,
-        [(list(part), part, [points[i] for i in part]) for part in partition])
-    if proper is not None and proper != is_proper(config, partition):
-        problems.append("proper is %s but the partition %s"
-                        % (str(proper).lower(),
-                           "is not proper" if proper else "is proper"))
-    problems += alternative_problems(config.n, cert.negatives, cert.zero_set,
-                                     alternative, m_set,
-                                     ("in_m", "complement"))
-    return not problems, problems
-
-
 def config_to_json(config, m_set=None):
     out = {
         "schema": SCHEMA,
@@ -415,6 +310,16 @@ def config_from_json(obj):
     d, r = int_field(obj, "d"), int_field(obj, "r")
     points = tuple(parse_vec(p) for p in json_list(obj["points"], "'points'"))
     return PointConfig(d=d, r=r, points=points)
+
+
+def classes_from_json(obj):
+    json_object(obj, "classes", ("d", "r", "classes"))
+    d, r = int_field(obj, "d"), int_field(obj, "r")
+    classes = tuple(
+        tuple(parse_vec(p) for p in json_list(group, "each class"))
+        for group in json_list(obj["classes"], "'classes'")
+    )
+    return ColorClasses(d=d, r=r, classes=classes)
 
 
 def json_object(obj, what, keys):
@@ -465,18 +370,23 @@ def index_map(v, what):
     return {int(i): parse_rat(a) for i, a in v.items()}
 
 
-def certificate_to_json(cert, partition, alternative=None, proper=None):
-    out = {
-        "schema": SCHEMA,
-        "kind": "certificate",
-        "z": format_vec(cert.z),
-        "alpha": {str(i): format_rat(a) for i, a in sorted(cert.alpha.items())},
-        "negatives": sorted(cert.negatives),
-        "gamma": format_rat(cert.gamma),
-        "partition": [list(p) for p in partition],
-    }
+def _certificate_to_json(kind, cert, keys, **fields):
+    """The certificate document of ``kind``: ``keys`` in order, each from
+    ``fields`` or cert's z, gamma and negatives, then zero_set when some
+    coefficient is zero."""
+    fields.update(z=format_vec(cert.z), gamma=format_rat(cert.gamma),
+                  negatives=sorted(cert.negatives))
+    out = {"schema": SCHEMA, "kind": kind, **{k: fields[k] for k in keys}}
     if cert.zero_set:
         out["zero_set"] = sorted(cert.zero_set)
+    return out
+
+
+def certificate_to_json(cert, partition, alternative=None, proper=None):
+    out = _certificate_to_json(
+        "certificate", cert, ("z", "alpha", "negatives", "gamma", "partition"),
+        alpha={str(i): format_rat(a) for i, a in sorted(cert.alpha.items())},
+        partition=[list(p) for p in partition])
     if alternative is not None:
         out["alternative"] = alternative
     if proper is not None:
@@ -484,20 +394,53 @@ def certificate_to_json(cert, partition, alternative=None, proper=None):
     return out
 
 
+def colorful_to_json(cp):
+    return _certificate_to_json(
+        "colored_certificate", cp,
+        ("assignment", "alpha", "z", "gamma", "negatives", "alternative"),
+        assignment=[list(row) for row in cp.assignment],
+        alpha=[format_rat(a) for a in cp.alpha], alternative=cp.alternative)
+
+
+_FIELD_READERS = {
+    "z": parse_vec,
+    "negatives": lambda v: frozenset(index_list(v, "'negatives'")),
+    "gamma": parse_rat,
+}
+
+
+def _certificate_fields(obj, what, keys, **readers):
+    """A certificate document's fields, by name: each of ``keys`` that has
+    a reader (in ``readers``, or the shared one for z, negatives and
+    gamma), in that order, then zero_set.  ValueError naming ``what``
+    unless obj is an object holding every key of ``keys``."""
+    json_object(obj, what, keys)
+    readers = {**_FIELD_READERS, **readers}
+    fields = {key: readers[key](obj[key]) for key in keys if key in readers}
+    fields["zero_set"] = frozenset(index_list(obj.get("zero_set", []),
+                                              "'zero_set'"))
+    return fields
+
+
 def certificate_from_json(obj):
-    json_object(obj, "certificate",
-                ("z", "alpha", "negatives", "gamma", "partition"))
-    cert = AffineCertificate(
-        z=parse_vec(obj["z"]),
-        alpha=index_map(obj["alpha"], "'alpha'"),
-        negatives=frozenset(index_list(obj["negatives"], "'negatives'")),
-        gamma=parse_rat(obj["gamma"]),
-        zero_set=frozenset(index_list(obj.get("zero_set", []), "'zero_set'")),
-    )
+    fields = _certificate_fields(
+        obj, "certificate", ("z", "alpha", "negatives", "gamma", "partition"),
+        alpha=lambda v: index_map(v, "'alpha'"))
     parts = json_list(obj["partition"], "'partition'")
     partition = canonical_partition(
         tuple(tuple(index_list(p, "each part")) for p in parts))
-    return cert, partition, obj.get("alternative")
+    return AffineCertificate(**fields), partition, obj.get("alternative")
+
+
+def colorful_from_json(obj):
+    fields = _certificate_fields(
+        obj, "colored certificate",
+        ("assignment", "alpha", "z", "gamma", "negatives"),
+        assignment=lambda rows: tuple(
+            tuple(index_list(row, "each assignment row"))
+            for row in json_list(rows, "'assignment'")),
+        alpha=parse_vec)
+    return ColorfulPartition(alternative=obj.get("alternative"), **fields)
 
 
 def dump_json(obj):

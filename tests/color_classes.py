@@ -3,14 +3,13 @@ document that ``tvpm colored --input`` reads.
 
 No library code writes a class document; ``perfbench/workloads.py`` draws
 its own classes.  ``classes_to_json`` is the inverse of
-``tvpm.colored.classes_from_json``.
+``tvpm.core.classes_from_json``.
 """
 
 import random
 from fractions import Fraction
 
-from tvpm.colored import ColorClasses
-from tvpm.core import SCHEMA
+from tvpm.core import SCHEMA, ColorClasses
 from tvpm.gen import general_position
 from tvpm.linalg import format_vec
 

@@ -9,8 +9,9 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 
-from tvpm.colored import colored_tverberg_pm, verify_colorful
-from tvpm.core import PointConfig, intersect_affine_hulls, verify_certificate
+from tvpm.check import verify_certificate, verify_colorful
+from tvpm.colored import colored_tverberg_pm
+from tvpm.core import PointConfig, intersect_affine_hulls
 from tvpm.gen import (
     example1,
     example2,

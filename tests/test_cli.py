@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 from tvpm import cli, gen, search
-from tvpm.colored import ColorClasses, colored_tverberg_pm
+from tvpm.colored import colored_tverberg_pm
 from tvpm.sarkaria import tverberg_pm
-from tvpm.core import dump_json
+from tvpm.core import ColorClasses, dump_json
 
 from color_classes import classes_to_json
 from radon_oracle import radon_top
@@ -656,6 +656,68 @@ def test_verify_rejects_non_canonical_alpha_keys(tmp_path, alpha):
     assert err == "error: 'alpha' keys must be indices in decimal form\n"
 
 
+@pytest.fixture(scope="module")
+def solved_5(tmp_path_factory):
+    """gen --d 2 --r 3 --seed 5, its path, and solve --m 0,1 on it."""
+    cfg_text = run_cli(["gen", "--d", "2", "--r", "3", "--seed", "5"])[1]
+    cfg_path = tmp_path_factory.mktemp("solved_5") / "cfg.json"
+    cfg_path.write_text(cfg_text)
+    code, cert_text, _ = run_cli(["solve", "--m", "0,1"], stdin=cfg_text)
+    assert code == 0
+    return cfg_path, json.loads(cert_text)
+
+
+KIND_ERROR = ("error: certificate 'kind' must be 'certificate' or"
+              " 'colored_certificate'\n")
+VALID = dump_json({"schema": "tvpm/1", "result": "valid"}) + "\n"
+
+
+@pytest.mark.parametrize("edit", ["list", "misspelled", "missing",
+                                  "separated"])
+def test_verify_reads_only_the_certificate_kinds(solved_5, edit):
+    # each edit of a valid solve certificate, and a separation result,
+    # names no certificate kind: a usage error, whatever else it holds
+    cfg_path, cert = solved_5
+    if edit == "separated":
+        code, out, _ = run_cli(["separation", "--input", str(cfg_path),
+                                "--m", "0,1"])
+        assert code == 0 and json.loads(out)["result"] == "separated"
+        doc = json.loads(out)
+    else:
+        doc = dict(cert, kind={"list": ["x"], "misspelled": "certficate"}.get(
+            edit))
+        if edit == "missing":
+            del doc["kind"]
+    assert run_cli(["verify", "--input", str(cfg_path), "--cert", "-"],
+                   stdin=json.dumps(doc)) == (2, "", KIND_ERROR)
+    assert run_cli(["verify", "--input", str(cfg_path), "--cert", "-"],
+                   stdin=json.dumps(cert))[:2] == (0, VALID)
+
+
+ZERO_CFG = {"schema": "tvpm/1", "kind": "point_config", "d": 2, "r": 3,
+            "points": [[str(i), "0"] for i in range(6)] + [["6", "1"]]}
+
+
+def test_verify_accepts_zero_coefficients_and_no_sign_on_them(tmp_path):
+    # solve --m 0 on six points of a line and one off it: alpha_1 =
+    # alpha_6 = 0, which are in zero_set and are not negatives
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(ZERO_CFG))
+    code, out, _ = run_cli(["solve", "--input", str(cfg_path), "--m", "0"])
+    assert code == 0
+    cert = json.loads(out)
+    assert cert["alpha"]["1"] == cert["alpha"]["6"] == "0"
+    assert (cert["zero_set"], cert["negatives"]) == ([1, 6], [0])
+    verify = ["verify", "--input", str(cfg_path), "--cert", "-"]
+    assert run_cli(verify, stdin=out) == (0, VALID, "")
+    code, out, _ = run_cli(verify, stdin=json.dumps(dict(cert,
+                                                          negatives=[0, 1])))
+    assert code == 1
+    assert json.loads(out)["problems"] == [
+        "negatives set does not match strict negatives of alpha",
+        "negatives [0, 1] do not match alternative in_m for m [0]"]
+
+
 @pytest.mark.parametrize("argv, doc", [
     (["separation", "--m", "0,99"], LINE_CFG),
     (["separation", "--m", "-1"], LINE_CFG),
@@ -710,8 +772,8 @@ def test_index_list_tokens_may_carry_spaces(cfg_13_text):
 _LOADED = """
 import contextlib, io, json, sys
 
-WATCH = ('csv', 'dataclasses', 'tvpm.colored', 'tvpm.minnorm',
-         'tvpm.sarkaria', 'tvpm.search')
+WATCH = ('csv', 'dataclasses', 'tvpm.check', 'tvpm.colored',
+         'tvpm.minnorm', 'tvpm.sarkaria', 'tvpm.search')
 
 def loaded():
     return [m for m in WATCH if m in sys.modules]
@@ -725,10 +787,10 @@ print(json.dumps([before, code, loaded()]))
 
 
 def test_cli_import_leaves_the_solver_modules_unloaded(tmp_path):
-    # Each command loads only what it runs: gen and a point or colored
-    # verify load no dataclasses, csv or solver module; a solve
-    # certificate's separation witness is checked without search or
-    # minnorm.
+    # Each command loads only what it runs: importing the CLI and gen load
+    # no checker, and a point or colored verify loads the checker and no
+    # dataclasses, csv or solver module; a solve certificate's separation
+    # witness is checked without search or minnorm.
     # ``-S`` keeps site and its .pth files out of the module set.
     env = dict(os.environ, PYTHONPATH=str(SRC))
     paths = {key: tmp_path / (key + ".json") for key in
@@ -753,12 +815,12 @@ def test_cli_import_leaves_the_solver_modules_unloaded(tmp_path):
 
     assert modules_after("gen", "--d", "2", "--r", "3") == [[], 0, []]
     assert modules_after("verify", "--input", "line", "--cert", "cert") == [
-        [], 0, []]
+        [], 0, ["tvpm.check"]]
     assert modules_after("verify", "--input", "classes",
                          "--cert", "colored_cert") == [
-        [], 0, ["tvpm.colored"]]
+        [], 0, ["tvpm.check"]]
     assert modules_after("verify", "--input", "cfg", "--cert", "solved") == [
-        [], 0, []]
+        [], 0, ["tvpm.check"]]
 
 
 # (result, a command whose --out file is the input "{gen}", the command)

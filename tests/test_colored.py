@@ -13,16 +13,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tvpm import colored
+from tvpm.check import verify_colorful
 from tvpm.colored import (
-    ColorClasses,
     PermutationColor,
-    classes_from_json,
     colored_tverberg_pm,
-    colorful_from_json,
-    colorful_to_json,
     lehmer_rank,
     lex_first_assignment,
-    verify_colorful,
+)
+from tvpm.core import (
+    ColorClasses,
+    classes_from_json,
+    colorful_from_json,
+    colorful_to_json,
 )
 from tvpm.linalg import denominator_lcm, tensor, to_int, weighted_sum
 from tvpm.sarkaria import DegenerateGamma, companion_simplex, pivot_to_origin

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tvpm.check import verify_certificate
 from tvpm.core import (
     PointConfig,
     canonical_partition,
@@ -18,7 +19,6 @@ from tvpm.core import (
     intersect_affine_hulls,
     make_certificate,
     validate_partition,
-    verify_certificate,
 )
 from tvpm.gen import random_config
 from tvpm.sarkaria import PMCertificate, tverberg_pm
@@ -314,6 +314,22 @@ def test_verify_catches_corruption():
     ok, problems = verify_certificate(cfg, ((0, 2), (1,)), bad2)
     assert not ok
     assert any("weighted sum" in p for p in problems)
+
+
+def test_verify_reads_a_zero_coefficient_as_no_sign():
+    # six points on a line and one off it: solve --m 0 puts z = (4, 0) on
+    # the point 4 of the part {1, 4} and on the line through 0 and 3, so
+    # alpha_1 = alpha_6 = 0, in zero_set and not in negatives
+    cfg = PointConfig(d=2, r=3, points=[(i, 0) for i in range(6)] + [(6, 1)])
+    res = tverberg_pm(cfg, frozenset({0}))
+    cert, partition = res.cert, res.partition
+    assert partition == ((0, 3, 6), (1, 4), (2, 5))
+    assert (cert.zero_set, cert.negatives) == ({1, 6}, {0})
+    args = (cfg, partition, cert, res.alternative, frozenset({0}), res.proper)
+    assert verify_certificate(*args) == (True, [])
+    signed = cert._replace(negatives=cert.negatives | {1})
+    assert verify_certificate(cfg, partition, signed) == (
+        False, ["negatives set does not match strict negatives of alpha"])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

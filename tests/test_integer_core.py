@@ -41,8 +41,8 @@ INTEGER_CORE = {
     "minnorm.py": None,
     "sarkaria.py": ("companion_simplex", "LiftColor", "lift",
                     "pivot_to_origin", "recover"),
-    "colored.py": ("lex_first_assignment", "lehmer_rank",
-                   "PermutationColor", "assigned_parts"),
+    "colored.py": ("lex_first_assignment", "lehmer_rank", "PermutationColor"),
+    "check.py": ("assigned_parts",),
 }
 
 

@@ -15,8 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from tvpm.colored import ColorClasses, ColorfulPartition
-from tvpm.core import AffineCertificate, Intersection, PointConfig
+from tvpm.core import (
+    AffineCertificate,
+    ColorClasses,
+    ColorfulPartition,
+    Intersection,
+    PointConfig,
+)
 from tvpm.sarkaria import DegenerateGamma, PMCertificate, SeparationViolated
 from tvpm.search import NotSeparated, SearchResult, Separated, SpectrumResult
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvpm.core import PointConfig, intersect_affine_hulls, verify_certificate
+from tvpm.check import verify_certificate
+from tvpm.core import PointConfig, intersect_affine_hulls
 from tvpm import kernel, linalg, minnorm, sarkaria
 from tvpm.colored import PermutationColor
 from tvpm.gen import example2, random_config, separated_subset

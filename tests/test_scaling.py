@@ -20,8 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tvpm.check import verify_certificate
 from tvpm.cli import main
-from tvpm.core import PointConfig, intersect_affine_hulls, verify_certificate
+from tvpm.core import PointConfig, intersect_affine_hulls
 from tvpm.gen import random_config, separated_subset
 from tvpm.linalg import denominator_lcm, to_int, vdot
 from tvpm.minnorm import Corral, min_norm_point

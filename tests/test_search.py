@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvpm import core, kernel, linalg, search
+from tvpm.check import verify_certificate
 from tvpm.cli import main
 from tvpm.core import (
     PointConfig,
     common_point,
     intersect_affine_hulls,
     read_parts,
-    verify_certificate,
 )
 from tvpm.gen import example1, random_config, separated_subset
 from tvpm.linalg import vdot, weighted_sum

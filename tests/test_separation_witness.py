@@ -4,7 +4,7 @@ A ``solve`` certificate for a nonempty proper m holds ``separation``, the
 witness that ``search.check_separation`` returned: a hyperplane
 (``normal``, ``offset``) or an overlap (``point``, ``m_weights``,
 ``rest_weights``).  ``verify`` re-checks that witness in integers
-(``core.separation_problems``) instead of running the separation test
+(``check.separation_problems``) instead of running the separation test
 again: each corrupted field is its own problem, a malformed witness is a
 usage error, and on random instances the witness's kind is what the test
 itself finds.

@@ -11,7 +11,8 @@ hold no sums, are the library's own.
 
 from fractions import Fraction
 
-from tvpm.core import alternative_problems, is_proper, validate_partition
+from tvpm.check import alternative_problems
+from tvpm.core import is_proper, validate_partition
 from tvpm.linalg import format_rat, format_vec
 
 
