@@ -6,10 +6,12 @@ is the solution set of d+1-k integer equations, k the part's affine rank
 first smallest part, the kernel part, lies on the other hulls when x is
 a null vector of their equations at its points, (s-1) x s for s points
 when n = (r-1)(d+1)+1 and every part is affinely independent: one
-``kernel.null_vector`` classifies the partition (``common_point``).  The
-signs of x are the kernel part's negative flags; past them, each other
-part's are one integer mat-vec with its cached coefficient matrix at the
-common point, read only as far as the caller needs (``read_parts``).
+``kernel.null_vector`` classifies the partition (``common_point``),
+which returns the kernel part and x and keeps each other part's
+coefficient matrix in the caller's cache.  The signs of x are the kernel
+part's negative flags; each other part's are one integer mat-vec of its
+coefficient matrix with the common point, which the scan
+(``search._scan``) builds only once the kernel part's flags pass.
 
 Classification drives everything downstream: a unique point comes with
 exact coefficients; inconsistent equations certify empty intersection;
@@ -202,67 +204,38 @@ def make_certificate(z, alpha, gamma=Fraction(1)):
     )
 
 
-class CommonPoint(NamedTuple):
-    """A partition's class, "point", "empty" or "degenerate"; for a point
-    also its ``kernel`` part, that part's coefficients times some t > 0 as
-    integers ``x``, and ``(part, hull factor)`` for the others, in order."""
-
-    kind: str
-    x: list = None
-    kernel: tuple = None
-    others: list = None
-
-
-def common_point(points, partition, memo=None):
+def common_point(points, partition, memo):
     """Classify the partition of the integer ``points`` from N, the
     equations (``linalg.hull_factor``) of the parts other than the kernel
     part, the first of least size, at its lifted points (p, 1); ``memo``
-    keeps each part's factor and equations at every point.  "empty": all
-    of ker N sums to 0 (the all-ones row lies in N's row space); "point":
-    ker N is a line, whose ``kernel.null_vector`` x sums to nonzero (made
+    keeps each part's coefficient matrix (None when the part is affinely
+    dependent) and its equations at every point.  "empty": all of ker N
+    sums to 0 (the all-ones row lies in N's row space); "point": ker N is
+    a line, whose ``kernel.null_vector`` x sums to nonzero (made
     positive), and no other part is affinely dependent (nor then is the
     kernel part: its dependences lie in ker N and sum to 0); otherwise
-    "degenerate"."""
-    memo = {} if memo is None else memo
+    "degenerate".  Returns ``(kind, kernel part, x or None)``."""
     kernel = min(partition, key=len)  # the first part of least size
-    k = partition.index(kernel)
-    others, rows = [], []
-    for part in partition[:k] + partition[k + 1:]:
-        got = memo.get(part)
-        if got is None:  # the factor, and its equations at every point
-            f = linalg.hull_factor([points[i] for i in part])
-            got = memo[part] = f, [[vdot(e, p) + e[-1] for p in points]
-                                   for e in f.eqs]
-        others.append((part, got[0]))
-        rows += [[v[i] for i in kernel] for v in got[1]]
+    rows = []
+    dependent = False
+    for part in partition:
+        if part is not kernel:
+            got = memo.get(part)
+            if got is None:  # the factor, and its equations at every point
+                f = linalg.hull_factor([points[i] for i in part])
+                got = memo[part] = f.coef, [[vdot(e, p) + e[-1]
+                                             for p in points] for e in f.eqs]
+            dependent = dependent or got[0] is None
+            rows += [[v[i] for i in kernel] for v in got[1]]
     s = len(kernel)
     x = null_vector(rows, s)
     if not (x and sum(x)):  # no point x / sum x: is 1 in N's row space?
         rank = sum(map(any, rows))  # the echelon rows are the nonzero ones
         wide = len(eliminate(rows + [[1] * s], s, s)[0]) > rank
-        return CommonPoint("degenerate" if wide else "empty")
-    for _, f in others:
-        if f.coef is None:  # affinely dependent: coefficients not unique
-            return CommonPoint("degenerate")
-    if sum(x) < 0:
-        x = [-v for v in x]
-    return CommonPoint("point", x, kernel, others)
-
-
-def lifted_point(points, part, x):
-    """y = sum x_i (p_i, 1) over the points p_i of ``part``."""
-    return [vdot(x, c) for c in zip(*[points[i] for i in part])] + [sum(x)]
-
-
-def read_parts(points, got):
-    """Yield ``(part, flags)`` per part of the point partition ``got``,
-    lazily, the kernel part first: flags[j] says whether part[j]'s
-    coefficient is negative, the sign of ``got.x``, then, with y = t (w,
-    1), of f.coef y = f.den t alpha, f the part's factor (f.den > 0)."""
-    yield got.kernel, [v < 0 for v in got.x]
-    y = lifted_point(points, got.kernel, got.x)
-    for part, f in got.others:
-        yield part, [vdot(row, y) < 0 for row in f.coef]
+        return ("degenerate" if wide else "empty"), kernel, None
+    if dependent:  # coefficients not unique
+        return "degenerate", kernel, None
+    return "point", kernel, x if sum(x) > 0 else [-v for v in x]
 
 
 class Intersection(NamedTuple):
@@ -272,22 +245,24 @@ class Intersection(NamedTuple):
 
 def intersect_affine_hulls(config, partition):
     """Classify the common point of all part hulls as ``common_point``
-    does, with the certificate for a "point": the kernel part's
-    coefficients are x / sum x, each other part's f.coef y / sum f.coef y.
-    "degenerate" (point or coefficients not unique) only occurs off general
-    position."""
+    does, with the certificate for a "point": with y = sum x_i (p_i, 1)
+    over the kernel part, its coefficients are x / sum x, each other
+    part's coef y / sum coef y.  "degenerate" (point or coefficients not
+    unique) only occurs off general position."""
     partition = canonical_partition(partition)
     validate_partition(config, partition)
     scale, points = config.scaled
-    got = common_point(points, partition)
-    if got.kind != "point":
-        return Intersection(got.kind, None)
-    y = lifted_point(points, got.kernel, got.x)
-    alpha = {i: Fraction(v, y[-1]) for i, v in zip(got.kernel, got.x)}
-    for part, f in got.others:
-        x = [vdot(row, y) for row in f.coef]
-        total = sum(x)  # the coefficients sum to 1, so x sums to den t
-        alpha.update((i, Fraction(v, total)) for i, v in zip(part, x))
+    memo = {}
+    kind, kernel, x = common_point(points, partition, memo)
+    if x is None:
+        return Intersection(kind, None)
+    y = [vdot(x, c) for c in zip(*[points[i] for i in kernel])] + [sum(x)]
+    alpha = {i: Fraction(v, y[-1]) for i, v in zip(kernel, x)}
+    for part in partition:
+        if part is not kernel:
+            x = [vdot(row, y) for row in memo[part][0]]
+            total = sum(x)  # the coefficients sum to 1, so x sums to den t
+            alpha.update((i, Fraction(v, total)) for i, v in zip(part, x))
     z = [Fraction(v, y[-1] * scale) for v in y[:-1]]
     return Intersection("point", make_certificate(z=z, alpha=alpha))
 

@@ -4,12 +4,13 @@
 exhaustive partition scans, intersection certificates and rank tests all
 bottom out in it.  ``every_subset_independent`` is the general-position
 test (``tvpm.gen.general_position``): the same fraction-free step, run
-once per pivot prefix instead of once per subset.  ``null_vector``
-classifies each scanned partition (``tvpm.core.common_point``) and gives
-the Radon dependence; ``back_substitute``, the one back substitution,
-reads its vector, ``ff_solve``'s solution and ``tvpm.linalg.hull_factor``'s
-per-part coefficients.  Wolfe's method (``tvpm.minnorm``) does not use
-them: it updates its bordered systems in place.
+once per pivot prefix instead of once per subset.  One ``null_vector``
+per scanned partition classifies it and signs its smallest part
+(``tvpm.core.common_point``), and one gives the Radon dependence;
+``back_substitute``, the one back substitution, reads its vector,
+``ff_solve``'s solution and ``tvpm.linalg.hull_factor``'s per-part
+coefficients.  Wolfe's method (``tvpm.minnorm``) does not use them: it
+updates its bordered systems in place.
 
 All matrices are row-major lists of Python ints.  Elimination uses the
 one-step fraction-free scheme: every 2x2 cross-multiplication is divided by

@@ -3,18 +3,22 @@
 The enumerator generates every unordered r-partition of the index set
 with part sizes capped at d+1, exactly once, in a deterministic order
 (indices are placed in restricted-growth fashion, so parts are ordered by
-their smallest element).  Brute-force scans over this stream serve as the
-independent oracle for the constructive solver: "not found" always means
-the whole stream was checked.  The scan classifies each partition from
-one null vector, of the other parts' hull equations at the points of its
-first smallest part (``core.common_point``), then reads each part's
-negative flags, one per index, that part first and from the null vector
-itself (``core.read_parts``), and stops at the first part that rules the
-partition out; a partition stopped early still counts as scanned.
-``search_exact_k`` sums the flags, and ``search_prescribed`` compares them
-with the part's membership in M, computed once per part.  A certificate
-is built (through ``core.intersect_affine_hulls``, which reads the same
-routine) only for the partition the scan returns.
+their smallest element), from one loop with an undo stack rather than one
+generator frame per index.  Brute-force scans over this stream serve as
+the independent oracle for the constructive solver: "not found" always
+means the whole stream was checked.  The scan (``_scan``, one loop for
+every search) classifies each partition from one null vector x, of the
+other parts' hull equations at the points of its first smallest part
+(``core.common_point``), then hands ``accept`` each part's negative
+flags, one per index: that part's first, the signs of x; only if it
+passes is the common point y built, and each other part's flags are the
+signs of one mat-vec of its cached coefficient matrix with y.  The scan
+stops at the first part that rules the partition out; a partition
+stopped early still counts as scanned.  ``search_exact_k`` sums the
+flags, and ``search_prescribed`` compares them with the part's
+membership in M, computed once per part.  A certificate is built
+(through ``core.intersect_affine_hulls``, which reads the same
+classifier) only for the partition the scan returns.
 
 For r = 2 the n = d+2 points have one affine dependence lambda,
 sum lambda_i (a_i, 1) = 0, and every bipartition (T, A \\ T) with
@@ -47,41 +51,57 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
+from operator import mul
 from typing import NamedTuple
 
-from tvpm.core import common_point, intersect_affine_hulls, read_parts
+from tvpm.core import common_point, intersect_affine_hulls
 from tvpm.kernel import null_vector
 from tvpm.linalg import vdot, weighted_sum
 
 
 def proper_partitions(n, r, d):
-    """Yield all r-partitions of {0..n-1} with part sizes in [1, d+1]."""
+    """Yield all r-partitions of {0..n-1} with part sizes in [1, d+1].
+
+    Depth first, without recursion: each index goes into each part with
+    room, in part order, then into a new part, and each placement is
+    undone from a stack.  An index must open a part when the indices left
+    only just fill the parts still missing, so every branch that places
+    the last index has r parts.
+    """
     cap = d + 1
     if n < r or n > r * cap:
         return
-    parts = []
-
-    def rec(idx):
+    parts = []  # the parts so far, as tuples
+    undo = []  # per placed index: (its part, that part before it or None)
+    j = 0  # the first part to try for the index len(undo)
+    while True:
+        idx = len(undo)
         if idx == n:
-            if len(parts) == r:
-                yield tuple(map(tuple, parts))
+            yield tuple(parts)
+        else:
+            used = len(parts)
+            if n - idx == r - used and j < used:
+                j = used
+            while j < used and len(parts[j]) == cap:
+                j += 1
+            if j < used:
+                undo.append((j, parts[j]))
+                parts[j] += (idx,)
+                j = 0
+                continue
+            if j == used < r:
+                undo.append((j, None))
+                parts.append((idx,))
+                j = 0
+                continue
+        if not undo:
             return
-        # The open slots always number r * cap - idx >= n - idx, so only
-        # too few remaining indices can cut a branch.
-        used = len(parts)
-        if n - idx < r - used:
-            return
-        for p in parts:
-            if len(p) < cap:
-                p.append(idx)
-                yield from rec(idx + 1)
-                p.pop()
-        if used < r:
-            parts.append([idx])
-            yield from rec(idx + 1)
+        j, p = undo.pop()
+        if p is None:
             parts.pop()
-
-    yield from rec(0)
+        else:
+            parts[j] = p
+        j += 1
 
 
 class SearchResult(NamedTuple):
@@ -103,50 +123,74 @@ def _radon_weights(points):
 
 
 def _radon_signs(lam, partition):
-    """``(part, flags)`` for both parts of a bipartition at its unique
-    intersection point, as ``core.read_parts`` yields them, read from the
-    Radon dependence (``_radon_weights``), or None when lambda(T) = 0, T
-    the first part: then T is affinely dependent."""
+    """The negative flags of both parts of a bipartition at its unique
+    intersection point, read from the Radon dependence
+    (``_radon_weights``), or None when lambda(T) = 0, T the first part:
+    then T is affinely dependent."""
     first, second = partition
     total = sum(lam[i] for i in first)
     if total == 0:
         return None
     pos = total > 0
-    return ((first, [(lam[i] > 0) != pos for i in first]),
-            (second, [(lam[j] > 0) == pos for j in second]))
+    return ([(lam[i] > 0) != pos for i in first],
+            [(lam[j] > 0) == pos for j in second])
 
 
 def _scan(config, accept):
-    """Scan the proper partitions until ``accept(parts)`` is true for one
-    with a unique intersection point; only that one gets a certificate
-    (from ``intersect_affine_hulls``).
+    """Scan the proper partitions until ``accept`` holds on every part of
+    one with a unique intersection point; only that one gets a
+    certificate (from ``intersect_affine_hulls``).
 
-    ``parts`` yields ``(part, flags)`` lazily, the kernel part (the first
-    of least size) first and the others in part order, flags[j] telling
-    whether part[j]'s coefficient is negative (``core.read_parts``), so
-    ``accept`` may return as soon as one part rules the partition out; the
-    partition still counts as scanned, never as skipped.  The flags come
-    from the part hulls (``core.common_point``, with ``memo`` its per-part
-    cache).  For r = 2 (n = d+2, as every caller requires) they come from
-    the Radon dependence instead, in part order, when it has no zero
-    entry; the input decides which.
+    ``accept(j, part, flags)`` sees the parts in turn, j = 0 for the
+    kernel part (the first of least size) and 1..r-1 for the others in
+    part order, flags[i] telling whether part[i]'s coefficient is
+    negative; the partition is dropped at the first part it rejects, and
+    still counts as scanned, never as skipped.  The partition is
+    classified by ``core.common_point``, with ``memo`` its per-part cache:
+    the kernel part's flags are the signs of its x, and each other part's
+    the signs of its coefficient matrix times y = sum x_i (p_i, 1), built
+    only once the kernel part is accepted.  For r = 2 (n = d+2, as every
+    caller requires) the flags come from the Radon dependence instead, in
+    part order, when it has no zero entry; the input decides which.
     """
     _, points = config.scaled
     lam = _radon_weights(points) if config.r == 2 else None
-    # With r = 2 a part fixes its partition, so no part is seen twice.
-    memo = {} if config.r > 2 else None
+    # With r = 2 a part fixes its partition, so no part is seen twice:
+    # the cache is emptied for each one.
+    keep = config.r > 2
+    memo = {}
     scanned = 0
     skipped = 0
     for partition in proper_partitions(config.n, config.r, config.d):
         scanned += 1
         if lam is not None:
-            parts = _radon_signs(lam, partition)
+            signs = _radon_signs(lam, partition)
+            if signs is None:
+                skipped += 1
+                continue
+            found = (accept(0, partition[0], signs[0])
+                     and accept(1, partition[1], signs[1]))
         else:
-            got = common_point(points, partition, memo)
-            parts = got.x and read_parts(points, got)
-        if parts is None:
-            skipped += 1
-        elif accept(parts):
+            if not keep:
+                memo.clear()
+            _, kernel, x = common_point(points, partition, memo)
+            if x is None:
+                skipped += 1
+                continue
+            found = accept(0, kernel, [v < 0 for v in x])
+            if found:
+                y = [sum(map(mul, x, c))
+                     for c in zip(*[points[i] for i in kernel])]
+                y.append(sum(x))
+                j = 0
+                for part in partition:
+                    if part is not kernel:
+                        j += 1
+                        found = accept(j, part, [sum(map(mul, row, y)) < 0
+                                                 for row in memo[part][0]])
+                        if not found:
+                            break
+        if found:
             cert = intersect_affine_hulls(config, partition).cert
             return SearchResult(True, partition, cert, scanned, skipped)
     return SearchResult(False, None, None, scanned, skipped)
@@ -159,14 +203,13 @@ def search_exact_k(config, k):
         raise ValueError("search needs n = (r-1)(d+1)+1 points")
     if not 0 <= k <= config.n:
         raise ValueError("k out of range")
+    last = config.r - 1
+    count = 0
 
-    def accept(parts):
-        count = 0
-        for _, flags in parts:
-            count += sum(flags)
-            if count > k:
-                return False
-        return count == k
+    def accept(j, part, flags):
+        nonlocal count
+        count = (count if j else 0) + sum(flags)
+        return count == k if j == last else count <= k
 
     return _scan(config, accept)
 
@@ -184,14 +227,11 @@ def search_prescribed(config, m_set):
 
     pattern = {}
 
-    def accept(parts):
-        for part, flags in parts:
-            want = pattern.get(part)
-            if want is None:
-                want = pattern[part] = [i in target for i in part]
-            if flags != want:
-                return False
-        return True
+    def accept(j, part, flags):
+        want = pattern.get(part)
+        if want is None:
+            want = pattern[part] = [i in target for i in part]
+        return flags == want
 
     return _scan(config, accept)
 
@@ -246,11 +286,14 @@ def radon_spectrum(config):
                               2 ** (config.n - 1) - 1,
                               _zero_sum_bipartitions(lam))
     ks = set()
+    count = 0
 
-    def collect(parts):
-        (_, first), (_, second) = parts
-        ks.add(sum(first) + sum(second))
-        return False
+    def collect(j, part, flags):
+        nonlocal count
+        count = (count if j else 0) + sum(flags)
+        if j:
+            ks.add(count)
+        return not j
 
     res = _scan(config, collect)
     return SpectrumResult(frozenset(ks), res.scanned, res.skipped)

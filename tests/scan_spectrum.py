@@ -12,10 +12,15 @@ def scanned_spectrum(config):
     """Negative counts, bipartitions scanned and bipartitions skipped, as
     the scan over all bipartitions of ``config`` finds them."""
     ks = set()
+    count = 0
 
-    def collect(parts):
-        ks.add(sum(sum(flags) for _, flags in parts))
-        return False
+    def collect(j, part, flags):
+        # both parts read, the count kept, and the bipartition rejected
+        nonlocal count
+        count = (count if j else 0) + sum(flags)
+        if j:
+            ks.add(count)
+        return not j
 
     res = search._scan(config, collect)
     return search.SpectrumResult(frozenset(ks), res.scanned, res.skipped)

@@ -2,10 +2,10 @@
 
 The kernel (with ``null_vector``, the one elimination that classifies
 each partition and gives the Radon dependence), the per-partition path
-of the scan (the kernel part's matrix N, the common point built from its
-null vector, the negative flags that ``read_parts`` and ``_radon_signs``
-yield, and the ``accept`` tests of ``search_exact_k`` and
-``search_prescribed`` that read them), the r = 2 spectrum
+of the scan (the enumerator, the kernel part's matrix N, the common
+point built from its null vector, the negative flags that ``_scan`` and
+``_radon_signs`` read, and the ``accept`` tests of ``search_exact_k``
+and ``search_prescribed`` that read them), the r = 2 spectrum
 read from the Radon dependence (its K and its zero-sum count), the
 general-position check, Wolfe's method (all of ``minnorm``, the pivoting
 solver's inner loop and the separation test), the tensor and permutation
@@ -34,9 +34,9 @@ INTEGER_CORE = {
     "kernel.py": None,
     "gen.py": ("general_position",),
     "linalg.py": ("hull_factor", "int_weighted_sum"),
-    "core.py": ("common_point", "lifted_point", "read_parts"),
-    "search.py": ("_scan", "_radon_weights", "_radon_signs",
-                  "search_exact_k", "search_prescribed",
+    "core.py": ("common_point",),
+    "search.py": ("proper_partitions", "_scan", "_radon_weights",
+                  "_radon_signs", "search_exact_k", "search_prescribed",
                   "_subset_sums", "_zero_sum_bipartitions", "radon_spectrum"),
     "minnorm.py": None,
     "sarkaria.py": ("companion_simplex", "LiftColor", "lift",
