@@ -37,6 +37,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 EXIT_DEGENERATE = 4
+EXIT_DEGENERATE_INPUT = 5
 
 # Every result document's name and its exit code.
 RESULTS = {
@@ -48,6 +49,7 @@ RESULTS = {
     "not_separated": EXIT_NEGATIVE,
     "separation_violated": EXIT_NEGATIVE,
     "degenerate_gamma": EXIT_DEGENERATE,
+    "degenerate_input": EXIT_DEGENERATE_INPUT,
     "internal_error": EXIT_INTERNAL,
 }
 
@@ -79,6 +81,16 @@ def _result(name, **fields):
     """Write the result document ``name`` and return its exit code."""
     _emit({"schema": core.SCHEMA, "result": name, **fields})
     return RESULTS[name]
+
+
+def _scan_result(name, res, **fields):
+    """Write a scan's result document ``name`` with ``fields`` and its
+    counts, or ``degenerate_input`` when it skipped every partition: then
+    no partition was classified, and the input is off general position."""
+    if res.skipped == res.scanned:
+        name, fields = "degenerate_input", {}
+    return _result(name, **fields, partitions_scanned=res.scanned,
+                   degenerate_skipped=res.skipped)
 
 
 def _weights(witness):
@@ -200,8 +212,7 @@ def cmd_search(args):
         out["degenerate_skipped"] = res.skipped
         _emit(out)
         return EXIT_OK
-    return _result("not_found", partitions_scanned=res.scanned,
-                   degenerate_skipped=res.skipped)
+    return _scan_result("not_found", res)
 
 
 def cmd_spectrum(args):
@@ -209,9 +220,7 @@ def cmd_spectrum(args):
     obj = _read_json(args.input)
     config = core.config_from_json(obj)
     res = search.radon_spectrum(config)
-    return _result("spectrum", achievable=sorted(res.achievable),
-                   partitions_scanned=res.scanned,
-                   degenerate_skipped=res.skipped)
+    return _scan_result("spectrum", res, achievable=sorted(res.achievable))
 
 
 def cmd_separation(args):

@@ -6,11 +6,16 @@ bottom out in it.  ``every_subset_independent`` is the general-position
 test (``tvpm.gen.general_position``): the same fraction-free step, run
 once per pivot prefix instead of once per subset.  One ``null_vector``
 per scanned partition classifies it and signs its smallest part
-(``tvpm.core.common_point``), and one gives the Radon dependence;
-``back_substitute``, the one back substitution, reads its vector,
-``ff_solve``'s solution and ``tvpm.linalg.hull_factor``'s per-part
-coefficients.  Wolfe's method (``tvpm.minnorm``) does not use them: it
-updates its bordered systems in place.
+(``tvpm.core.common_point``), and one gives the Radon dependence.  Its
+two smallest shapes, zero rows in one column and one row in two, are read
+in closed form without eliminating: at (3, 3) they are 1,575 of a scan's
+1,855 partitions.  ``back_substitute``, the one back substitution, reads
+every other null vector and ``ff_solve``'s solution.  Each per-part hull
+factor (``tvpm.linalg.hull_factor``) is one ``eliminate`` with ``above``,
+a fraction-free Gauss-Jordan pass that clears each pivot's column above
+it too, so its coefficients need no back substitution.  Wolfe's method
+(``tvpm.minnorm``) uses none of these: it updates its bordered systems in
+place.
 
 All matrices are row-major lists of Python ints.  Elimination uses the
 one-step fraction-free scheme: every 2x2 cross-multiplication is divided by
@@ -23,7 +28,7 @@ from math import gcd
 from typing import NamedTuple
 
 
-def eliminate(a, ncols, width):
+def eliminate(a, ncols, width, above=False):
     """Fraction-free forward elimination of the rows ``a``, in place.
 
     Pivots are searched in columns 0..ncols-1, one echelon row per pivot;
@@ -32,6 +37,13 @@ def eliminate(a, ncols, width):
     ``(pivots, sign)``: the pivot column of each echelon row and the sign
     of the row permutation.  The last pivot of a full-rank square matrix,
     times sign, is its determinant.
+
+    With ``above``, each pivot also clears its column in the echelon rows
+    above it, with the same exact divisions (fraction-free Gauss-Jordan);
+    the rows below come out as without it.  Past the last pivot column,
+    the echelon rows then hold den U^-1 times the echelon rows forward
+    elimination leaves, U their square of pivot columns and den its last
+    pivot.  Each row keeps its own pivot entry as it was when it pivoted.
     """
     m = len(a)
     pivots = []
@@ -52,7 +64,8 @@ def eliminate(a, ncols, width):
         ar = a[row]
         piv = ar[col]
         rest = range(col + 1, width)
-        for i in range(row + 1, m):
+        below = range(row + 1, m)
+        for i in [*range(row), *below] if above else below:
             ai = a[i]
             f = ai[col]
             if f:
@@ -164,7 +177,14 @@ def null_vector(a, n):
     """The integer null vector x of the rows ``a`` (n ints each, eliminated
     in place, keeping their span) when their rank is n - 1, else None.  For
     c the column with no pivot, x_c is the last pivot before it (1 if c =
-    0), x before c is ``back_substitute`` of -x_c column c, x after c is 0."""
+    0), x before c is ``back_substitute`` of -x_c column c, x after c is 0.
+    Zero rows with n = 1, and one row with n = 2, are already in echelon
+    form: x is read off them, and they are left as passed."""
+    if n == 1 and not any(map(any, a)):
+        return [1]
+    if n == 2 and len(a) == 1:
+        p, q = a[0]
+        return [-q, p] if p else [1, 0] if q else None
     pivots = eliminate(a, n, n)[0]
     free = n - 1
     if len(pivots) != free:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 # ff_solve is re-exported: linalg is the package's linear-algebra namespace,
 # and perfbench records linalg.ff_solve's module as the kernel's.
-from tvpm.kernel import back_substitute, eliminate, ff_solve
+from tvpm.kernel import eliminate, ff_solve
 
 _RAT_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
@@ -105,8 +105,9 @@ class HullFactor(NamedTuple):
     rows ready to stack.  When the points are affinely independent (k =
     s), with P the (d+1) x s matrix of lifted columns (p, 1), ``coef`` P =
     ``den`` I: ``coef`` is the s x (d+1) integer matrix den U^-1 L and
-    ``den`` > 0 is |U's last pivot|, for the factor L P = U that
-    ``hull_factor`` computes.  So a point y = t (w, 1) of the hull has
+    ``den`` > 0 is |U's last pivot|, for the factor L P = U of
+    fraction-free forward elimination, which ``hull_factor`` reads off
+    one Gauss-Jordan pass.  So a point y = t (w, 1) of the hull has
     affine coefficients coef y / (den t), with the signs of coef y when
     t > 0.  Both are None for dependent points.
     """
@@ -119,12 +120,12 @@ class HullFactor(NamedTuple):
 def hull_factor(points):
     """Factor the affine hull of integer points.
 
-    One fraction-free pass over [P | I], P the lifted columns (p, 1),
-    turns it into [L P | L].  The rows past the rank k have L P = 0, so
-    each is an integer equation e with e . (x, 1) = 0 on the hull; when
-    k = s the first s rows hold U = L P, upper triangular with nonzero
-    diagonal, and their L, and ``back_substitute`` on each column of L
-    gives ``coef`` in integers.
+    One fraction-free Gauss-Jordan pass over [P | I], P the lifted
+    columns (p, 1), turns it into [L P | L].  The rows past the rank k
+    have L P = 0, so each is an integer equation e with e . (x, 1) = 0 on
+    the hull.  When k = s the first s rows hold den U^-1 times those of
+    forward elimination (``kernel.eliminate`` with ``above``), so their L
+    block is ``coef``, negated when U's last pivot is negative.
     """
     s = len(points)
     dim = len(points[0]) + 1
@@ -132,13 +133,11 @@ def hull_factor(points):
     a = [[p[c] for p in points] + [int(k == c) for k in range(dim)]
          for c in range(dim - 1)]
     a.append([1] * s + [0] * (dim - 1) + [1])
-    rank = len(eliminate(a, s, width)[0])
+    rank = len(eliminate(a, s, width, above=True)[0])
     coef = den = None
     if rank == s:
         den = a[s - 1][s - 1]
-        sign = 1 if den > 0 else -1
-        cols = [back_substitute(a, [sign * a[k][j] for k in range(s)])
-                for j in range(s, width)]
-        coef = list(zip(*cols))
-        den *= sign
+        coef = [row[s:] if den > 0 else [-v for v in row[s:]]
+                for row in a[:s]]
+        den = abs(den)
     return HullFactor([row[s:] for row in a[rank:]], coef, den)

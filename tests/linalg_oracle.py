@@ -8,15 +8,17 @@ system over all coefficients and the point at once, the reference for the
 library's reading in ``tvpm.core.common_point``: the null vector of the
 other parts' equations at the kernel part's points, which gives that
 part's coefficients and the point, and each other part's coefficients
-through its hull factor.
+through its hull factor.  ``hull_factor_forward`` is the reference for
+``tvpm.linalg.hull_factor``'s one Gauss-Jordan pass: forward elimination,
+then one back substitution per column of L.
 """
 
 from fractions import Fraction
 from typing import NamedTuple
 
 from tvpm.core import canonical_partition
-from tvpm.kernel import eliminate, ff_solve
-from tvpm.linalg import denominator_lcm, to_int
+from tvpm.kernel import back_substitute, eliminate, ff_solve
+from tvpm.linalg import HullFactor, denominator_lcm, to_int
 
 
 def rank(rows):
@@ -125,3 +127,26 @@ def block_intersection(config, partition):
     n = config.n
     alpha = {col_point[pos]: x[pos] for pos in range(n)}
     return BlockIntersection("point", alpha, tuple(x[n:]), det)
+
+
+def hull_factor_forward(points):
+    """``tvpm.linalg.hull_factor`` by forward elimination of [P | I] into
+    [U | L] and ``kernel.back_substitute`` on each column of L: ``coef``
+    is sign * den U^-1 L and ``den`` = |den|, den U's last pivot and sign
+    its sign."""
+    s = len(points)
+    dim = len(points[0]) + 1
+    width = s + dim
+    a = [[p[c] for p in points] + [int(k == c) for k in range(dim)]
+         for c in range(dim - 1)]
+    a.append([1] * s + [0] * (dim - 1) + [1])
+    rank = len(eliminate(a, s, width)[0])
+    coef = den = None
+    if rank == s:
+        den = a[s - 1][s - 1]
+        sign = 1 if den > 0 else -1
+        cols = [back_substitute(a, [sign * a[k][j] for k in range(s)])
+                for j in range(s, width)]
+        coef = [list(row) for row in zip(*cols)]
+        den *= sign
+    return HullFactor([row[s:] for row in a[rank:]], coef, den)

@@ -581,6 +581,10 @@ LINE_CFG = {"schema": "tvpm/1", "kind": "point_config", "d": 1, "r": 2,
 LINE_CERT = {"schema": "tvpm/1", "kind": "certificate", "z": ["1"],
              "alpha": {"0": "1/2", "1": "1", "2": "1/2"}, "negatives": [],
              "gamma": "1", "partition": [[0, 2], [1]]}
+# four points on a line in R^2: every bipartition's hulls meet in a
+# segment or not at all, so spectrum classifies none of them
+COLLINEAR_CFG = {"schema": "tvpm/1", "kind": "point_config", "d": 2, "r": 2,
+                 "points": [["0", "0"], ["1", "0"], ["2", "0"], ["3", "0"]]}
 LINE_CLASSES = {"schema": "tvpm/1", "d": 1, "r": 2,
                 "classes": [[["0"], ["4"]], [["1"], ["3"]]]}
 LINE_COLORED_CERT = {"schema": "tvpm/1", "kind": "colored_certificate",
@@ -718,6 +722,20 @@ def test_verify_accepts_zero_coefficients_and_no_sign_on_them(tmp_path):
         "negatives [0, 1] do not match alternative in_m for m [0]"]
 
 
+def test_search_that_skips_every_partition_is_degenerate_input(tmp_path):
+    # no partition of six points on a line and one off it meets in one
+    # point with unique coefficients, so the scan classifies none: not
+    # not_found, even for k = 0, which general position guarantees
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(ZERO_CFG))
+    for k in ("0", "1"):
+        code, out, _ = run_cli(["search", "--input", str(cfg_path), "--k", k])
+        assert code == 5
+        assert json.loads(out) == {
+            "schema": "tvpm/1", "result": "degenerate_input",
+            "partitions_scanned": 175, "degenerate_skipped": 175}
+
+
 @pytest.mark.parametrize("argv, doc", [
     (["separation", "--m", "0,99"], LINE_CFG),
     (["separation", "--m", "-1"], LINE_CFG),
@@ -840,6 +858,7 @@ _OUTCOMES = [
     ("degenerate_gamma", ["gen", "--d", "2", "--r", "3", "--seed", "5"],
      ["solve", "--m", "0,3", "--input", "{gen}"]),
     ("internal_error", None, ["gen", "--d", "2", "--r", "3"]),
+    ("degenerate_input", None, ["spectrum", "--input", "{collinear}"]),
 ]
 
 
@@ -849,8 +868,9 @@ def test_every_result_exits_with_its_table_code(tmp_path, monkeypatch, capsys,
                                                 name, setup, argv):
     assert {case[0] for case in _OUTCOMES} == set(cli.RESULTS)
     paths = {key: tmp_path / (key + ".json")
-             for key in ("line", "cert", "edited_cert", "gen")}
+             for key in ("line", "cert", "edited_cert", "gen", "collinear")}
     paths["line"].write_text(json.dumps(LINE_CFG))
+    paths["collinear"].write_text(json.dumps(COLLINEAR_CFG))
     paths["cert"].write_text(json.dumps(LINE_CERT))
     edited = dict(LINE_CERT, alpha=dict(LINE_CERT["alpha"], **{"0": "1/3"}))
     paths["edited_cert"].write_text(json.dumps(edited))

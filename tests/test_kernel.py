@@ -194,6 +194,14 @@ def test_null_vector_matches_gauss_oracle():
     assert {(n, c) for n in range(1, 6) for c in range(n)} <= free
     assert null_vector([], 1) == [1]
     assert null_vector([[3, 5]], 2) == [-5, 3]
+    # the closed forms, for zero rows at n = 1 and one row at n = 2, give
+    # elimination's vectors and leave the rows as passed
+    for rows, n, want in [([[0], [0]], 1, [1]), ([[2], [0]], 1, None),
+                          ([[0, 4]], 2, [1, 0]), ([[0, 0]], 2, None),
+                          ([[-3, 5]], 2, [-5, -3])]:
+        work = [row[:] for row in rows]
+        assert null_vector(work, n) == want, rows
+        assert work == rows
     assert null_vector([[0, 4, 1], [0, 2, 7]], 3) == [1, 0, 0]
     assert null_vector([[2, 4, 1], [1, 2, 7]], 3) == [-4, 2, 0]
 

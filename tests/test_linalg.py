@@ -18,7 +18,13 @@ from tvpm.linalg import (
 )
 from tvpm.search import proper_partitions
 
-from linalg_oracle import block_intersection, block_system, rank, solve_linear
+from linalg_oracle import (
+    block_intersection,
+    block_system,
+    hull_factor_forward,
+    rank,
+    solve_linear,
+)
 
 F = Fraction
 
@@ -226,6 +232,8 @@ def test_hull_factor_equations_and_triangular_factor():
         lifted = [p + (1,) for p in pts]  # the columns of P
         prows = list(zip(*lifted))  # the rows of P
         f = hull_factor(pts)
+        # one Gauss-Jordan pass gives forward elimination's factor exactly
+        assert f == hull_factor_forward(pts)
         rk = rank(lifted)
         # d+1-rk independent equations e . (x, 1) = 0, each satisfied by
         # every point

@@ -567,26 +567,23 @@ def test_prescribed_scan_stops_at_the_block_systems_first_match():
 
 
 def test_r3_scan_classifies_each_partition_from_one_null_vector(monkeypatch):
-    # A partition costs one in-place elimination, of the (s-1) x s matrix
-    # of the other parts' equations at its kernel part's s points
-    # (kernel.null_vector), and a part first seen outside the kernel one
-    # more, for its hull factor; a part that is only ever a kernel part is
-    # never factored, and no ff_solve copies a system or builds a Solution.
-    cfg = random_config(2, 3, seed=5)
-    partitions = list(proper_partitions(cfg.n, cfg.r, cfg.d))
-    sizes = [min(map(len, partition)) for partition in partitions]
-    parts = {part for partition, s in zip(partitions, sizes)
-             for part in partition
-             if part != next(q for q in partition if len(q) == s)}
+    # A partition costs one null vector (kernel.null_vector) of the (s-1) x
+    # s matrix of the other parts' equations at its kernel part's s points,
+    # read in closed form for s <= 2 and by one in-place elimination for
+    # s >= 3; a part first seen outside the kernel one costs one more
+    # elimination, for its hull factor.  A part that is only ever a kernel
+    # part is never factored, and no ff_solve copies a system or builds a
+    # Solution.  (2, 3) has kernel parts of sizes 1 and 2 only, (3, 3) of
+    # sizes 1 to 3.
     calls = {"ff_solve": 0, "null_vector": 0, "eliminate": 0}
     shapes = []
 
     def counted(name, inner):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
             if name == "null_vector":
                 shapes.append((len(args[0]), args[1]))
-            return inner(*args)
+            return inner(*args, **kwargs)
         return wrapper
 
     for module in (kernel, linalg, core, search):
@@ -594,13 +591,27 @@ def test_r3_scan_classifies_each_partition_from_one_null_vector(monkeypatch):
             inner = getattr(module, name, None)
             if inner is not None:
                 monkeypatch.setattr(module, name, counted(name, inner))
-    # n = 7 negatives with r = 3 parts: never found, so the whole stream
-    res = search_prescribed(cfg, set(range(cfg.n)))
-    assert not res.found and res.scanned == len(partitions)
-    assert calls == {"ff_solve": 0, "null_vector": len(partitions),
-                     "eliminate": len(partitions) + len(parts)}
-    assert shapes == [(s - 1, s) for s in sizes]
-    assert set(sizes) == {1, 2}
+    for (d, r, seed), nulls, eliminations, kernel_sizes in [
+            ((2, 3, 5), 175, 50, {1, 2}), ((3, 3, 2), 1855, 490, {1, 2, 3})]:
+        cfg = random_config(d, r, seed=seed)
+        partitions = list(proper_partitions(cfg.n, cfg.r, cfg.d))
+        sizes = [min(map(len, partition)) for partition in partitions]
+        parts = {part for partition, s in zip(partitions, sizes)
+                 for part in partition
+                 if part != next(q for q in partition if len(q) == s)}
+        wide = sum(s >= 3 for s in sizes)
+        for name in calls:
+            calls[name] = 0
+        del shapes[:]
+        # n negatives with r = 3 parts: never found, so the whole stream
+        res = search_prescribed(cfg, set(range(cfg.n)))
+        assert not res.found and res.scanned == len(partitions)
+        assert calls == {"ff_solve": 0, "null_vector": nulls,
+                         "eliminate": eliminations}
+        assert nulls == len(partitions)
+        assert eliminations == len(parts) + wide
+        assert shapes == [(s - 1, s) for s in sizes]
+        assert set(sizes) == kernel_sizes
 
 
 def test_scan_outputs_match_golden_bytes(capsys):
