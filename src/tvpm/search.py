@@ -7,12 +7,13 @@ their smallest element), from one loop with an undo stack rather than one
 generator frame per index.  Brute-force scans over this stream serve as
 the independent oracle for the constructive solver: "not found" always
 means the whole stream was checked.  The scan (``_scan``, one loop for
-every search) classifies each partition from one null vector x, of the
-other parts' hull equations at the points of its first smallest part
-(``core.common_point``), then hands ``accept`` each part's negative
-flags, one per index: that part's first, the signs of x; only if it
-passes is the common point y built, and each other part's flags are the
-signs of one mat-vec of its cached coefficient matrix with y.  The scan
+every search) classifies each partition of r > 2 parts from one null
+vector x, of the other parts' hull equations at the points of its first
+smallest part (``core.common_point``), then hands ``accept`` each part's
+negative flags, one per index: that part's first, the signs of x; only
+if it passes is the common point y built, and each other part's flags
+are the signs of one mat-vec of its cached coefficient matrix with y.
+At r = 2 the flags come from the Radon dependence instead.  The scan
 stops at the first part that rules the partition out; a partition
 stopped early still counts as scanned.  ``search_exact_k`` sums the
 flags, and ``search_prescribed`` compares them with the part's
@@ -21,18 +22,23 @@ membership in M, computed once per part.  A certificate is built
 classifier) only for the partition the scan returns.
 
 For r = 2 the n = d+2 points have one affine dependence lambda,
-sum lambda_i (a_i, 1) = 0, and every bipartition (T, A \\ T) with
-lambda(T) != 0 meets in the point with coefficients lambda_i / lambda(T)
-on T and -lambda_j / lambda(T) off T (Radon, 1921).  When lambda is
-unique with every lambda_i != 0, the scan reads every bipartition's flags
-from it and factors no part; otherwise (the points lie in a hyperplane,
-or some lambda_i = 0) it reads them from the part hulls as for r > 2.
-``radon_spectrum`` scans nothing when lambda is such: the achievable
-negative counts are {0..K}, K the number of smallest |lambda_i| whose sum
-stays below half of sum |lambda_i|.  Its ``scanned`` counts the
-2^(d+1) - 1 bipartitions lambda decides and its ``skipped`` those with
-lambda(T) = 0, found by a meet-in-the-middle count of integer subset
-sums; the scan is its fallback.
+sum lambda_i (a_i, 1) = 0, when the lifted points have rank d+1, and it
+decides every bipartition (T, A \\ T) (Radon, 1921).  A dependent part
+carries a dependence, a multiple of lambda, so it holds all of supp lambda
+and lambda(T) = 0.  So when lambda(T) != 0 both parts are independent and
+meet in the one point with coefficients lambda_i / lambda(T) on T and
+-lambda_j / lambda(T) off T; a zero lambda_i is a zero coefficient, never
+a negative one.  When lambda(T) = 0 the bipartition is skipped.  When
+lambda is not unique (the points lie in a hyperplane), the ways the two
+parts meet are the dependences mu with mu(T) = 1, a flat of dimension at
+least 1 or nothing, so no bipartition meets in one point with unique
+coefficients and every one is skipped.  The scan reads every bipartition
+this way and factors no part.  ``radon_spectrum`` scans nothing: the
+achievable negative counts are {0..K}, K the number of smallest nonzero
+|lambda_i| whose sum stays below half of sum |lambda_i|.  Its
+``scanned`` counts the 2^(d+1) - 1 bipartitions and its ``skipped``
+those with lambda(T) = 0, found by a meet-in-the-middle count of integer
+subset sums, or all of them when lambda is not unique.
 
 Separation of conv(M) from conv(A \\ M) is decided by the exact
 minimum-norm point of the differences a_i - a_j, i in M, j not in M: zero
@@ -115,25 +121,30 @@ class SearchResult(NamedTuple):
 def _radon_weights(points):
     """The integer Radon dependence lambda of n = d+2 integer points, with
     sum lambda_i (a_i, 1) = 0 (``kernel.null_vector`` of the lifted
-    points), or None when it is not unique up to a factor or some lambda_i
-    is 0, where a bipartition's signs cannot be read from lambda alone."""
+    points), zero entries allowed, or None when it is not unique up to a
+    factor: then the points lie in a hyperplane and every bipartition is
+    skipped."""
     rows = [list(col) for col in zip(*points)] + [[1] * len(points)]
-    lam = null_vector(rows, len(points))
-    return None if lam is None or 0 in lam else lam
+    return null_vector(rows, len(points))
 
 
 def _radon_signs(lam, partition):
     """The negative flags of both parts of a bipartition at its unique
     intersection point, read from the Radon dependence
-    (``_radon_weights``), or None when lambda(T) = 0, T the first part:
-    then T is affinely dependent."""
+    (``_radon_weights``), or None when lambda(T) = 0, T the first part.
+
+    The coefficients are lambda_i / lambda(T) on T and -lambda_j /
+    lambda(T) off T, so with lambda(T) > 0 the negatives are the i in T
+    with lambda_i < 0 and the j off T with lambda_j > 0, and the reverse
+    with lambda(T) < 0; a zero lambda_i is never negative.
+    """
     first, second = partition
     total = sum(lam[i] for i in first)
-    if total == 0:
-        return None
-    pos = total > 0
-    return ([(lam[i] > 0) != pos for i in first],
-            [(lam[j] > 0) == pos for j in second])
+    if total > 0:
+        return [lam[i] < 0 for i in first], [lam[j] > 0 for j in second]
+    if total < 0:
+        return [lam[i] > 0 for i in first], [lam[j] < 0 for j in second]
+    return None
 
 
 def _scan(config, accept):
@@ -145,34 +156,31 @@ def _scan(config, accept):
     kernel part (the first of least size) and 1..r-1 for the others in
     part order, flags[i] telling whether part[i]'s coefficient is
     negative; the partition is dropped at the first part it rejects, and
-    still counts as scanned, never as skipped.  The partition is
-    classified by ``core.common_point``, with ``memo`` its per-part cache:
-    the kernel part's flags are the signs of its x, and each other part's
-    the signs of its coefficient matrix times y = sum x_i (p_i, 1), built
-    only once the kernel part is accepted.  For r = 2 (n = d+2, as every
-    caller requires) the flags come from the Radon dependence instead, in
-    part order, when it has no zero entry; the input decides which.
+    still counts as scanned, never as skipped.  For r > 2 the partition
+    is classified by ``core.common_point``, with ``memo`` its per-part
+    cache: the kernel part's flags are the signs of its x, and each other
+    part's the signs of its coefficient matrix times y = sum x_i (p_i, 1),
+    built only once the kernel part is accepted.  For r = 2 (n = d+2, as
+    every caller requires) every bipartition is read from the Radon
+    dependence, in part order (``_radon_signs``), and none is factored;
+    with no unique dependence every bipartition is skipped.
     """
     _, points = config.scaled
-    lam = _radon_weights(points) if config.r == 2 else None
-    # With r = 2 a part fixes its partition, so no part is seen twice:
-    # the cache is emptied for each one.
-    keep = config.r > 2
+    radon = config.r == 2
+    lam = _radon_weights(points) if radon else None
     memo = {}
     scanned = 0
     skipped = 0
     for partition in proper_partitions(config.n, config.r, config.d):
         scanned += 1
-        if lam is not None:
-            signs = _radon_signs(lam, partition)
+        if radon:
+            signs = None if lam is None else _radon_signs(lam, partition)
             if signs is None:
                 skipped += 1
                 continue
             found = (accept(0, partition[0], signs[0])
                      and accept(1, partition[1], signs[1]))
         else:
-            if not keep:
-                memo.clear()
             _, kernel, x = common_point(points, partition, memo)
             if x is None:
                 skipped += 1
@@ -268,35 +276,25 @@ def _zero_sum_bipartitions(lam):
 def radon_spectrum(config):
     """Achievable negative counts over all bipartitions, for n = d+2.
 
-    Read from the Radon dependence (``_radon_weights``) when there is one:
-    the negatives of T with lambda(T) > 0 are exactly the sets U with
-    sum_U |lambda_i| below half of sum |lambda_i|.  Otherwise the
-    bipartitions are scanned.
+    Read from the Radon dependence (``_radon_weights``), never from a
+    scan: the negatives of T with lambda(T) > 0 are exactly the sets U of
+    indices with nonzero lambda_i and sum_U |lambda_i| below half of
+    sum |lambda_i|.  With no unique dependence every bipartition is
+    skipped and nothing is achievable.
     """
     if config.r != 2:
         raise ValueError("spectrum needs r = 2")
     if config.n != config.d + 2:
         raise ValueError("spectrum needs n = d+2")
     lam = _radon_weights(config.scaled[1])
-    if lam is not None:
-        sizes = sorted(map(abs, lam))
-        total = sum(sizes)
-        top = sum(2 * below < total for below in accumulate(sizes))
-        return SpectrumResult(frozenset(range(top + 1)),
-                              2 ** (config.n - 1) - 1,
-                              _zero_sum_bipartitions(lam))
-    ks = set()
-    count = 0
-
-    def collect(j, part, flags):
-        nonlocal count
-        count = (count if j else 0) + sum(flags)
-        if j:
-            ks.add(count)
-        return not j
-
-    res = _scan(config, collect)
-    return SpectrumResult(frozenset(ks), res.scanned, res.skipped)
+    bipartitions = 2 ** (config.n - 1) - 1
+    if lam is None:
+        return SpectrumResult(frozenset(), bipartitions, bipartitions)
+    sizes = sorted(abs(v) for v in lam if v)
+    total = sum(sizes)
+    top = sum(2 * below < total for below in accumulate(sizes))
+    return SpectrumResult(frozenset(range(top + 1)), bipartitions,
+                          _zero_sum_bipartitions(lam))
 
 
 class Separated(NamedTuple):

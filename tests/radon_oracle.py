@@ -1,16 +1,19 @@
 """Closed-form Radon spectrum, independent of the library's solvers.
 
-For n = d+2 points a_0..a_{d+1} in general position in R^d, the Radon
-dependence lambda (sum lambda_i a_i = 0, sum lambda_i = 0, every
-lambda_i != 0) is unique up to scale.  For a bipartition {T, A \\ T} with
-lambda(T) > 0 the common point of the two affine hulls has coefficients
-lambda_i / lambda(T) on T and -lambda_i / lambda(T) off T, so its negative
-set is U = (N & T) | (P - T), where P and N hold the indices with
-lambda_i > 0 and lambda_i < 0.  Since lambda(T) = S - sum_U |lambda_i| with
-S = sum_P lambda_i = half of sum |lambda_i|, these U are exactly the sets
-with sum_U |lambda_i| < S, and U determines T = (N & U) | (P - U).  The
-achievable negative counts are therefore {0..K}, K the largest number of
-the |lambda_i| whose sum stays below half the total (Radon, 1921).
+For n = d+2 points a_0..a_{d+1} in R^d that lie in no hyperplane, the
+Radon dependence lambda (sum lambda_i a_i = 0, sum lambda_i = 0) is
+unique up to scale; some lambda_i may be 0.  For a bipartition
+{T, A \\ T} with lambda(T) > 0 the common point of the two affine hulls
+has coefficients lambda_i / lambda(T) on T and -lambda_i / lambda(T) off
+T, so its negative set is U = (N & T) | (P - T), where P and N hold the
+indices with lambda_i > 0 and lambda_i < 0; a zero lambda_i is a zero
+coefficient, never a negative one.  Since lambda(T) = S - sum_U
+|lambda_i| with S = sum_P lambda_i = half of sum |lambda_i|, these U are
+exactly the sets of indices with nonzero lambda_i and sum_U |lambda_i| <
+S, and U determines T = (N & U) | (P - U) up to the indices with
+lambda_i = 0.  The achievable negative counts are therefore {0..K}, K
+the largest number of the nonzero |lambda_i| whose sum stays below half
+the total (Radon, 1921).
 
 Only ``fractions`` is used here: the dependence comes from Cramer's rule
 with a determinant computed below, never from ``tvpm``'s own linear
@@ -62,24 +65,29 @@ def radon_dependence(points):
 
 
 def radon_top(points):
-    """The top of the Radon spectrum of d+2 points in general position.
+    """The top of the Radon spectrum of d+2 points in no hyperplane.
 
     Returns ``(K, U, partition)``: U holds the indices of the K smallest
-    |lambda_i|, K as large as keeps their sum strictly below half of
-    sum |lambda_i|, and partition is the bipartition (T, A \\ T) with
-    T = (N & U) | (P - U), whose certificate has exactly U negative.
+    nonzero |lambda_i|, K as large as keeps their sum strictly below half
+    of sum |lambda_i|, and partition is the bipartition (T, A \\ T) with
+    T = (N & U) | (P - U), the indices with lambda_i = 0 off T, whose
+    certificate has exactly U negative.  A Cramer vector that is all
+    zero means the dependence is not unique: the points lie in a
+    hyperplane, and no bipartition meets in one point.
     """
     lam = radon_dependence(points)
-    if any(l == 0 for l in lam):
-        raise ValueError("points are not in general position")
+    if not any(lam):
+        raise ValueError("the Radon dependence is not unique")
     half = sum(abs(l) for l in lam) / 2
     top = []
     total = Fraction(0)
-    for i in sorted(range(len(lam)), key=lambda i: abs(lam[i])):
+    for i in sorted((i for i in range(len(lam)) if lam[i]),
+                    key=lambda i: abs(lam[i])):
         if total + abs(lam[i]) >= half:
             break
         total += abs(lam[i])
         top.append(i)
-    part = tuple(i for i in range(len(lam)) if (lam[i] < 0) == (i in top))
+    part = tuple(i for i in range(len(lam))
+                 if lam[i] and (lam[i] < 0) == (i in top))
     rest = tuple(i for i in range(len(lam)) if i not in part)
     return len(top), frozenset(top), (part, rest)

@@ -29,7 +29,7 @@ from tvpm.search import (
 from color_classes import random_classes
 from linalg_oracle import block_intersection, solve_linear
 from minnorm_oracle import min_norm_point_naive, min_norm_point_scaled
-from radon_oracle import radon_top
+from radon_oracle import radon_dependence, radon_top
 from scan_spectrum import scanned_spectrum
 
 F = Fraction
@@ -206,11 +206,11 @@ def test_criterion_05_exact_classification():
 def _check_radon_top(cfg):
     """Assert the spectrum is exactly {0..K} and both ends of it hold.
 
-    K comes from the closed form in radon_oracle; the scan over every
-    bipartition must find the same spectrum as ``radon_spectrum``, the
-    witness bipartition must give a verified certificate with exactly the
-    K predicted negatives, and an exhaustive scan must find no certificate
-    with K+1.
+    K comes from the closed form in radon_oracle; the block systems of
+    every bipartition (``scanned_spectrum``) must give the same spectrum
+    as ``radon_spectrum``, the witness bipartition must give a verified
+    certificate with exactly the K predicted negatives, and an exhaustive
+    scan must find no certificate with K+1.
     """
     k, top, partition = radon_top(cfg.points)
     res = radon_spectrum(cfg)
@@ -251,11 +251,31 @@ def test_criterion_06_radon_spectrum_equals_bound():
     print("criterion 6: finding - spectrum equals {0..floor((d+2)/2)} "
           "in %s (reported, not asserted)" % ", ".join(tallies))
     print("criterion 6: PASS - in 250 runs (d = 1..5) the spectrum is "
-          "{0..K} for the closed-form Radon K, as the bipartition scan "
-          "finds it too, the K-negative witness "
+          "{0..K} for the closed-form Radon K, as every bipartition's "
+          "block system gives it too, the K-negative witness "
           "re-verified and no K+1 in a full scan; {0..floor((d+2)/2)} is "
           "contained in every run and strictly exceeded for each d = 3..5; "
           "the unit square has spectrum {0, 1}")
+
+
+def test_radon_top_holds_with_zero_radon_weights():
+    # Lattice points with a zero Radon weight but a unique dependence: K
+    # counts the nonzero |lambda_i| only, and the witness, with the
+    # zero-weight indices off T, verifies with exactly U negative.
+    rng = random.Random(6100)
+    seen = {d: 0 for d in range(2, 6)}
+    while min(seen.values()) < 8:
+        d = rng.randint(2, 5)
+        pts = []
+        while len(pts) < d + 2:
+            p = tuple(rng.randint(-2, 2) for _ in range(d))
+            if p not in pts:
+                pts.append(p)
+        lam = radon_dependence(pts)
+        if seen[d] == 8 or 0 not in lam or not any(lam):
+            continue
+        seen[d] += 1
+        _check_radon_top(PointConfig(d=d, r=2, points=pts))
 
 
 def test_criterion_07_line_bound_is_tight():

@@ -343,24 +343,26 @@ def test_radon_spectrum_closed_form_matches_the_scan(d, seed):
 @given(d=st.integers(1, 6), data=st.data())
 def test_radon_spectrum_closed_form_matches_the_scan_on_lattice(d, data):
     # Small lattice coordinates: bipartitions with lambda(T) = 0 are
-    # common, and so are zero Radon weights, where the scan is the answer.
+    # common, and so are zero Radon weights and points in a hyperplane.
     pts = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d),
                              min_size=d + 2, max_size=d + 2, unique=True))
     cfg = PointConfig(d=d, r=2, points=pts)
     assert radon_spectrum(cfg) == scanned_spectrum(cfg)
 
 
-def test_radon_spectrum_reads_lambda_and_scans_only_without_it(monkeypatch):
-    # A Radon dependence with no zero entry answers the spectrum without
-    # enumerating a bipartition or factoring a part, also when some
-    # lambda(T) = 0 (the unit square has two such bipartitions); three
-    # collinear points give lambda_3 = 0, and the scan.
+def test_radon_spectrum_reads_lambda_and_never_scans(monkeypatch):
+    # The Radon dependence answers the spectrum without enumerating a
+    # bipartition or factoring a part: with no zero entry, also when some
+    # lambda(T) = 0 (the unit square has two such bipartitions); with
+    # lambda_3 = 0 (three collinear points); and with no unique dependence
+    # (four points on a line), where every bipartition is skipped.
     generic = random_config(4, 2, seed=6)
     square = PointConfig(d=2, r=2, points=(
         (F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))))
-    collinear = _collinear_config()
-    want = [scanned_spectrum(cfg) for cfg in (generic, square, collinear)]
+    cases = (generic, square, _collinear_config(), _on_a_line_config())
+    want = [scanned_spectrum(cfg) for cfg in cases]
     assert want[1] == SpectrumResult(frozenset({0, 1}), 7, 2)
+    assert want[3] == SpectrumResult(frozenset(), 7, 7)
     calls = {"proper_partitions": 0, "hull_factor": 0}
 
     def counted(module, name):
@@ -374,11 +376,8 @@ def test_radon_spectrum_reads_lambda_and_scans_only_without_it(monkeypatch):
 
     counted(search, "proper_partitions")
     counted(linalg, "hull_factor")
-    assert radon_spectrum(generic) == want[0]
-    assert radon_spectrum(square) == want[1]
+    assert [radon_spectrum(cfg) for cfg in cases] == want
     assert calls == {"proper_partitions": 0, "hull_factor": 0}
-    assert radon_spectrum(collinear) == want[2]
-    assert calls["proper_partitions"] == 1 and calls["hull_factor"] > 0
 
 
 def _parity_configs():
@@ -423,6 +422,12 @@ def _collinear_config():
     # three collinear points: some parts are affinely dependent
     return PointConfig(d=2, r=2, points=(
         (F(0), F(0)), (F(1), F(1)), (F(2), F(2)), (F(1, 2), F(3))))
+
+
+def _on_a_line_config():
+    # four points on a line in the plane: no unique Radon dependence
+    return PointConfig(d=2, r=2, points=(
+        (F(0), F(0)), (F(1), F(0)), (F(2), F(0)), (F(3), F(0))))
 
 
 @functools.cache
@@ -617,8 +622,9 @@ def test_r3_scan_classifies_each_partition_from_one_null_vector(monkeypatch):
 def test_scan_outputs_match_golden_bytes(capsys):
     # search --k K for every K on gen at (2, 3) seed 1, (3, 3) seed 2 and
     # (2, 4) seed 3, search --prescribe 0 on example --kind 1 at (3, 3) and
-    # spectrum's fallback scan on a Radon dependence with a zero entry,
-    # recorded when each partition's stacked equations were eliminated
+    # spectrum on a Radon dependence with a zero entry, recorded when each
+    # partition's stacked equations were eliminated and that spectrum was
+    # still scanned; the Radon closed form gives the same bytes
     runs = json.loads((DATA / "scan_golden.json").read_text())
     assert len(runs) == 31
     for run in runs:
@@ -629,15 +635,18 @@ def test_scan_outputs_match_golden_bytes(capsys):
 
 
 def test_r2_scan_reads_signs_from_the_radon_dependence(monkeypatch):
-    # A generic r = 2 configuration has a Radon dependence with no zero
-    # entry, so its scan factors no part: only a found bipartition's part
-    # outside its kernel part is factored, for its certificate.  Three
-    # collinear points give lambda_3 = 0 and fall back to the part hulls.
+    # Every r = 2 scan reads its flags from the Radon dependence and
+    # factors no part: only a found bipartition's part outside its kernel
+    # part is factored, for its certificate.  That holds for a generic
+    # configuration, for three collinear points (lambda_3 = 0) and for
+    # points on a line, where every bipartition is skipped.
     cfg = random_config(4, 2, seed=6)
     spectrum = radon_spectrum(cfg)
-    found = [search_exact_k(cfg, k) for k in range(cfg.n + 1)]
     collinear = _collinear_config()
-    fallback = radon_spectrum(collinear)
+    zero_entry = radon_spectrum(collinear)
+    line = _on_a_line_config()
+    cases = (cfg, collinear, line)
+    found = [[search_exact_k(c, k) for k in range(c.n + 1)] for c in cases]
     hull_factor = linalg.hull_factor
     calls = []
 
@@ -648,14 +657,54 @@ def test_r2_scan_reads_signs_from_the_radon_dependence(monkeypatch):
     monkeypatch.setattr(linalg, "hull_factor", counted)
     assert radon_spectrum(cfg) == spectrum
     assert spectrum.achievable == set(range(radon_top(cfg.points)[0] + 1))
+    assert radon_spectrum(collinear) == zero_entry
     assert not calls
-    for k in range(cfg.n + 1):
-        del calls[:]
-        assert search_exact_k(cfg, k) == found[k]
-        assert len(calls) == (1 if found[k].found else 0), k
-    assert any(res.found for res in found)
-    assert not all(res.found for res in found)
+    for c, results in zip(cases, found):
+        for k in range(c.n + 1):
+            del calls[:]
+            assert search_exact_k(c, k) == results[k]
+            assert len(calls) == (1 if results[k].found else 0), k
+    assert any(res.found for res in found[0])
+    assert not all(res.found for res in found[0])
+    assert any(res.found for res in found[1])
+    assert all((res.found, res.scanned, res.skipped) == (False, 7, 7)
+               for res in found[2])
 
-    del calls[:]
-    assert radon_spectrum(collinear) == fallback
-    assert calls
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 5), plane=st.booleans(), data=st.data())
+def test_r2_scan_matches_the_block_system_on_lattice(d, plane, data):
+    # Lattice points of {-2..2}^d, in some draws on the hyperplane x_0 = 0
+    # when it has room for d+2 of them: zero Radon weights, bipartitions
+    # with lambda(T) = 0 and inputs with no unique dependence are common.
+    # The Radon reading must stop where a loop over the block systems
+    # first matches, with the same counts and negatives.
+    coord = st.integers(-2, 2)
+    first = st.just(0) if plane and 5 ** (d - 1) >= d + 2 else coord
+    pts = data.draw(st.lists(st.tuples(first, *[coord] * (d - 1)),
+                             min_size=d + 2, max_size=d + 2, unique=True))
+    cfg = PointConfig(d=d, r=2, points=pts)
+    rows = _block_scan(cfg)
+
+    def first_hit(match):
+        skipped = 0
+        for pos, (partition, _, negatives) in enumerate(rows):
+            if negatives is None:
+                skipped += 1
+            elif match(negatives):
+                return True, partition, pos + 1, skipped, negatives
+        return False, None, len(rows), skipped, None
+
+    def got(res):
+        return (res.found, res.partition, res.scanned, res.skipped,
+                res.cert.negatives if res.found else None)
+
+    for k in range(cfg.n + 1):
+        assert got(search_exact_k(cfg, k)) == first_hit(
+            lambda w: len(w) == k), k
+    targets = st.frozensets(st.integers(0, cfg.n - 1))
+    seen = sorted({w for _, _, w in rows if w is not None}, key=sorted)
+    if seen:
+        targets |= st.sampled_from(seen)
+    m = data.draw(targets)
+    assert got(search_prescribed(cfg, m)) == first_hit(lambda w: w == m)
